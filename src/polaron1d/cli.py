@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, kernels
+from . import __version__
 from .action import PotentialSpec
 from .exact_diag import DiscretizationSpec, InvariantViolation, sector_ground
 from .estimator import RunConfig, energy_estimate, ordering_check, sweep_alpha
@@ -353,8 +353,10 @@ def cmd_compare(config: ExperimentConfig, t0: float) -> int:
     return 0
 
 
-def cmd_validate(config: ExperimentConfig, t0: float) -> int:
-    report = run_validation(n_workers=config.values["workers"])
+def cmd_validate(config: ExperimentConfig, t0: float,
+                 series_scale: float = 1.0) -> int:
+    report = run_validation(n_workers=config.values["workers"],
+                            series_scale=series_scale)
     print(json.dumps(report, indent=2))
     _write_manifest(config.out_dir / "manifest.json", "validate", config, t0,
                     {"passed": report["passed"], "suites": report["suites"]})
@@ -393,15 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default .)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--inject-fault", type=float, default=None,
-                       help=argparse.SUPPRESS)
+    # scales the g series the validate check compares: a planted fault
+    sub.choices["validate"].add_argument("--inject-fault", type=float,
+                                         default=1.0, help=argparse.SUPPRESS)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.inject_fault is not None:
-        kernels._SERIES_COEFF_SCALE = args.inject_fault
     t0 = time.monotonic()
     try:
         config = ExperimentConfig.resolve(
@@ -413,6 +414,8 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise OSError(f"cannot create output directory {out_dir}: {err}")
+        if args.subcommand == "validate":
+            return cmd_validate(config, t0, series_scale=args.inject_fault)
         return COMMANDS[args.subcommand](config, t0)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

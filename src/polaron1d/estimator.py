@@ -16,14 +16,31 @@ The ratio variant estimates -(1/delta) log(Z_{beta+delta} / Z_beta),
 which cancels the overlap prefactor at finite beta.  Both horizons are
 evaluated on one extended path per sample (the [0, beta] restriction is
 a prefix), so the two partition estimates are maximally coupled and the
-log-ratio variance comes from a batch-means covariance, not independent
-error bars.
+log-ratio variance comes from batch means of the coupled rows, not
+independent error bars.
 
 Coupling sweeps exploit that S_eff is exactly linear in alpha (g_L =
 sqrt(2) alpha / L enters every kernel once): the alpha = 1 action is
 evaluated per path and scaled, which makes per-path monotonicity in
 alpha exact rather than statistical and gives common random numbers
 across the sweep for free.
+
+Every number here goes through one function, `log_mean_estimate`: per-path
+log-weights in rows on shared paths, shape (k, n), and coefficients c give
+sum_i c_i log mean exp(row_i) with a batch-means delta-method stderr.
+
+    plain      one row (beta), c = -1/beta, plus -log(volume)/beta
+    ratio      rows (beta + delta, beta), c = (-1/delta, +1/delta)
+    partition  one row, c = 1; Z = volume e^value, stderr Z * stderr
+    sweep      each alpha as above; a paired difference stacks the rows
+               of both couplings with c and -c
+
+Each row is shifted by its own maximum before exponentiating, so large
+actions cannot overflow.  A row with no survivors (every log-weight
+-inf) gives a flagged result instead of a numpy warning: energies come
+back as value = stderr = inf, n_effective = 0 and
+diagnostics["zero_survivors"] True; partition estimates as (0.0, inf);
+paired differences as nan +- inf.
 """
 
 from __future__ import annotations
@@ -193,31 +210,102 @@ def _collect(config: RunConfig, extended: bool, unit_alpha: bool = False) -> dic
     return arrays
 
 
-def _weights(logs: np.ndarray, s_eff: np.ndarray, s_el: np.ndarray,
-             alpha_scale: float | None = None) -> np.ndarray:
-    s = s_eff if alpha_scale is None else alpha_scale * s_eff
-    return np.exp(logs + s + s_el)
-
-
 def _batch_means(per_path: np.ndarray) -> np.ndarray:
     n_batches = min(N_BATCHES, per_path.shape[-1])
     return np.array([chunk.mean(axis=-1)
                      for chunk in np.array_split(per_path, n_batches, axis=-1)]).T
 
 
-def _mean_and_stderr(w: np.ndarray) -> tuple[float, float]:
-    value = float(w.mean())
-    means = _batch_means(w)
-    if means.size < 2:
-        return value, float("inf")
-    return value, float(means.std(ddof=1) / np.sqrt(means.size))
+@dataclass(frozen=True)
+class LogMeanEstimate:
+    """sum_i c_i log mean(exp(row_i)) with its delta-method stderr.
+
+    `survival` holds each row's fraction of paths with finite log-weight
+    and `n_effective` the effective sample size of row 0.  When some row
+    has no survivors the result is flagged: `zero_survivors` is True,
+    value nan, stderr inf and n_effective 0.
+    """
+
+    value: float
+    stderr: float
+    n_effective: float
+    survival: tuple
+    zero_survivors: bool
 
 
-def _n_effective(w: np.ndarray) -> float:
-    total = w.sum()
-    if total <= 0:
-        return 0.0
-    return float(total**2 / np.sum(w**2))
+def log_mean_estimate(log_w: np.ndarray, coeffs) -> LogMeanEstimate:
+    """Combine per-path log-weights (rows on shared paths) in log space.
+
+    Each row is shifted by its own maximum before exponentiating, so no
+    weight overflows; the shifts cancel in the logs and in the ratios
+    batch mean / mean of the delta method.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    alive = log_w > -np.inf
+    survival = tuple(float(f) for f in alive.mean(axis=1))
+    if not alive.any(axis=1).all():
+        return LogMeanEstimate(float("nan"), float("inf"), 0.0, survival, True)
+    shift = log_w.max(axis=1)
+    w = np.exp(log_w - shift[:, None])
+    means = w.mean(axis=1)
+    value = float(coeffs @ (np.log(means) + shift))
+    # delta method: the linearized estimate sum_i c_i mean_b(w_i) / mean(w_i)
+    # per batch; its spread equals grad . cov . grad but does not square
+    # the cancellation between strongly correlated rows
+    linear = coeffs @ (_batch_means(w) / means[:, None])
+    if linear.size < 2:
+        stderr = float("inf")
+    else:
+        stderr = float(linear.std(ddof=1) / np.sqrt(linear.size))
+    n_effective = float(w[0].sum() ** 2 / np.sum(w[0] ** 2))
+    return LogMeanEstimate(value, stderr, n_effective, survival, False)
+
+
+def _log_weights(arrays: dict, extended: bool,
+                 alpha_scale: float | None = None) -> np.ndarray:
+    """Per-path log-weights, rows (beta + delta, beta) or (beta,)."""
+    rows = []
+    for horizon in ("full", "beta") if extended else ("full",):
+        s = arrays[f"s_eff_{horizon}"]
+        if alpha_scale is not None:
+            s = alpha_scale * s
+        rows.append(arrays[f"logs_{horizon}"] + s + arrays[f"s_el_{horizon}"])
+    return np.stack(rows)
+
+
+def _coefficients(config: RunConfig) -> np.ndarray:
+    """Energy = coeffs . log means (+ the plain variant's volume term)."""
+    if config.variant == "plain":
+        return np.array([-1 / config.grid.beta])
+    return np.array([-1.0, 1.0]) / config.delta_eff
+
+
+def _partition(config: RunConfig, est: LogMeanEstimate,
+               coeff: float) -> tuple[float, float]:
+    """Z = volume * mean(weights) from a one-row estimate with coefficient coeff."""
+    if est.zero_survivors:
+        return 0.0, float("inf")
+    z = float(config.domain.volume * np.exp(est.value / coeff))
+    return z, z * est.stderr / abs(coeff)
+
+
+def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
+    """Energy estimate and diagnostics of one config from its log-weight rows."""
+    est = log_mean_estimate(log_w, _coefficients(config))
+    diagnostics = {"survival_fraction": est.survival[-1],
+                   "zero_survivors": est.zero_survivors}
+    value = est.value
+    if config.variant == "plain":
+        beta = config.grid.beta
+        z, z_se = _partition(config, est, -1 / beta)
+        diagnostics.update(z_value=z, z_stderr=z_se)
+        value -= np.log(config.domain.volume) / beta
+    else:
+        diagnostics["survival_fraction_extended"] = est.survival[0]
+    if est.zero_survivors:
+        value = float("inf")
+    return EnergyEstimate(float(value), est.stderr, est.n_effective, config,
+                          diagnostics=diagnostics)
 
 
 def partition_estimate(config: RunConfig) -> tuple[float, float]:
@@ -226,107 +314,15 @@ def partition_estimate(config: RunConfig) -> tuple[float, float]:
     Zero survivors return (0.0, inf): a flagged estimate, not an error.
     """
     arrays = _collect(config, extended=False)
-    w = _weights(arrays["logs_full"], arrays["s_eff_full"], arrays["s_el_full"])
-    value, stderr = _mean_and_stderr(w)
-    volume = config.domain.volume
-    if value <= 0:
-        return 0.0, float("inf")
-    return volume * value, volume * stderr
-
-
-def _log_ratio_stderr(w_num: np.ndarray, w_den: np.ndarray) -> float:
-    """Delta-method stderr of log(mean(w_num)/mean(w_den)) on coupled paths."""
-    means = np.stack([_batch_means(w_num), _batch_means(w_den)])
-    n_batches = means.shape[-1]
-    if n_batches < 2:
-        return float("inf")
-    cov = np.cov(means) / n_batches
-    m_num, m_den = w_num.mean(), w_den.mean()
-    grad = np.array([1 / m_num, -1 / m_den])
-    var = float(grad @ cov @ grad)
-    return float(np.sqrt(max(var, 0.0)))
+    return _partition(config, log_mean_estimate(_log_weights(arrays, False), [1.0]),
+                      1.0)
 
 
 def energy_estimate(config: RunConfig) -> EnergyEstimate:
     """-log Z_beta / beta (plain) or -(1/delta) log(Z_{beta+delta}/Z_beta)."""
-    beta = config.grid.beta
-    if config.variant == "plain":
-        arrays = _collect(config, extended=False)
-        w = _weights(arrays["logs_full"], arrays["s_eff_full"],
-                     arrays["s_el_full"])
-        z, se = _mean_and_stderr(w)
-        volume = config.domain.volume
-        diagnostics = {"z_value": volume * z, "z_stderr": volume * se,
-                       "survival_fraction": float(np.mean(w > 0)),
-                       "zero_survivors": bool(np.all(w == 0))}
-        if z <= 0:
-            return EnergyEstimate(float("inf"), float("inf"), 0.0, config,
-                                  diagnostics=diagnostics)
-        value = -np.log(volume * z) / beta
-        stderr = se / (beta * z)
-        return EnergyEstimate(float(value), float(stderr), _n_effective(w),
-                              config, diagnostics=diagnostics)
-    arrays = _collect(config, extended=True)
-    w_beta = _weights(arrays["logs_beta"], arrays["s_eff_beta"],
-                      arrays["s_el_beta"])
-    w_full = _weights(arrays["logs_full"], arrays["s_eff_full"],
-                      arrays["s_el_full"])
-    delta = config.delta_eff
-    diagnostics = {"survival_fraction": float(np.mean(w_beta > 0)),
-                   "survival_fraction_extended": float(np.mean(w_full > 0)),
-                   "zero_survivors": bool(np.all(w_full == 0))}
-    if np.all(w_full == 0) or np.all(w_beta == 0):
-        return EnergyEstimate(float("inf"), float("inf"), 0.0, config,
-                              diagnostics=diagnostics)
-    value = -np.log(w_full.mean() / w_beta.mean()) / delta
-    stderr = _log_ratio_stderr(w_full, w_beta) / delta
-    return EnergyEstimate(float(value), float(stderr), _n_effective(w_full),
-                          config, diagnostics=diagnostics)
-
-
-def _energy_from_weights(config: RunConfig, arrays: dict, alpha: float):
-    """Energy + per-horizon weights for one alpha on shared unit-alpha arrays."""
-    w_full = _weights(arrays["logs_full"], arrays["s_eff_full"],
-                      arrays["s_el_full"], alpha_scale=alpha)
-    if config.variant == "plain":
-        if np.all(w_full == 0):
-            return float("inf"), float("inf"), w_full, None
-        z, se = _mean_and_stderr(w_full)
-        volume = config.domain.volume
-        value = -np.log(volume * z) / config.grid.beta
-        stderr = se / (config.grid.beta * z)
-        return float(value), float(stderr), w_full, None
-    w_beta = _weights(arrays["logs_beta"], arrays["s_eff_beta"],
-                      arrays["s_el_beta"], alpha_scale=alpha)
-    if np.all(w_full == 0) or np.all(w_beta == 0):
-        return float("inf"), float("inf"), w_full, w_beta
-    delta = config.delta_eff
-    value = -np.log(w_full.mean() / w_beta.mean()) / delta
-    stderr = _log_ratio_stderr(w_full, w_beta) / delta
-    return float(value), float(stderr), w_full, w_beta
-
-
-def _paired_difference(config: RunConfig, lo_w, hi_w) -> tuple[float, float]:
-    """E(hi) - E(lo) with the batch covariance of all shared weights."""
-    if config.variant == "plain":
-        w_lo, w_hi = lo_w[0], hi_w[0]
-        diff = -np.log(w_hi.mean() / w_lo.mean()) / config.grid.beta
-        stderr = _log_ratio_stderr(w_hi, w_lo) / config.grid.beta
-        return float(diff), float(stderr)
-    w_full_lo, w_beta_lo = lo_w
-    w_full_hi, w_beta_hi = hi_w
-    delta = config.delta_eff
-    diff = (-np.log(w_full_hi.mean() / w_beta_hi.mean())
-            + np.log(w_full_lo.mean() / w_beta_lo.mean())) / delta
-    stacks = [w_full_hi, w_beta_hi, w_full_lo, w_beta_lo]
-    means = np.stack([_batch_means(w) for w in stacks])
-    if means.shape[-1] < 2:
-        return float(diff), float("inf")
-    cov = np.cov(means) / means.shape[-1]
-    m = np.array([w.mean() for w in stacks])
-    grad = np.array([-1 / m[0], 1 / m[1], 1 / m[2], -1 / m[3]]) / delta
-    var = float(grad @ cov @ grad)
-    return float(diff), float(np.sqrt(max(var, 0.0)))
+    extended = config.variant == "ratio"
+    arrays = _collect(config, extended=extended)
+    return _energy(config, _log_weights(arrays, extended))
 
 
 def sweep_alpha(config: RunConfig, alphas) -> dict:
@@ -336,30 +332,26 @@ def sweep_alpha(config: RunConfig, alphas) -> dict:
     alpha; per-path weights at different alphas are deterministic
     rescalings, so the paired differences in the report carry only the
     (small) variance of the shared sample, and per-path partition-weight
-    monotonicity in alpha is exact.
+    monotonicity in alpha is exact.  A paired difference is the log-mean
+    combination of both couplings' rows with coefficients c and -c.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one alpha")
     extended = config.variant == "ratio"
     arrays = _collect(config, extended=extended, unit_alpha=True)
-    estimates = []
-    weights = {}
-    for a in alphas:
-        cfg_a = replace(config, params=replace(config.params, alpha=a))
-        value, stderr, w_full, w_beta = _energy_from_weights(config, arrays, a)
-        weights[a] = (w_full, w_beta)
-        diagnostics = {"survival_fraction": float(np.mean(w_full > 0)),
-                       "zero_survivors": bool(np.all(w_full == 0))}
-        estimates.append(EnergyEstimate(value, stderr, _n_effective(w_full),
-                                        cfg_a, diagnostics=diagnostics))
+    log_w = {a: _log_weights(arrays, extended, alpha_scale=a) for a in alphas}
+    estimates = [_energy(replace(config, params=replace(config.params, alpha=a)),
+                         log_w[a]) for a in alphas]
+    coeffs = _coefficients(config)
     paired = []
     order = np.argsort(alphas)
     for i, j in zip(order[:-1], order[1:]):
         a_lo, a_hi = alphas[i], alphas[j]
-        diff, stderr = _paired_difference(config, weights[a_lo], weights[a_hi])
+        diff = log_mean_estimate(np.vstack([log_w[a_hi], log_w[a_lo]]),
+                                 np.concatenate([coeffs, -coeffs]))
         paired.append({"alpha_lo": a_lo, "alpha_hi": a_hi,
-                       "difference": diff, "stderr": stderr})
+                       "difference": diff.value, "stderr": diff.stderr})
     return {"estimates": estimates, "paired_differences": paired}
 
 

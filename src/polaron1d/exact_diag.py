@@ -56,7 +56,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .fock import FockSpace
+from .fock import FockSpace, annihilator
 from .kernels import ModelParams
 
 SECTOR_LABELS = ("none", "symmetric", "antisymmetric")
@@ -246,19 +246,6 @@ def _interaction_blocks(N: int, symmetry: str, spec: DiscretizationSpec,
     return blocks
 
 
-def _sparse_lowering(space: FockSpace, pos: int) -> scipy.sparse.csr_matrix:
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(space.occupations):
-        n_k = occ[pos]
-        if n_k > 0:
-            lowered = occ[:pos] + (n_k - 1,) + occ[pos + 1:]
-            rows.append(space.index[lowered])
-            cols.append(col)
-            vals.append(np.sqrt(n_k))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                   shape=(space.dim, space.dim))
-
-
 def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
                 spec: DiscretizationSpec) -> scipy.sparse.csr_matrix:
     """Full cutoff Hamiltonian H_el + N_ph + interaction, real symmetric CSR."""
@@ -273,7 +260,7 @@ def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
     H = scipy.sparse.kron(h_el, eye_b) + scipy.sparse.kron(eye_e, n_ph)
     if params.alpha > 0:
         for pos, (_, coupling, el_mat) in enumerate(blocks):
-            low = _sparse_lowering(space, pos)
+            low = annihilator(space, pos)
             quad = low + low.T
             H = H + coupling * scipy.sparse.kron(
                 scipy.sparse.csr_matrix(el_mat), quad)

@@ -42,6 +42,7 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
+import scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -111,20 +112,23 @@ class FockOperator:
         return FockOperator(self.matrix.conj().T, f"{self.label}*", self.space)
 
 
-def _annihilator_matrix(space: FockSpace, mode_pos: int) -> np.ndarray:
-    a = np.zeros((space.dim, space.dim), dtype=complex)
+def annihilator(space: FockSpace, mode_pos: int) -> scipy.sparse.csr_matrix:
+    """Sparse real matrix of a_k for the mode at mode_pos: sqrt(n_k) entries."""
+    rows, cols, vals = [], [], []
     for col, occ in enumerate(space.occupations):
         n_k = occ[mode_pos]
         if n_k > 0:
             lowered = occ[:mode_pos] + (n_k - 1,) + occ[mode_pos + 1:]
-            a[space.index[lowered], col] = np.sqrt(n_k)
-    return a
+            rows.append(space.index[lowered])
+            cols.append(col)
+            vals.append(np.sqrt(n_k))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                   shape=(space.dim, space.dim))
 
 
 def ladder(space: FockSpace, k, which: str) -> FockOperator:
     """a_k or a_k* with the standard sqrt(n) matrix elements."""
-    pos = space.mode_position(k)
-    a = _annihilator_matrix(space, pos)
+    a = annihilator(space, space.mode_position(k)).toarray().astype(complex)
     if which == "a":
         return FockOperator(a, f"a[{k}]", space)
     if which == "a*":
@@ -145,7 +149,7 @@ def smeared_annihilator(space: FockSpace, f) -> np.ndarray:
     a = np.zeros((space.dim, space.dim), dtype=complex)
     for pos in range(len(space.modes)):
         if f[pos] != 0:
-            a += np.conj(f[pos]) * _annihilator_matrix(space, pos)
+            a += np.conj(f[pos]) * annihilator(space, pos).toarray()
     return a
 
 

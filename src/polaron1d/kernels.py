@@ -64,12 +64,6 @@ import numpy as np
 
 SQRT2 = np.sqrt(2.0)
 
-# Scale applied to the series coefficients 1/(1 + k^2/2).  Only the
-# validation fault-injection path ever sets this to anything but 1.0; it
-# exists so `polaron1d validate` can demonstrate a detected invariant
-# breach end to end.
-_SERIES_COEFF_SCALE = 1.0
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -266,8 +260,8 @@ def g_series(x, L: float = 1.0, k_max: int = 2000):
     x = np.asarray(x, dtype=float)
     m = _mode_numbers(k_max)
     k = 2 * np.pi * m / L
-    coeff = _SERIES_COEFF_SCALE / (1 + k**2 / 2)
-    return (SQRT2 / L) * (_SERIES_COEFF_SCALE + 2 * np.cos(np.multiply.outer(x, k)) @ coeff)
+    coeff = 1 / (1 + k**2 / 2)
+    return (SQRT2 / L) * (1 + 2 * np.cos(np.multiply.outer(x, k)) @ coeff)
 
 
 def eval_delta_eps(x, eps: float, L: float = 1.0, k_max: int | None = None):

@@ -9,6 +9,7 @@ frozen inequalities, the width only guards the initial calibration.
 
 from __future__ import annotations
 
+import inspect
 import time
 
 import numpy as np
@@ -37,10 +38,15 @@ def _fail(name: str, detail: str):
     raise InvariantViolation(name, detail)
 
 
-def check_kernels_g_series():
-    """Lattice g series against the closed hyperbolic form."""
+def check_kernels_g_series(series_scale=1.0):
+    """Lattice g series against the closed hyperbolic form.
+
+    series_scale multiplies the series before the comparison; a value
+    other than 1 plants a fault the check must detect.
+    """
     x = np.linspace(-0.47, 0.47, 9)
-    gap = float(np.abs(kernels.eval_g(x) - kernels.g_series(x, k_max=20000)).max())
+    series = series_scale * kernels.g_series(x, k_max=20000)
+    gap = float(np.abs(kernels.eval_g(x) - series).max())
     if gap > 1e-4:
         _fail("kernels-g-series",
               f"series and closed form differ by {gap:.3e} (tol 1e-4)")
@@ -140,7 +146,7 @@ def check_exact_diag_free_pins():
                   f"N={N} {symmetry}: {value:.12f} vs {target:.12f}")
 
 
-def check_exact_diag_coupling_lowers(n_workers=1):
+def check_exact_diag_coupling_lowers():
     """Ground energy at alpha = 1 sits below the electronic ground."""
     spec = DiscretizationSpec(n_el_basis=10, k_max=2, n_ph_max=3, epsilon=0.5)
     params = ModelParams(alpha=1.0, N=1, L=1.0, beta=1.0)
@@ -206,17 +212,20 @@ CHECKS = (
 )
 
 
-def run_validation(n_workers: int = 1) -> dict:
-    """Run every suite; report {"passed": bool, "suites": [...]}."""
+def run_validation(n_workers: int = 1, series_scale: float = 1.0) -> dict:
+    """Run every suite; report {"passed": bool, "suites": [...]}.
+
+    Each suite receives the options among n_workers and series_scale
+    that its signature names.
+    """
+    options = {"n_workers": n_workers, "series_scale": series_scale}
     suites = []
     for name, fn in CHECKS:
         t0 = time.monotonic()
         status, detail = "pass", ""
         try:
-            if "n_workers" in fn.__code__.co_varnames[:fn.__code__.co_argcount]:
-                fn(n_workers=n_workers)
-            else:
-                fn()
+            accepted = inspect.signature(fn).parameters
+            fn(**{k: v for k, v in options.items() if k in accepted})
         except InvariantViolation as err:
             status, detail = "fail", str(err)
             name = err.name

@@ -282,3 +282,20 @@ def wedge_partition_series(beta, L=1.0, n_modes=40, n_quad=2000):
     anti = s_matrix - s_matrix.T
     boltz = np.exp(-beta * (energies[:, None] + energies[None, :]))
     return float(np.sum(np.triu(anti**2 * boltz, k=1)))
+
+
+def delta_method_reference(log_w, coeffs, n_batches=32):
+    """sum_i c_i log mean exp(row_i) and grad . cov . grad in long double.
+
+    Linear-space weights (no shift) and the covariance of the batch means,
+    as the textbook delta method writes it; the extended precision keeps
+    the cancellation between correlated rows below double rounding.
+    """
+    w = np.exp(np.asarray(log_w, dtype=np.longdouble))
+    c = np.asarray(coeffs, dtype=np.longdouble)
+    means = w.mean(axis=1)
+    batches = np.array([chunk.mean(axis=1)
+                        for chunk in np.array_split(w, n_batches, axis=1)]).T
+    grad = c / means
+    cov = np.cov(batches) / n_batches
+    return float(c @ np.log(means)), float(np.sqrt(grad @ cov @ grad))

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-import polaron1d.kernels as kernels_mod
+from polaron1d import validate
 from polaron1d.cli import CSV_COLUMNS, main
+from polaron1d.exact_diag import InvariantViolation
 
 SEED = 90121
 
@@ -195,11 +196,8 @@ class TestValidateCommand:
         assert manifest["passed"]
 
     def test_fault_injection_names_g_series(self, tmp_path, capsys):
-        try:
-            code = run_cli("validate", "--out", tmp_path, "--workers", 4,
-                           "--inject-fault", 1.001)
-        finally:
-            kernels_mod._SERIES_COEFF_SCALE = 1.0
+        code = run_cli("validate", "--out", tmp_path, "--workers", 4,
+                       "--inject-fault", 1.001)
         assert code == 1
         captured = capsys.readouterr()
         report = json.loads(captured.out)
@@ -207,3 +205,9 @@ class TestValidateCommand:
                   if s["status"] == "fail"]
         assert failed == ["kernels-g-series"]
         assert "kernels-g-series" in captured.err
+
+    def test_series_scale_is_a_parameter_not_state(self):
+        with pytest.raises(InvariantViolation) as err:
+            validate.check_kernels_g_series(series_scale=1.001)
+        assert err.value.name == "kernels-g-series"
+        validate.check_kernels_g_series()  # an earlier fault leaves nothing behind

@@ -6,6 +6,8 @@ oracles (box Dirichlet series, two-walker wedge series) live in
 oracles.py and were cross-checked against finite-difference heat kernels.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from polaron1d.kernels import ModelParams
 from polaron1d.paths import TimeGrid
 
 from oracles import (
+    delta_method_reference,
     dirichlet_partition_series,
     dirichlet_plain_energy,
     dirichlet_ratio_energy,
@@ -239,6 +242,78 @@ class TestSweepAlpha:
         swept = report["estimates"][alpha_idx]
         assert swept.value == direct.value
         assert swept.stderr == direct.stderr
+        assert swept.n_effective == direct.n_effective
+        assert swept.diagnostics == direct.diagnostics
+
+
+class TestLogSpace:
+    """Weights of e^{S} with S in the hundreds must not overflow."""
+
+    def strong_coupling_config(self):
+        # at alpha = 20, beta = 40 the largest per-path actions exceed 355,
+        # so e^{2S} overflows a double (at eps = 0 e^S itself does)
+        return RunConfig(params=ModelParams(alpha=20.0, N=1, L=4.0, beta=40.0),
+                         sector=SpinSector(1, 1), grid=TimeGrid(40.0, 64),
+                         eps=0.5, n_paths=2048, seed=1, variant="ratio")
+
+    def test_large_action_gives_finite_estimate_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = energy_estimate(self.strong_coupling_config())
+        assert np.isfinite(res.value)
+        assert np.isfinite(res.stderr) and res.stderr > 0
+        assert np.isfinite(res.n_effective) and res.n_effective >= 1
+        assert not res.diagnostics["zero_survivors"]
+
+    def test_large_action_paired_difference_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sweep_alpha(self.strong_coupling_config(), [10.0, 20.0])
+        (row,) = report["paired_differences"]
+        assert np.isfinite(row["difference"])
+        assert np.isfinite(row["stderr"]) and row["stderr"] > 0
+        assert all(np.isfinite(e.stderr) for e in report["estimates"])
+
+    def test_shift_invariance(self):
+        # adding a constant to a row changes the log-mean by that constant
+        # and leaves the stderr alone
+        rng = np.random.default_rng(SEED)
+        log_w = rng.normal(size=(2, 4096))
+        log_w[:, ::7] = -np.inf
+        ref = est_mod.log_mean_estimate(log_w, [1.0, -0.5])
+        moved = est_mod.log_mean_estimate(log_w + [[800.0], [-900.0]],
+                                          [1.0, -0.5])
+        assert moved.value == pytest.approx(ref.value + 800.0 + 450.0,
+                                            rel=1e-12)
+        assert moved.stderr == pytest.approx(ref.stderr, rel=1e-12)
+        assert moved.n_effective == pytest.approx(ref.n_effective, rel=1e-12)
+        assert moved.survival == ref.survival
+
+    def test_matches_linear_space_delta_method(self):
+        # two nearly equal, strongly correlated rows, as in a paired
+        # difference at neighbouring couplings: the stderr is a small
+        # difference of large covariance terms
+        rng = np.random.default_rng(SEED)
+        base = rng.normal(size=4096)
+        log_w = np.vstack([base + 0.01 * rng.normal(size=4096), base]) - 3.0
+        log_w[:, ::5] = -np.inf
+        coeffs = [-2.0, 2.0]
+        value, stderr = delta_method_reference(log_w, coeffs)
+        est = est_mod.log_mean_estimate(log_w, coeffs)
+        # the value is itself a difference of logs some 1e4 times larger
+        assert est.value == pytest.approx(value, rel=1e-11, abs=0)
+        assert est.stderr == pytest.approx(stderr, rel=1e-13, abs=0)
+
+    def test_dead_row_is_flagged(self):
+        log_w = np.vstack([np.full(64, -np.inf), np.zeros(64)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = est_mod.log_mean_estimate(log_w, [-1.0, 1.0])
+        assert res.zero_survivors
+        assert np.isnan(res.value)
+        assert res.stderr == np.inf
+        assert res.n_effective == 0.0
+        assert res.survival == (0.0, 1.0)
 
 
 class TestOrderingCheck:
