@@ -43,6 +43,12 @@ which evaluates the same left-endpoint sum in O(n_steps * n_modes)
 instead of O(n_steps^2).  At eps = 0 the series has no usable truncation
 and Phi is accumulated directly from g' at O(n_steps^2) cost.
 
+Restricting a path to its first h steps (horizon beta_h) leaves S_el, X
+and Y as sums over those steps of per-step terms that do not see h: Phi
+at step a uses only the steps before a.  Only Z (endpoint x_{beta_h},
+weights e^{-(beta_h - s)}) and 2 beta_h N phi(0,0) depend on the horizon,
+so s_eff_decomposed evaluates several horizons of one path in one pass.
+
 The module also evaluates the coherent displacement vectors of the
 Fock-space kernel, on the full mode lattice pi/L * Z:
 
@@ -94,13 +100,11 @@ class PotentialSpec:
     """External one-body potential V and symmetric pair potential W.
 
     U(x) = sum_j V(x_j) + sum_{i<j} W(x_i - x_j).  Both callables must
-    accept numpy arrays elementwise.  u_lower_bound declares a finite
-    lower bound for U on the box (it is recorded, not inferred).
+    accept numpy arrays elementwise.
     """
 
     V: Callable | None = None
     W: Callable | None = None
-    u_lower_bound: float = 0.0
 
     def total(self, states: np.ndarray) -> np.ndarray:
         """U evaluated on states of shape (..., N)."""
@@ -135,7 +139,9 @@ class ActionBreakdown:
     """Per-path action values; components of the S_eff decomposition.
 
     s_eff is stored as phi00_term + X + Y + Z and s_total as
-    s_el + s_eff, so both identities hold by construction.
+    s_el + s_eff, so both identities hold by construction.  With
+    `horizons`, per-path fields have shape (k, n_paths), phi00_term shape
+    (k,), and n_paths, n_steps stay those of the path.
     """
 
     s_el: np.ndarray
@@ -152,10 +158,15 @@ class ActionBreakdown:
 
 def s_el(path: PathSample, pot: PotentialSpec | None) -> np.ndarray:
     """Electronic action -int U(x_s) ds, left-endpoint quadrature."""
+    return _s_el_rows(path, pot, (path.grid.n_steps,))[0]
+
+
+def _s_el_rows(path: PathSample, pot: PotentialSpec | None, steps) -> np.ndarray:
+    """s_el over the first h steps for each h in steps, shape (k, n_paths)."""
     if pot is None or (pot.V is None and pot.W is None):
-        return np.zeros(path.n_paths)
+        return np.zeros((len(steps), path.n_paths))
     u = pot.total(path.states[:, :-1, :])
-    return -path.grid.dt * np.sum(u, axis=1)
+    return np.stack([-path.grid.dt * np.sum(u[:, :h], axis=1) for h in steps])
 
 
 def _k_max_for(eps: float, params: ModelParams, cutoff: CutoffSpec | None) -> int:
@@ -256,72 +267,83 @@ def s_eff_decomposed(
     params: ModelParams,
     cutoff: CutoffSpec | None = None,
     pot: PotentialSpec | None = None,
+    horizons: tuple | None = None,
 ) -> ActionBreakdown:
     """S_eff via the phi(0,0) / X / Y / Z decomposition; works at eps = 0.
 
     The eps = 0 branch runs entirely on the closed-form kernels.  The
     breakdown carries s_el (zero unless a potential is supplied) so
     s_total is the complete path weight exponent.
+
+    `horizons`, a tuple of step counts h <= n_steps, asks for one row per
+    horizon from a single pass: row i is what a call on the h_i-step
+    prefix of the path returns, its horizon n_steps - h_i steps before
+    beta.  Per-path fields then have shape (k, n_paths) and phi00_term
+    shape (k,).  X, Y and S_el rows sum slices of per-step arrays
+    computed once; Z and phi(0,0) are evaluated per row, Z on the time
+    blocks of the full pass clipped at the horizon.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     n_paths = path.n_paths
     n = path.grid.n_steps
-    if params.alpha == 0.0:
-        zero = np.zeros(n_paths)
-        sel = s_el(path, pot)
-        return ActionBreakdown(
-            s_el=sel, phi00_term=0.0, X=zero, Y=zero, Z=zero,
-            s_eff=zero, s_total=sel + zero, epsilon=eps,
-            n_paths=n_paths, n_steps=n,
-        )
+    steps = (n,) if horizons is None else tuple(int(h) for h in horizons)
+    if not all(1 <= h <= n for h in steps):
+        raise ValueError(f"horizons must lie in 1..{n}, got {horizons}")
     N = params.N
     beta = path.grid.beta
     dt = path.grid.dt
-    times = path.grid.times
     states = path.states
     left = states[:, :-1, :]
-    kcut = (
-        None
-        if eps == 0.0
-        else CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
-    )
+    sel = _s_el_rows(path, pot, steps)
+    X = np.zeros((len(steps), n_paths))
+    Y = np.zeros_like(X)
+    Z = np.zeros_like(X)
+    phi00 = np.zeros(len(steps))
+    if params.alpha != 0.0:
+        k_max = _k_max_for(eps, params, cutoff)
+        kcut = None if eps == 0.0 else CutoffSpec(epsilon=eps, k_max=k_max)
+        phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, kcut))
+        k_cost = 4 if eps == 0.0 else max(k_max, 4)
+        block = max(1, min(n, _BLOCK_BUDGET_BYTES // (8 * n_paths * N * N * k_cost)))
+        blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
 
-    phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, kcut))
-    phi00 = 2 * beta * N * phi_diag
+        if N >= 2:
+            for lo, hi in blocks:
+                seg = left[:, lo:hi, :]
+                phival = eval_phi(seg[:, :, :, None] - seg[:, :, None, :],
+                                  0.0, 2 * eps, params, kcut)
+                for r, h in enumerate(steps):
+                    if lo < h:
+                        part = phival[:, :min(hi, h) - lo]
+                        X[r] += np.sum(part, axis=(1, 2, 3)) - part.shape[1] * N * phi_diag
+            X = 2 * dt * X
 
-    k_cost = 4 if eps == 0.0 else max(_k_max_for(eps, params, cutoff), 4)
-    block = max(1, min(n, _BLOCK_BUDGET_BYTES // (8 * n_paths * N * N * k_cost)))
+        # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}.
+        t_left = path.grid.times[:-1]
+        for r, h in enumerate(steps):
+            beta_h = beta - (n - h) * dt
+            phi00[r] = 2 * beta_h * N * phi_diag
+            endpoint = states[:, h, None, :, None]
+            for lo, hi in blocks:
+                if lo < h:
+                    hi = min(hi, h)
+                    diff_z = endpoint - left[:, lo:hi, None, :]
+                    tz = (beta_h - t_left[lo:hi])[None, :, None, None]
+                    Z[r] += np.sum(eval_phi(diff_z, tz, 2 * eps, params, kcut),
+                                   axis=(1, 2, 3))
+        Z = -2 * dt * Z
 
-    if N >= 2:
-        acc = np.zeros(n_paths)
-        for lo in range(0, n, block):
-            seg = left[:, lo:lo + block, :]
-            phival = eval_phi(seg[:, :, :, None] - seg[:, :, None, :],
-                              0.0, 2 * eps, params, kcut)
-            acc += np.sum(phival, axis=(1, 2, 3)) - seg.shape[1] * N * phi_diag
-        X = 2 * dt * acc
-    else:
-        X = np.zeros(n_paths)
+        if eps > 0.0:
+            drift = _drift_profile_modes(path, eps, params, k_max)
+        else:
+            drift = _drift_profile_direct(path, eps, params, cutoff)
+        Y = np.stack([ito_integral(drift[:, :h], path) for h in steps])
 
-    # Z: endpoint layer against every left endpoint, weight e^{-(beta - s)}.
-    endpoint = states[:, -1, None, :, None]
-    t_left = times[:-1]
-    acc_z = np.zeros(n_paths)
-    for lo in range(0, n, block):
-        diff_z = endpoint - left[:, lo:lo + block, None, :]
-        tz = (beta - t_left[lo:lo + block])[None, :, None, None]
-        acc_z += np.sum(eval_phi(diff_z, tz, 2 * eps, params, kcut), axis=(1, 2, 3))
-    Z = -2 * dt * acc_z
-
-    if eps > 0.0:
-        drift = _drift_profile_modes(path, eps, params, _k_max_for(eps, params, cutoff))
-    else:
-        drift = _drift_profile_direct(path, eps, params, cutoff)
-    Y = ito_integral(drift, path)
-
-    sel = s_el(path, pot)
-    s_eff = phi00 + X + Y + Z
+    s_eff = phi00[:, None] + X + Y + Z
+    if horizons is None:
+        sel, X, Y, Z, s_eff = sel[0], X[0], Y[0], Z[0], s_eff[0]
+        phi00 = float(phi00[0])
     return ActionBreakdown(
         s_el=sel, phi00_term=phi00, X=X, Y=Y, Z=Z,
         s_eff=s_eff, s_total=sel + s_eff, epsilon=eps,

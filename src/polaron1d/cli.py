@@ -89,7 +89,6 @@ SCHEMA = {
     "cutoff_k_max": (_int, "0"),
     "v_quadratic": (_float, "0.0"),
     "w_quadratic": (_float, "0.0"),
-    "u_lower_bound": (_float, "0.0"),
     "mc_csv": (_str, ""),
     "diag_csv": (_str, ""),
     "out": (_str, "."),
@@ -155,8 +154,7 @@ class ExperimentConfig:
             return None
         return PotentialSpec(
             V=(lambda x, c=v2: c * x**2) if v2 != 0.0 else None,
-            W=(lambda r, c=w2: c * r**2) if w2 != 0.0 else None,
-            u_lower_bound=self.values["u_lower_bound"])
+            W=(lambda r, c=w2: c * r**2) if w2 != 0.0 else None)
 
     def run_config(self) -> RunConfig:
         v = self.values

@@ -13,11 +13,13 @@ the worker count; threads only decide which core fills which block (the
 heavy work is inside numpy, which releases the GIL).
 
 The ratio variant estimates -(1/delta) log(Z_{beta+delta} / Z_beta),
-which cancels the overlap prefactor at finite beta.  Both horizons are
-evaluated on one extended path per sample (the [0, beta] restriction is
-a prefix), so the two partition estimates are maximally coupled and the
-log-ratio variance comes from batch means of the coupled rows, not
-independent error bars.
+which cancels the overlap prefactor at finite beta.  Each sample is one
+path run to beta + delta, and both horizons come from one pass over it:
+`survival_log_weights` and `s_eff_decomposed` take the step counts
+(n_beta + n_delta, n_beta) and return one row per horizon.  The two
+partition estimates are therefore maximally coupled and the log-ratio
+variance comes from batch means of the coupled rows, not independent
+error bars.
 
 Coupling sweeps exploit that S_eff is exactly linear in alpha (g_L =
 sqrt(2) alpha / L enters every kernel once): the alpha = 1 action is
@@ -50,12 +52,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import PotentialSpec, s_eff_decomposed, s_el
+from .action import PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
 from .kernels import CutoffSpec, ModelParams
-from .paths import PathSample, RngStream, TimeGrid, sample_brownian
+from .paths import RngStream, TimeGrid, sample_brownian
 
 N_BATCHES = 32
 PATH_BLOCK = 4096
@@ -136,70 +138,46 @@ def _block_ranges(n_paths: int, block: int):
             for b, lo in enumerate(range(0, n_paths, block))]
 
 
-def _prefix(path: PathSample, n_steps: int, beta: float) -> PathSample:
-    return PathSample(states=path.states[:, :n_steps + 1, :],
-                      grid=TimeGrid(beta, n_steps), stream=path.stream)
+def _horizons(config: RunConfig) -> tuple:
+    """Step counts of the log-weight rows, in `_coefficients` order."""
+    n_b = config.grid.n_steps
+    if config.variant == "plain":
+        return (n_b,)
+    return (n_b + config.n_delta_steps, n_b)
 
 
-def _simulate_block(config: RunConfig, block_idx: int, n_block: int,
-                    extended: bool, unit_alpha: bool) -> dict:
-    """Per-path log-survival, potential action, and unit-coupling S_eff.
+def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
+    """Per-path log-survival, S_eff and S_el, each shape (k, n_block).
 
-    With `extended`, paths run to beta + delta and every quantity is also
-    evaluated on the [0, beta] prefix.  S_eff is computed at alpha = 1
-    (exact linearity) unless the config's alpha is already wanted.
+    Row i belongs to horizon `_horizons(config)[i]`; the ratio variant's
+    paths run to beta + delta and one pass yields both rows.
     """
     domain = config.domain
     start_rng = np.random.default_rng([config.seed, 2 * block_idx])
     x0 = uniform_ordered_points(start_rng, n_block, domain)
-    n_b = config.grid.n_steps
-    if extended:
-        grid = TimeGrid(config.grid.beta + config.delta_eff,
-                        n_b + config.n_delta_steps)
-    else:
-        grid = config.grid
+    steps = _horizons(config)
+    grid = config.grid
+    if config.variant == "ratio":
+        grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
     path = sample_brownian(x0, grid, RngStream(config.seed, 2 * block_idx + 1))
-    out = {"logs_full": survival_log_weights(path.states, domain, grid.dt)}
-    if extended:
-        out["logs_beta"] = survival_log_weights(
-            path.states[:, :n_b + 1, :], domain, grid.dt)
-    alpha = 1.0 if unit_alpha else config.params.alpha
-    params = replace(config.params, alpha=alpha)
-    if alpha == 0.0:
-        zeros = np.zeros(n_block)
-        out["s_eff_full"] = zeros
-        out["s_el_full"] = s_el(path, config.pot)
-        if extended:
-            out["s_eff_beta"] = zeros
-            out["s_el_beta"] = s_el(_prefix(path, n_b, config.grid.beta),
-                                    config.pot)
-        return out
-    bd = s_eff_decomposed(path, config.eps, params, cutoff=config.cutoff,
-                          pot=config.pot)
-    out["s_eff_full"] = bd.s_eff
-    out["s_el_full"] = bd.s_el
-    if extended:
-        bd_b = s_eff_decomposed(_prefix(path, n_b, config.grid.beta),
-                                config.eps, params, cutoff=config.cutoff,
-                                pot=config.pot)
-        out["s_eff_beta"] = bd_b.s_eff
-        out["s_el_beta"] = bd_b.s_el
-    return out
+    logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
+    bd = s_eff_decomposed(path, config.eps, config.params, cutoff=config.cutoff,
+                          pot=config.pot, horizons=steps)
+    return logs, bd.s_eff, bd.s_el
 
 
-def _collect(config: RunConfig, extended: bool, unit_alpha: bool = False) -> dict:
-    """Run all blocks (threaded) and assemble per-path arrays in path order."""
+def _collect(config: RunConfig) -> np.ndarray:
+    """Run all blocks (threaded); (log-survival, S_eff, S_el) rows in path order.
+
+    Shape (3, k, n_paths).  A path's log-weight is logs + S_eff + S_el,
+    summed in that order; sweeps scale S_eff, which is linear in alpha.
+    """
     ranges = _block_ranges(config.n_paths, config.path_block)
-    keys = ["logs_full", "s_eff_full", "s_el_full"]
-    if extended:
-        keys += ["logs_beta", "s_eff_beta", "s_el_beta"]
-    arrays = {k: np.empty(config.n_paths) for k in keys}
+    out = np.empty((3, len(_horizons(config)), config.n_paths))
 
     def run(task):
         block_idx, lo, hi = task
-        res = _simulate_block(config, block_idx, hi - lo, extended, unit_alpha)
-        for k in keys:
-            arrays[k][lo:hi] = res[k]
+        out[:, :, lo:hi] = _simulate_block(config, block_idx, hi - lo)
 
     if config.n_workers == 1:
         for task in ranges:
@@ -207,7 +185,7 @@ def _collect(config: RunConfig, extended: bool, unit_alpha: bool = False) -> dic
     else:
         with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
             list(pool.map(run, ranges))
-    return arrays
+    return out
 
 
 def _batch_means(per_path: np.ndarray) -> np.ndarray:
@@ -261,18 +239,6 @@ def log_mean_estimate(log_w: np.ndarray, coeffs) -> LogMeanEstimate:
     return LogMeanEstimate(value, stderr, n_effective, survival, False)
 
 
-def _log_weights(arrays: dict, extended: bool,
-                 alpha_scale: float | None = None) -> np.ndarray:
-    """Per-path log-weights, rows (beta + delta, beta) or (beta,)."""
-    rows = []
-    for horizon in ("full", "beta") if extended else ("full",):
-        s = arrays[f"s_eff_{horizon}"]
-        if alpha_scale is not None:
-            s = alpha_scale * s
-        rows.append(arrays[f"logs_{horizon}"] + s + arrays[f"s_el_{horizon}"])
-    return np.stack(rows)
-
-
 def _coefficients(config: RunConfig) -> np.ndarray:
     """Energy = coeffs . log means (+ the plain variant's volume term)."""
     if config.variant == "plain":
@@ -313,16 +279,14 @@ def partition_estimate(config: RunConfig) -> tuple[float, float]:
 
     Zero survivors return (0.0, inf): a flagged estimate, not an error.
     """
-    arrays = _collect(config, extended=False)
-    return _partition(config, log_mean_estimate(_log_weights(arrays, False), [1.0]),
-                      1.0)
+    logs, s_eff, sel = _collect(replace(config, variant="plain"))
+    return _partition(config, log_mean_estimate(logs + s_eff + sel, [1.0]), 1.0)
 
 
 def energy_estimate(config: RunConfig) -> EnergyEstimate:
     """-log Z_beta / beta (plain) or -(1/delta) log(Z_{beta+delta}/Z_beta)."""
-    extended = config.variant == "ratio"
-    arrays = _collect(config, extended=extended)
-    return _energy(config, _log_weights(arrays, extended))
+    logs, s_eff, sel = _collect(config)
+    return _energy(config, logs + s_eff + sel)
 
 
 def sweep_alpha(config: RunConfig, alphas) -> dict:
@@ -338,9 +302,8 @@ def sweep_alpha(config: RunConfig, alphas) -> dict:
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one alpha")
-    extended = config.variant == "ratio"
-    arrays = _collect(config, extended=extended, unit_alpha=True)
-    log_w = {a: _log_weights(arrays, extended, alpha_scale=a) for a in alphas}
+    logs, s_eff, sel = _collect(replace(config, params=replace(config.params, alpha=1.0)))
+    log_w = {a: logs + a * s_eff + sel for a in alphas}
     estimates = [_energy(replace(config, params=replace(config.params, alpha=a)),
                          log_w[a]) for a in alphas]
     coeffs = _coefficients(config)

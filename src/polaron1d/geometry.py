@@ -141,27 +141,35 @@ def _constraint_distances(states: np.ndarray, domain: OrderedDomain) -> np.ndarr
     return np.concatenate(parts, axis=-1)
 
 
-def survival_log_weights(states, domain: OrderedDomain, dt: float) -> np.ndarray:
+def survival_log_weights(states, domain: OrderedDomain, dt: float,
+                         horizons: tuple | None = None) -> np.ndarray:
     """log of the bridge-corrected survival weight, -inf where absorbed.
 
-    states: (..., n_steps+1, N).  Returns shape (...).
+    states: (..., n_steps+1, N).  Returns shape (...).  With `horizons`, a
+    tuple of step counts h <= n_steps, returns shape (k, ...): row i is
+    the weight of the first h_i steps, the value of a call on
+    states[..., :h_i + 1, :], from one evaluation of the step factors.
     """
     states = np.asarray(states, dtype=float)
     _check_dim(states, domain.N)
+    n = states.shape[-2] - 1
+    steps = (n,) if horizons is None else tuple(int(h) for h in horizons)
+    if not all(1 <= h <= n for h in steps):
+        raise ValueError(f"horizons must lie in 1..{n}, got {horizons}")
     d = _constraint_distances(states, domain)
-    alive = np.all(d > 0, axis=(-1, -2))
+    inside = np.all(d > 0, axis=-1)
     # exponent of the bridge crossing probability per step and constraint
     expo = 2.0 * d[..., :-1, :] * d[..., 1:, :] / dt
+    rows = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(alive[..., None, None], np.log1p(-np.exp(-expo)), -np.inf)
-        out = np.sum(logw, axis=(-1, -2))
-    return np.where(alive, out, -np.inf)
-
-
-def survival_weight(states, domain: OrderedDomain, dt: float) -> float:
-    """Bridge-corrected survival weight in [0, 1] for a single path."""
-    logw = survival_log_weights(np.asarray(states, dtype=float), domain, dt)
-    return float(np.exp(logw))
+        # finite wherever both endpoints are inside; rows that leave the
+        # domain are replaced by -inf below
+        log_step = np.log1p(-np.exp(-expo))
+        for h in steps:
+            alive = np.all(inside[..., :h + 1], axis=-1)
+            out = np.sum(log_step[..., :h, :], axis=(-1, -2))
+            rows.append(np.where(alive, out, -np.inf))
+    return rows[0] if horizons is None else np.stack(rows)
 
 
 def uniform_ordered_points(rng: np.random.Generator, n: int, domain: OrderedDomain) -> np.ndarray:

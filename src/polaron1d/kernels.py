@@ -153,18 +153,18 @@ def eval_h(x, L: float = 1.0):
     """
     xh = reduce_to_cell(x, L)
     out = np.sign(xh) * np.exp(-SQRT2 * np.abs(xh)) + _A(L) * np.sinh(SQRT2 * xh)
-    # At the wall x = -L the one-sided closed form overshoots the odd
-    # periodization's midpoint value 0; snap it.
-    wall = np.isclose(np.abs(xh), L)
-    return np.where(wall, 0.0, out)
+    # At the wall the one-sided closed form overshoots the odd
+    # periodization's midpoint value 0; snap it.  reduce_to_cell maps
+    # both walls to -L, the only point snapped.
+    return np.where(xh == -L, 0.0, out)
 
 
 def eval_dg(x, L: float = 1.0):
     """Spatial derivative g'(x) on the cell interior (odd, jumps at 0 and walls)."""
     xh = reduce_to_cell(x, L)
     out = SQRT2 * (-np.sign(xh) * np.exp(-SQRT2 * np.abs(xh)) + _A(L) * np.sinh(SQRT2 * xh))
-    wall = np.isclose(np.abs(xh), L)
-    return np.where(wall, 0.0, out)
+    # the wall value is the jump midpoint 0, as for eval_h
+    return np.where(xh == -L, 0.0, out)
 
 
 def eval_K_eps(x, eps: float, L: float = 1.0):

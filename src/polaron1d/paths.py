@@ -116,14 +116,17 @@ def refine_midpoint(path: PathSample, stream: RngStream) -> PathSample:
 def ito_integral(integrand, path: PathSample, coordinate: int | None = None):
     """Left-endpoint stochastic sum sum_j f_j (x_{j+1} - x_j).
 
-    integrand: per-step values, shape (n_paths, n_steps) with a single
-    coordinate selected, or (n_paths, n_steps, N) summed over coordinates
-    when coordinate is None.
+    integrand: per-step values, shape (n_paths, h) with a single
+    coordinate selected, or (n_paths, h, N) summed over coordinates when
+    coordinate is None.  The sum runs over the first h <= n_steps steps,
+    i.e. the integral up to t_h.
     """
     f = np.asarray(integrand, dtype=float)
     inc = path.increments
     if coordinate is not None:
         inc = inc[..., coordinate]
+    if f.ndim == inc.ndim:
+        inc = inc[:, :f.shape[1]]
     if f.shape != inc.shape:
         raise ValueError(f"integrand shape {f.shape} != increments shape {inc.shape}")
     if f.ndim == 3:

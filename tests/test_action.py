@@ -186,6 +186,69 @@ class TestDecomposition:
         np.testing.assert_allclose(blocked.Z, full.Z, rtol=1e-13)
 
 
+def prefix_path(path, m):
+    """The first m steps of path, with its horizon m steps after the start."""
+    n, dt = path.grid.n_steps, path.grid.dt
+    return PathSample(states=path.states[:, :m + 1], stream=path.stream,
+                      grid=TimeGrid(path.grid.beta - (n - m) * dt, m))
+
+
+class TestHorizonRows:
+    POT = A.PotentialSpec(V=lambda x: 0.3 * x**2, W=lambda r: 0.2 * np.cos(r))
+
+    def assert_rows_equal_prefix_calls(self, path, eps, params, horizons, pot):
+        rows = A.s_eff_decomposed(path, eps, params, pot=pot, horizons=horizons)
+        assert rows.n_paths == path.n_paths
+        assert rows.phi00_term.shape == (len(horizons),)
+        for i, m in enumerate(horizons):
+            one = A.s_eff_decomposed(prefix_path(path, m), eps, params, pot=pot)
+            for name in ("X", "Y", "Z", "s_el", "s_eff", "s_total"):
+                assert getattr(rows, name).shape == (len(horizons), path.n_paths)
+                assert np.array_equal(getattr(rows, name)[i], getattr(one, name)), name
+            assert rows.phi00_term[i] == one.phi00_term
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("with_pot", [False, True])
+    def test_rows_equal_prefix_calls_bitwise(self, eps, N, with_pot):
+        # dt = 1/16; the prefix horizons 1.6875 and 0.8125 are exact
+        path = make_paths(7, N, beta=2.5, n_steps=40, stream_index=20)
+        params = ModelParams(alpha=1.0, N=N, beta=2.5)
+        pot = self.POT if with_pot else None
+        self.assert_rows_equal_prefix_calls(path, eps, params, (40, 27, 13), pot)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_rows_equal_prefix_calls_with_ragged_blocks(self, monkeypatch, eps):
+        # time blocks of 6 steps divide neither 40 nor 27: every row's
+        # last block is clipped at its own horizon
+        path = make_paths(5, 2, beta=2.5, n_steps=40, stream_index=21)
+        params = ModelParams(alpha=1.0, N=2, beta=2.5)
+        k_cost = 4 if eps == 0.0 else max(A._k_max_for(eps, params, None), 4)
+        monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 2 * 2 * k_cost * 6)
+        self.assert_rows_equal_prefix_calls(path, eps, params, (40, 27), self.POT)
+
+    def test_alpha_zero_rows(self):
+        path = make_paths(4, 2, beta=2.5, n_steps=40, stream_index=22)
+        params = ModelParams(alpha=0.0, N=2, beta=2.5)
+        self.assert_rows_equal_prefix_calls(path, 0.3, params, (40, 27), self.POT)
+
+    def test_without_horizons_is_the_full_row(self):
+        path = make_paths(4, 2, beta=2.5, n_steps=40, stream_index=23)
+        params = ModelParams(alpha=1.0, N=2, beta=2.5)
+        one = A.s_eff_decomposed(path, 0.0, params, pot=self.POT)
+        rows = A.s_eff_decomposed(path, 0.0, params, pot=self.POT, horizons=(40,))
+        assert isinstance(one.phi00_term, float)
+        for name in ("X", "Y", "Z", "s_el", "s_eff", "s_total"):
+            assert np.array_equal(getattr(rows, name), getattr(one, name)[None])
+
+    def test_horizons_must_lie_on_the_path(self):
+        path = make_paths(2, 1, n_steps=8)
+        params = ModelParams(alpha=1.0, N=1, beta=2.0)
+        for bad in ((9,), (0,), (8, -2)):
+            with pytest.raises(ValueError):
+                A.s_eff_decomposed(path, 0.1, params, horizons=bad)
+
+
 class TestDriftProfile:
     @pytest.mark.parametrize("eps", [0.05, 0.2])
     def test_mode_recursion_equals_direct_sum(self, eps):

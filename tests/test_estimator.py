@@ -194,6 +194,30 @@ class TestEnergyEstimate:
         assert got.stderr == ref.stderr
 
 
+class TestOnePassPerBlock:
+    @pytest.mark.parametrize("variant, horizons",
+                             [("ratio", (80, 64)), ("plain", (64,))])
+    def test_one_call_of_each_layer_per_block(self, monkeypatch, variant, horizons):
+        calls = {"survival": [], "action": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(kwargs["horizons"])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(est_mod, "survival_log_weights",
+                            counted("survival", est_mod.survival_log_weights))
+        monkeypatch.setattr(est_mod, "s_eff_decomposed",
+                            counted("action", est_mod.s_eff_decomposed))
+        cfg = RunConfig(params=ModelParams(alpha=1.0, N=2, L=1.0, beta=1.0),
+                        sector=SpinSector(2, 1), grid=TimeGrid(1.0, 64), eps=0.3,
+                        n_paths=300, seed=SEED, path_block=128, variant=variant)
+        res = energy_estimate(cfg)
+        assert np.isfinite(res.value)
+        assert calls == {"survival": [horizons] * 3, "action": [horizons] * 3}
+
+
 class TestSweepAlpha:
     def coupled_config(self, variant="plain", n_paths=20000):
         return RunConfig(params=ModelParams(alpha=1.0, N=1, L=1.0, beta=1.0),

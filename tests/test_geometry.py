@@ -113,27 +113,31 @@ class TestFirstExit:
                     assert G.first_exit(s[:j], d) is None
 
 
+def survival_weight(states, domain, dt):
+    return float(np.exp(G.survival_log_weights(states, domain, dt)))
+
+
 class TestSurvivalWeight:
     def test_far_from_constraints(self):
         d = G.OrderedDomain(G.SpinSector(1, 0), 1.0)
         dt = 0.01
         states = np.zeros((101, 1))  # distance 1 to each wall, 5*sqrt(dt)=0.5
-        w = G.survival_weight(states, d, dt)
+        w = survival_weight(states, d, dt)
         assert w >= 1 - 1e-9
         assert w <= 1.0
 
     def test_touching_constraint_is_zero(self):
         d = G.OrderedDomain(G.SpinSector(1, 0), 1.0)
         states = np.array([[0.0], [1.0], [0.0]])
-        assert G.survival_weight(states, d, 0.1) == 0.0
+        assert survival_weight(states, d, 0.1) == 0.0
         d2 = G.OrderedDomain(G.SpinSector(2, 2), 1.0)
         states2 = np.array([[-0.2, 0.2], [0.1, 0.1]])
-        assert G.survival_weight(states2, d2, 0.1) == 0.0
+        assert survival_weight(states2, d2, 0.1) == 0.0
 
     def test_outside_is_zero(self):
         d = G.OrderedDomain(G.SpinSector(1, 0), 1.0)
         states = np.array([[0.0], [1.5], [0.0]])
-        assert G.survival_weight(states, d, 0.1) == 0.0
+        assert survival_weight(states, d, 0.1) == 0.0
 
     def test_at_most_one(self):
         rng = np.random.default_rng(SEED + 2)
@@ -176,6 +180,41 @@ class TestSurvivalWeight:
         sigma = np.sqrt(exact * (1 - exact) / n_paths)
         assert abs(bridge - exact) < 3 * sigma
         assert abs(bridge - exact) < abs(crude - exact)
+
+
+class TestSurvivalHorizonRows:
+    def test_rows_equal_prefix_calls(self):
+        d = G.OrderedDomain(G.SpinSector(2, 1), 1.0)
+        grid = P.TimeGrid(1.0, 40)
+        rng = np.random.default_rng([SEED, 8])
+        x0 = G.uniform_ordered_points(rng, 400, d)
+        states = P.sample_brownian(x0, grid, P.RngStream(SEED, 9)).states
+        horizons = (40, 27, 1)
+        rows = G.survival_log_weights(states, d, grid.dt, horizons=horizons)
+        assert rows.shape == (3, 400)
+        for row, h in zip(rows, horizons):
+            prefix = G.survival_log_weights(states[:, :h + 1], d, grid.dt)
+            assert np.array_equal(row, prefix)
+        # some paths die between steps 27 and 40, others survive both
+        died_late = np.isfinite(rows[1]) & np.isneginf(rows[0])
+        assert died_late.sum() > 10
+        assert np.isfinite(rows[0]).sum() > 10
+
+    def test_single_path_rows(self):
+        d = G.OrderedDomain(G.SpinSector(1, 0), 1.0)
+        states = np.array([[0.0], [0.5], [0.9], [1.2], [0.5]])
+        rows = G.survival_log_weights(states, d, 0.1, horizons=(4, 2))
+        assert rows.shape == (2,)
+        assert rows[0] == -np.inf
+        assert rows[1] == G.survival_log_weights(states[:3], d, 0.1)
+        assert np.isfinite(rows[1])
+
+    def test_horizons_must_lie_on_the_path(self):
+        d = G.OrderedDomain(G.SpinSector(1, 0), 1.0)
+        states = np.zeros((5, 1))
+        for bad in ((5,), (0,), (4, -1)):
+            with pytest.raises(ValueError):
+                G.survival_log_weights(states, d, 0.1, horizons=bad)
 
 
 class TestUniformOrderedPoints:

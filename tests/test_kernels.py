@@ -73,6 +73,13 @@ class TestEvalH:
         assert np.allclose(K.eval_h(x), -K.eval_h(-x), atol=1e-13)
         assert np.allclose(K.eval_h(np.array([0.0, 1.0, -1.0, 2.0])), 0.0, atol=1e-13)
 
+    def test_snaps_only_the_exact_wall(self):
+        # the one-sided limits at the wall are +-(1 + 2 exp(-sqrt(2)))
+        edge = 1 + 2 * np.exp(-np.sqrt(2))
+        near = np.array([1 - 1e-7, -(1 - 1e-7)])
+        np.testing.assert_allclose(K.eval_h(near), [edge, -edge], rtol=0, atol=1e-6)
+        assert np.array_equal(K.eval_h(np.array([1.0, -1.0, 3.0])), np.zeros(3))
+
     def test_fourier_coefficients_quadrature(self):
         # The analytic sine coefficients this kernel's series oracle uses
         # agree with direct quadrature of the closed form.
@@ -100,6 +107,14 @@ class TestEvalDg:
         h = 1e-6
         fd = (K.eval_g(x + h) - K.eval_g(x - h)) / (2 * h)
         assert np.max(np.abs(fd - K.eval_dg(x))) < 1e-8
+
+    def test_snaps_only_the_exact_wall(self):
+        # next to the wall g' keeps its one-sided limits -+sqrt(2); only
+        # the wall itself (reduced to -L) takes the jump midpoint 0
+        near = np.array([1 - 1e-7, -(1 - 1e-7)])
+        np.testing.assert_allclose(K.eval_dg(near), [np.sqrt(2), -np.sqrt(2)],
+                                   rtol=0, atol=1e-6)
+        assert np.array_equal(K.eval_dg(np.array([1.0, -1.0, 3.0])), np.zeros(3))
 
     def test_not_proportional_to_h(self):
         # The odd companion kernel and the derivative kernel differ in the

@@ -92,6 +92,15 @@ class TestItoIntegral:
         sigma = target * np.sqrt(2.0 / n)  # var of squared Gaussian mean
         assert abs(np.mean(vals**2) - target) < 3 * sigma
 
+    def test_shorter_integrand_stops_at_its_horizon(self):
+        path = P.sample_brownian(np.zeros((4, 2)), P.TimeGrid(1.0, 16), P.RngStream(SEED, 15))
+        f = np.random.default_rng(SEED).normal(size=(4, 16, 2))
+        prefix = P.PathSample(states=path.states[:, :11], grid=P.TimeGrid(10 / 16, 10))
+        assert np.array_equal(P.ito_integral(f[:, :10], path),
+                              P.ito_integral(f[:, :10], prefix))
+        assert np.array_equal(P.ito_integral(f[:, :10, 1], path, coordinate=1),
+                              P.ito_integral(f[:, :10, 1], prefix, coordinate=1))
+
     def test_shape_mismatch(self):
         path = P.sample_brownian(np.zeros((3, 1)), P.TimeGrid(1.0, 8), P.RngStream(SEED, 13))
         with pytest.raises(ValueError):
