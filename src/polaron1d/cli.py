@@ -41,18 +41,6 @@ class ConfigError(Exception):
     pass
 
 
-def _float(text):
-    return float(text)
-
-
-def _int(text):
-    return int(text)
-
-
-def _str(text):
-    return str(text)
-
-
 def _float_list(text):
     items = [t for t in str(text).split(",") if t.strip()]
     if not items:
@@ -69,29 +57,29 @@ def _opt_float(text):
 
 # key -> (parser, default as config text)
 SCHEMA = {
-    "alpha": (_float, "0.0"),
-    "N": (_int, "1"),
-    "p": (_int, "1"),
-    "L": (_float, "1.0"),
-    "beta": (_float, "2.0"),
-    "n_steps": (_int, "256"),
-    "epsilon": (_float, "0.5"),
-    "n_paths": (_int, "20000"),
-    "seed": (_int, "1"),
-    "workers": (_int, "1"),
-    "variant": (_str, "ratio"),
+    "alpha": (float, "0.0"),
+    "N": (int, "1"),
+    "p": (int, "1"),
+    "L": (float, "1.0"),
+    "beta": (float, "2.0"),
+    "n_steps": (int, "256"),
+    "epsilon": (float, "0.5"),
+    "n_paths": (int, "20000"),
+    "seed": (int, "1"),
+    "workers": (int, "1"),
+    "variant": (str, "ratio"),
     "delta": (_opt_float, ""),
     "alphas": (_float_list, "0,0.5,1"),
     "eps_ladder": (_float_list, "0.5,0.25,0.125,0.0625"),
-    "n_el_basis": (_int, "10"),
-    "k_max": (_int, "3"),
-    "n_ph_max": (_int, "3"),
-    "cutoff_k_max": (_int, "0"),
-    "v_quadratic": (_float, "0.0"),
-    "w_quadratic": (_float, "0.0"),
-    "mc_csv": (_str, ""),
-    "diag_csv": (_str, ""),
-    "out": (_str, "."),
+    "n_el_basis": (int, "10"),
+    "k_max": (int, "3"),
+    "n_ph_max": (int, "3"),
+    "cutoff_k_max": (int, "0"),
+    "v_quadratic": (float, "0.0"),
+    "w_quadratic": (float, "0.0"),
+    "mc_csv": (str, ""),
+    "diag_csv": (str, ""),
+    "out": (str, "."),
 }
 
 REQUIRED = {"compare": ("mc_csv", "diag_csv")}
@@ -189,10 +177,7 @@ class ExperimentConfig:
 
 
 def _parse_config_file(path) -> dict:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError:
-        raise
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     text = {}
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()

@@ -125,7 +125,6 @@ class EnergyEstimate:
     stderr: float
     n_effective: float
     config: RunConfig
-    oracle_comparison: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -25,8 +25,9 @@ pairs are combined into cosine/sine quadrature modes
 under which the coupling becomes sqrt(2 g_L) e^{-eps k^2}
 [cos(kx)(c_k + c_k*) - sin(kx)(s_k + s_k*)] and every matrix in sight is
 real symmetric.  The phonon space carries a total-occupation cap
-(`fock.FockSpace` enumeration); ladder matrices are assembled sparsely
-here because the quadrature dimensions outgrow dense storage.
+(`fock.FockSpace` enumeration); annihilators (`fock.annihilator`) are
+assembled sparsely here because the quadrature dimensions outgrow dense
+storage.
 
 For N = 2 the spin sector enters through the spatial exchange symmetry:
 S = 0 pairs with symmetric orbitals, S = 1 with antisymmetric ones.

@@ -5,6 +5,11 @@ basis vectors are multi-indices n with sum_k n_k <= cap, so the
 dimension is C(cap + m, m) for m modes.  Truncating by total occupation
 (rather than per mode) matches the structure of the operator-norm
 bounds checked below, which control e^{a(f)*} against e^{-t N_ph}.
+The basis is enumerated directly: each multiset of cap symbols drawn
+from m + 1 (symbol m marks an unused quantum) is one multi-index, so
+the work is proportional to the dimension, not to (cap + 1)^m.
+Operators are plain arrays over that basis: `annihilator` gives the
+sparse a_k, the other builders dense complex matrices.
 
 Smearing is antilinear in the annihilator,
 
@@ -65,9 +70,11 @@ class FockSpace:
     def occupations(self) -> tuple:
         """All multi-indices with total occupation <= cap, vacuum first."""
         m = len(self.modes)
-        occs = [occ for occ in itertools.product(range(self.cap + 1), repeat=m)
-                if sum(occ) <= self.cap]
-        occs.sort(key=lambda occ: (sum(occ), occ))
+        quanta = np.array(list(itertools.combinations_with_replacement(
+            range(m + 1), self.cap)), dtype=int)
+        counts = (quanta[:, :, None] == np.arange(m)).sum(axis=1)
+        occs = sorted(map(tuple, counts.tolist()),
+                      key=lambda occ: (sum(occ), occ))
         return tuple(occs)
 
     @cached_property
@@ -81,35 +88,6 @@ class FockSpace:
     @cached_property
     def total_occupation(self) -> np.ndarray:
         return np.array([sum(occ) for occ in self.occupations], dtype=float)
-
-    def mode_position(self, k) -> int:
-        try:
-            return self.modes.index(float(k))
-        except ValueError:
-            raise ValueError(f"mode {k} not in this space") from None
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense complex matrix on a FockSpace, with a label for reports."""
-
-    matrix: np.ndarray
-    label: str
-    space: FockSpace
-
-    def __post_init__(self):
-        d = self.space.dim
-        if self.matrix.shape != (d, d):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if other.space is not self.space and other.space != self.space:
-            raise ValueError("operators live on different spaces")
-        return FockOperator(self.matrix @ other.matrix,
-                            f"{self.label}.{other.label}", self.space)
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, f"{self.label}*", self.space)
 
 
 def annihilator(space: FockSpace, mode_pos: int) -> scipy.sparse.csr_matrix:
@@ -126,21 +104,6 @@ def annihilator(space: FockSpace, mode_pos: int) -> scipy.sparse.csr_matrix:
                                    shape=(space.dim, space.dim))
 
 
-def ladder(space: FockSpace, k, which: str) -> FockOperator:
-    """a_k or a_k* with the standard sqrt(n) matrix elements."""
-    a = annihilator(space, space.mode_position(k)).toarray().astype(complex)
-    if which == "a":
-        return FockOperator(a, f"a[{k}]", space)
-    if which == "a*":
-        return FockOperator(a.conj().T, f"a*[{k}]", space)
-    raise ValueError(f"which must be 'a' or 'a*', got {which!r}")
-
-
-def number_operator(space: FockSpace) -> FockOperator:
-    return FockOperator(np.diag(space.total_occupation).astype(complex),
-                        "N_ph", space)
-
-
 def smeared_annihilator(space: FockSpace, f) -> np.ndarray:
     """Matrix of a(f) = sum_k conj(f_k) a_k."""
     f = np.asarray(f, dtype=complex)
@@ -153,7 +116,7 @@ def smeared_annihilator(space: FockSpace, f) -> np.ndarray:
     return a
 
 
-def displacement(space: FockSpace, f, which: str) -> FockOperator:
+def displacement(space: FockSpace, f, which: str) -> np.ndarray:
     """e^{a(f)} or e^{a(f)*} as the exact terminating exponential series.
 
     Raises when ||f||^2 > cap/4: beyond that the creator series pushes
@@ -176,8 +139,7 @@ def displacement(space: FockSpace, f, which: str) -> FockOperator:
     for j in range(1, space.cap + 1):
         term = term @ gen / j
         out += term
-    label = "exp(a*(f))" if which == "a*" else "exp(a(f))"
-    return FockOperator(out, label, space)
+    return out
 
 
 def vacuum(space: FockSpace) -> np.ndarray:
@@ -186,21 +148,15 @@ def vacuum(space: FockSpace) -> np.ndarray:
     return v
 
 
-def coherent_state(space: FockSpace, f) -> np.ndarray:
-    """e^{a(f)*} applied to the vacuum (unnormalized coherent vector)."""
-    return displacement(space, f, "a*").matrix @ vacuum(space)
-
-
 def xi_kernel(space: FockSpace, theta, theta_tilde, beta: float,
-              s_eff: float) -> FockOperator:
+              s_eff: float) -> np.ndarray:
     """e^{s_eff} e^{a(theta)*} e^{-beta N_ph} e^{a(theta_tilde)}."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    left = displacement(space, theta, "a*").matrix
-    right = displacement(space, theta_tilde, "a").matrix
+    left = displacement(space, theta, "a*")
+    right = displacement(space, theta_tilde, "a")
     decay = np.exp(-beta * space.total_occupation)
-    mat = np.exp(s_eff) * (left * decay[None, :]) @ right
-    return FockOperator(mat, "Xi", space)
+    return np.exp(s_eff) * (left * decay[None, :]) @ right
 
 
 def norm_bound_check(space: FockSpace, f, t: float) -> dict:
@@ -214,7 +170,7 @@ def norm_bound_check(space: FockSpace, f, t: float) -> dict:
         raise ValueError(f"t must be > 0, got {t}")
     f = np.asarray(f, dtype=complex)
     norm_sq = float(np.sum(np.abs(f) ** 2))
-    op = displacement(space, f, "a*").matrix * np.exp(
+    op = displacement(space, f, "a*") * np.exp(
         -(t / 2) * space.total_occupation)[None, :]
     norm = float(np.linalg.norm(op, 2))
     if t >= 1:
@@ -238,8 +194,8 @@ def difference_bound_check(space: FockSpace, f, g, t: float) -> dict:
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     decay = np.exp(-(t / 2) * space.total_occupation)[None, :]
-    diff = (displacement(space, f, "a*").matrix
-            - displacement(space, g, "a*").matrix) * decay
+    diff = (displacement(space, f, "a*")
+            - displacement(space, g, "a*")) * decay
     norm = float(np.linalg.norm(diff, 2))
     nf = np.sqrt(float(np.sum(np.abs(f) ** 2)))
     ng = np.sqrt(float(np.sum(np.abs(g) ** 2)))

@@ -1,4 +1,4 @@
-"""Spin sectors, ordered reference domains, and path-exit detection.
+"""Spin sectors, ordered reference domains, and path survival weights.
 
 A sector with N electrons and S^3 eigenvalue M is labeled by the integer
 p = N/2 - M, the number of down spins.  Its reference domain is
@@ -30,13 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-def allowed_spins(N: int):
-    """Admissible |total spin| values {N/2, N/2 - 1, ..., 1/2 or 0}."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return {Fraction(N, 2) - j for j in range(N // 2 + 1)}
 
 
 @dataclass(frozen=True)
@@ -114,16 +107,6 @@ def contains(domain: OrderedDomain, x) -> np.ndarray | bool:
     if ok.ndim == 0:
         return bool(ok)
     return ok
-
-
-def first_exit(states, domain: OrderedDomain):
-    """Smallest grid index whose state leaves the domain, or None.
-
-    states has shape (n_steps+1, N) for a single path.
-    """
-    inside = contains(domain, np.asarray(states, dtype=float))
-    bad = np.flatnonzero(~np.atleast_1d(inside))
-    return int(bad[0]) if bad.size else None
 
 
 def _constraint_distances(states: np.ndarray, domain: OrderedDomain) -> np.ndarray:

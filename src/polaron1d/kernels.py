@@ -22,20 +22,14 @@ everywhere else:
   series in this module; it is the one on which the closed forms above
   are the exact eps -> 0 limits of the Gaussian-damped series.
 
-* The odd companion kernel evaluated by eval_h is
-
-      h(x) = sgn(xhat) exp(-sqrt(2)|xhat|) + A(L) sinh(sqrt(2) xhat),
-
-  with h(0) = h(+-L) = 0.  Note the + sign on the sinh term: h is NOT
-  (-1/sqrt(2)) g'.  The derivative kernel that the stochastic-integral
-  decomposition of the action actually needs is
+* The derivative kernel that the stochastic-integral decomposition of
+  the action needs is
 
       g'(x) = -sqrt(2) sgn(xhat) exp(-sqrt(2)|xhat|)
               + sqrt(2) A(L) sinh(sqrt(2) xhat),
 
-  exposed as eval_dg.  Both odd kernels jump at the cell walls; their
-  sup norms are 1 + 2 exp(-sqrt(2) L) resp. sqrt(2) (attained at the
-  jump at 0).
+  exposed as eval_dg.  It jumps at 0 and at the cell walls; its sup norm
+  is sqrt(2) (attained at the jump at 0).
 
 * Retarded interaction: with xi(t) = exp(-|t|) and g_L = sqrt(2)*alpha/L,
 
@@ -142,28 +136,13 @@ def eval_g(x, L: float = 1.0):
     return np.exp(-SQRT2 * np.abs(xh)) + _A(L) * np.cosh(SQRT2 * xh)
 
 
-def eval_h(x, L: float = 1.0):
-    """Odd companion kernel sgn(x) exp(-sqrt(2)|x|) + A(L) sinh(sqrt(2) x).
-
-    Vanishes at x in {0, +-L} (the sgn convention sgn(0) = 0 handles the
-    cell center; at the walls the two terms cancel: A sinh(sqrt(2)L) =
-    1 + exp(-sqrt(2)L) and the jump midpoint is taken).  This is the
-    kernel with the pinned value h(L/2) = 2 exp(-sqrt(2) L/2) at L = 1;
-    the derivative of g is eval_dg, not -sqrt(2) times this.
-    """
-    xh = reduce_to_cell(x, L)
-    out = np.sign(xh) * np.exp(-SQRT2 * np.abs(xh)) + _A(L) * np.sinh(SQRT2 * xh)
-    # At the wall the one-sided closed form overshoots the odd
-    # periodization's midpoint value 0; snap it.  reduce_to_cell maps
-    # both walls to -L, the only point snapped.
-    return np.where(xh == -L, 0.0, out)
-
-
 def eval_dg(x, L: float = 1.0):
     """Spatial derivative g'(x) on the cell interior (odd, jumps at 0 and walls)."""
     xh = reduce_to_cell(x, L)
     out = SQRT2 * (-np.sign(xh) * np.exp(-SQRT2 * np.abs(xh)) + _A(L) * np.sinh(SQRT2 * xh))
-    # the wall value is the jump midpoint 0, as for eval_h
+    # At the wall the one-sided closed form overshoots the odd
+    # periodization's midpoint value 0; snap it.  reduce_to_cell maps
+    # both walls to -L, the only point snapped.
     return np.where(xh == -L, 0.0, out)
 
 

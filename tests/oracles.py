@@ -32,42 +32,6 @@ def brute_gaussian_periodization(x, eps, L=1.0, n_images=400):
     return np.exp(-((x[..., None] + 2 * L * ns) ** 2) / (8 * eps)).sum(axis=-1)
 
 
-def h_sine_coefficient_quad(m, L=1.0):
-    """Fourier sine coefficient of the odd kernel by quadrature.
-
-    b_m = (2/L) int_0^L [sgn(x) e^{-sqrt2 x} + A sinh(sqrt2 x)] sin(m pi x / L) dx
-    """
-    from scipy.integrate import quad
-
-    q = np.exp(-SQRT2 * L)
-    A = 2 * q / (1 - q)
-
-    def integrand(x):
-        return (np.exp(-SQRT2 * x) + A * np.sinh(SQRT2 * x)) * np.sin(m * np.pi * x / L)
-
-    val, err = quad(integrand, 0.0, L, limit=200)
-    return 2 * val / L
-
-
-def h_sine_coefficient_analytic(m, L=1.0):
-    """Closed form of the same coefficient (derived by integrating by parts twice)."""
-    q = np.exp(-SQRT2 * L)
-    k = m * np.pi / L
-    return (2 * k / (L * (2 + k**2))) * (1 - (-1) ** m * (1 + 2 * q))
-
-
-def h_partial_sum(x, L=1.0, k_max=100000, block=32):
-    """Partial Fourier sine sum of the odd kernel, blocked to bound memory."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ms = np.arange(1, k_max + 1)
-    b = h_sine_coefficient_analytic(ms, L)
-    out = np.empty_like(x)
-    for i in range(0, x.size, block):
-        xs = x[i : i + block]
-        out[i : i + block] = np.sin(np.outer(xs, ms * np.pi / L)) @ b
-    return out
-
-
 def grid_laplacian_hamiltonian(grid_coords, N, pair_seed=None, pair_scale=0.0):
     """Dirichlet grid Laplacian plus optional symmetric pair potential.
 
@@ -185,6 +149,17 @@ def brute_theta_direct(states, times, k, eps, g_L):
     return -np.sqrt(g_L) * np.exp(-eps * k**2) * total
 
 
+def brute_occupations(m, cap):
+    """Multi-indices of m modes with total <= cap, by filtering the full
+    product of per-mode ranges; sorted by (total, occupations), vacuum first."""
+    from itertools import product as _product
+
+    occs = [occ for occ in _product(range(cap + 1), repeat=m)
+            if sum(occ) <= cap]
+    occs.sort(key=lambda occ: (sum(occ), occ))
+    return tuple(occs)
+
+
 def brute_coherent_xi_element(u, v, theta, theta_tilde, beta, s_eff, cap):
     """Literal occupation-basis sum for <e^{a(u)*}O | Xi e^{a(v)*}O>.
 
@@ -193,12 +168,9 @@ def brute_coherent_xi_element(u, v, theta, theta_tilde, beta, s_eff, cap):
     basis (total occupation <= cap) and uses explicit factorials; fully
     independent of any matrix exponential.
     """
-    from itertools import product as _product
     from math import factorial, sqrt as _msqrt
 
-    m = len(u)
-    occs = [occ for occ in _product(range(cap + 1), repeat=m)
-            if sum(occ) <= cap]
+    occs = brute_occupations(len(u), cap)
 
     def coherent_coeff(w, n):
         val = 1.0 + 0.0j

@@ -302,16 +302,16 @@ def test_criterion_8_fock_suite():
     f = rand_vec(0.5)
     n_diag = space.total_occupation
     left = (np.exp(t_shift * n_diag)[:, None]
-            * F.displacement(space, f, "a*").matrix
+            * F.displacement(space, f, "a*")
             * np.exp(-t_shift * n_diag)[None, :])
-    right = F.displacement(space, np.exp(t_shift) * f, "a*").matrix
+    right = F.displacement(space, np.exp(t_shift) * f, "a*")
     shift_gap = float(np.max(np.abs(left - right)))
     assert shift_gap < 1e-10
 
     theta, tilde = rand_vec(0.5), rand_vec(0.5)
     xi = F.xi_kernel(space, theta, tilde, beta=1.5, s_eff=0.37)
     vac = F.vacuum(space)
-    vac_gap = abs(vac.conj() @ xi.matrix @ vac - np.exp(0.37))
+    vac_gap = abs(vac.conj() @ xi @ vac - np.exp(0.37))
     assert vac_gap < 1e-10
 
     margins = []

@@ -104,6 +104,12 @@ class TestConfigErrors:
                        "--set", "diag_csv=/does/not/exist.csv")
         assert code == 3
 
+    def test_missing_config_file_exits_3(self, tmp_path, capsys):
+        code = run_cli("energy", "--config", "/does/not/exist.cfg",
+                       "--out", tmp_path)
+        assert code == 3
+        assert "exist.cfg" in capsys.readouterr().err
+
 
 class TestDiagCommand:
     def test_free_particle_pin(self, tmp_path):

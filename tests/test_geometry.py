@@ -15,21 +15,6 @@ def dirichlet_survival(beta, L=1.0, n_terms=40):
     return float(np.sum((8 / (n**2 * np.pi**2)) * np.exp(-beta * n**2 * np.pi**2 / (8 * L**2))))
 
 
-class TestAllowedSpins:
-    def test_small_n(self):
-        assert G.allowed_spins(2) == {Fraction(1), Fraction(0)}
-        assert G.allowed_spins(3) == {Fraction(3, 2), Fraction(1, 2)}
-        assert G.allowed_spins(1) == {Fraction(1, 2)}
-
-    def test_counts(self):
-        for N in range(1, 8):
-            assert len(G.allowed_spins(N)) == N // 2 + 1
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            G.allowed_spins(0)
-
-
 class TestSpinSector:
     def test_p_from_m(self):
         s = G.SpinSector.from_M(2, 0)
@@ -42,7 +27,8 @@ class TestSpinSector:
     def test_m_in_allowed_set(self):
         for N in (1, 2, 3, 4):
             for p in range(N + 1):
-                assert abs(G.SpinSector(N, p).M) in G.allowed_spins(N)
+                allowed = {Fraction(N, 2) - j for j in range(N // 2 + 1)}
+                assert abs(G.SpinSector(N, p).M) in allowed
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -84,33 +70,6 @@ class TestOrderedDomain:
         x = rng.uniform(-1.1, 1.1, size=(500, 4))
         swapped = np.concatenate([x[:, 2:], x[:, :2]], axis=1)
         assert np.array_equal(G.contains(d, x), G.contains(d, swapped))
-
-
-class TestFirstExit:
-    def test_constant_inside(self):
-        d = G.OrderedDomain(G.SpinSector(2, 2), 1.0)
-        states = np.tile([-0.5, 0.5], (11, 1))
-        assert G.first_exit(states, d) is None
-
-    def test_start_outside(self):
-        d = G.OrderedDomain(G.SpinSector(2, 2), 1.0)
-        states = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert G.first_exit(states, d) == 0
-
-    def test_prefix_property(self):
-        rng = np.random.default_rng(SEED + 1)
-        d = G.OrderedDomain(G.SpinSector(2, 1), 1.0)
-        grid = P.TimeGrid(2.0, 50)
-        path = P.sample_brownian(np.zeros((40, 2)), grid, P.RngStream(SEED, 2))
-        for s in path.states:
-            j = G.first_exit(s, d)
-            if j is None:
-                for cut in (10, 25, 50):
-                    assert G.first_exit(s[: cut + 1], d) is None
-            else:
-                assert G.first_exit(s[: j + 1], d) == j
-                if j > 0:
-                    assert G.first_exit(s[:j], d) is None
 
 
 def survival_weight(states, domain, dt):
@@ -215,6 +174,31 @@ class TestSurvivalHorizonRows:
         for bad in ((5,), (0,), (4, -1)):
             with pytest.raises(ValueError):
                 G.survival_log_weights(states, d, 0.1, horizons=bad)
+
+
+class TestSurvivalAgreesWithContains:
+    """A path is absorbed exactly when one of its grid points leaves the domain."""
+
+    @pytest.mark.parametrize("N,p", [(N, p) for N in (1, 2, 3)
+                                     for p in range(N + 1)])
+    def test_neginf_iff_a_grid_point_is_outside(self, N, p):
+        d = G.OrderedDomain(G.SpinSector(N, p), 1.0)
+        grid = P.TimeGrid(0.1, 32)
+        rng = np.random.default_rng([SEED, 10, N, p])
+        # half the starts inside, half anywhere near the box
+        x0 = np.concatenate([G.uniform_ordered_points(rng, 200, d),
+                             rng.uniform(-1.05, 1.05, size=(200, N))])
+        states = P.sample_brownian(x0, grid, P.RngStream(SEED, 11)).states
+        inside = G.contains(d, states)
+        logw = G.survival_log_weights(states, d, grid.dt)
+        outside = ~np.all(inside, axis=1)
+        assert np.array_equal(np.isneginf(logw), outside)
+        assert 0 < outside.sum() < len(outside)
+        horizons = (32, 17, 1)
+        rows = G.survival_log_weights(states, d, grid.dt, horizons=horizons)
+        for row, h in zip(rows, horizons):
+            outside_h = ~np.all(inside[:, :h + 1], axis=1)
+            assert np.array_equal(np.isneginf(row), outside_h)
 
 
 class TestUniformOrderedPoints:

@@ -11,7 +11,6 @@ PARAMS = ModelParams(alpha=1.0, N=1, L=1.0, beta=2.0)
 
 # Frozen closed-form values (independently recomputed from the image sums).
 G_AT_0 = 1.6424154040517185
-H_AT_HALF = 0.9861373827904796  # = 2 exp(-sqrt(2)/2)
 DEI_AT_L1 = 4.486233468868429  # = 4 + 2 exp(-sqrt(2))
 
 
@@ -61,42 +60,6 @@ class TestEvalG:
             assert np.max(np.abs(K.eval_g(x, L) - oracles.brute_g(x, L))) < 1e-12
 
 
-class TestEvalH:
-    def test_pinned_value_at_half(self):
-        assert abs(float(K.eval_h(0.5)) - H_AT_HALF) < 1e-14
-        assert abs(float(K.eval_h(0.5)) - 2 * np.exp(-np.sqrt(2) / 2)) < 1e-15
-        assert abs(float(K.eval_h(0.5)) - 0.986139) < 5e-6
-
-    def test_odd_with_zeros_at_lattice(self):
-        rng = np.random.default_rng(SEED + 2)
-        x = rng.uniform(-3, 3, size=200)
-        assert np.allclose(K.eval_h(x), -K.eval_h(-x), atol=1e-13)
-        assert np.allclose(K.eval_h(np.array([0.0, 1.0, -1.0, 2.0])), 0.0, atol=1e-13)
-
-    def test_snaps_only_the_exact_wall(self):
-        # the one-sided limits at the wall are +-(1 + 2 exp(-sqrt(2)))
-        edge = 1 + 2 * np.exp(-np.sqrt(2))
-        near = np.array([1 - 1e-7, -(1 - 1e-7)])
-        np.testing.assert_allclose(K.eval_h(near), [edge, -edge], rtol=0, atol=1e-6)
-        assert np.array_equal(K.eval_h(np.array([1.0, -1.0, 3.0])), np.zeros(3))
-
-    def test_fourier_coefficients_quadrature(self):
-        # The analytic sine coefficients this kernel's series oracle uses
-        # agree with direct quadrature of the closed form.
-        for m in range(1, 8):
-            a = oracles.h_sine_coefficient_analytic(m)
-            q = oracles.h_sine_coefficient_quad(m)
-            assert abs(a - q) < 1e-10, m
-
-    def test_partial_sums_converge(self):
-        x = np.linspace(0.05, 0.95, 46)
-        x = np.concatenate([-x[::-1], x])
-        approx = oracles.h_partial_sum(x, k_max=100000)
-        assert np.max(np.abs(approx - K.eval_h(x))) < 1e-3
-        # pointwise at the pinned abscissa the series is much closer
-        assert abs(oracles.h_partial_sum(0.5, k_max=100000)[0] - H_AT_HALF) < 1e-4
-
-
 class TestEvalDg:
     def test_matches_image_sum(self):
         x = interior_grid(400)
@@ -115,12 +78,6 @@ class TestEvalDg:
         np.testing.assert_allclose(K.eval_dg(near), [np.sqrt(2), -np.sqrt(2)],
                                    rtol=0, atol=1e-6)
         assert np.array_equal(K.eval_dg(np.array([1.0, -1.0, 3.0])), np.zeros(3))
-
-    def test_not_proportional_to_h(self):
-        # The odd companion kernel and the derivative kernel differ in the
-        # sign of their sinh parts; they are distinct functions.
-        x = 0.5
-        assert abs(float(K.eval_dg(x)) + np.sqrt(2) * float(K.eval_h(x))) > 0.1
 
 
 class TestGaussianPeriodization:
