@@ -305,7 +305,8 @@ def s_eff_decomposed(
         kcut = None if eps == 0.0 else CutoffSpec(epsilon=eps, k_max=k_max)
         phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, kcut))
         k_cost = 4 if eps == 0.0 else max(k_max, 4)
-        block = max(1, min(n, _BLOCK_BUDGET_BYTES // (8 * n_paths * N * N * k_cost)))
+        # an empty batch takes one block (and computes nothing)
+        block = max(1, min(n, _BLOCK_BUDGET_BYTES // (8 * max(n_paths, 1) * N * N * k_cost)))
         blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
 
         if N >= 2:

@@ -21,6 +21,13 @@ partition estimates are therefore maximally coupled and the log-ratio
 variance comes from batch means of the coupled rows, not independent
 error bars.
 
+The action is evaluated only on the paths alive at beta, the shortest
+horizon.  A path absorbed before beta has log-survival -inf at every
+horizon, so its weight is exactly e^{-inf} = 0 whatever its action; in
+`_collect` it carries S_eff = S_el = 0 and its log-weight stays -inf,
+also after a sweep scales S_eff.  Every estimate sees the log-weights
+the full batch would give.
+
 Coupling sweeps exploit that S_eff is exactly linear in alpha (g_L =
 sqrt(2) alpha / L enters every kernel once): the alpha = 1 action is
 evaluated per path and scaled, which makes per-path monotonicity in
@@ -57,7 +64,7 @@ from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
 from .kernels import CutoffSpec, ModelParams
-from .paths import RngStream, TimeGrid, sample_brownian
+from .paths import PathSample, RngStream, TimeGrid, sample_brownian
 
 N_BATCHES = 32
 PATH_BLOCK = 4096
@@ -149,7 +156,9 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
     """Per-path log-survival, S_eff and S_el, each shape (k, n_block).
 
     Row i belongs to horizon `_horizons(config)[i]`; the ratio variant's
-    paths run to beta + delta and one pass yields both rows.
+    paths run to beta + delta and one pass yields both rows.  The action
+    runs only on the paths alive at beta; the others, whose weight is
+    exactly 0, carry S_eff = S_el = 0.
     """
     domain = config.domain
     start_rng = np.random.default_rng([config.seed, 2 * block_idx])
@@ -160,9 +169,16 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
         grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
     path = sample_brownian(x0, grid, RngStream(config.seed, 2 * block_idx + 1))
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
-    bd = s_eff_decomposed(path, config.eps, config.params, cutoff=config.cutoff,
-                          pot=config.pot, horizons=steps)
-    return logs, bd.s_eff, bd.s_el
+    # alive at any horizon means alive at the shortest one, beta
+    alive = (logs > -np.inf).any(axis=0)
+    bd = s_eff_decomposed(PathSample(path.states[alive], grid), config.eps,
+                          config.params, cutoff=config.cutoff, pot=config.pot,
+                          horizons=steps)
+    s_eff = np.zeros_like(logs)
+    sel = np.zeros_like(logs)
+    s_eff[:, alive] = bd.s_eff
+    sel[:, alive] = bd.s_el
+    return logs, s_eff, sel
 
 
 def _collect(config: RunConfig) -> np.ndarray:
@@ -170,6 +186,7 @@ def _collect(config: RunConfig) -> np.ndarray:
 
     Shape (3, k, n_paths).  A path's log-weight is logs + S_eff + S_el,
     summed in that order; sweeps scale S_eff, which is linear in alpha.
+    Paths dead at beta have S_eff = S_el = 0 and log-weight -inf.
     """
     ranges = _block_ranges(config.n_paths, config.path_block)
     out = np.empty((3, len(_horizons(config)), config.n_paths))
@@ -198,9 +215,12 @@ class LogMeanEstimate:
     """sum_i c_i log mean(exp(row_i)) with its delta-method stderr.
 
     `survival` holds each row's fraction of paths with finite log-weight
-    and `n_effective` the effective sample size of row 0.  When some row
-    has no survivors the result is flagged: `zero_survivors` is True,
-    value nan, stderr inf and n_effective 0.
+    and `n_effective` the effective sample size of row 0.  Two health
+    fields say how far the mean rests on few paths: `max_weight_share`,
+    the largest single weight of row 0 over the row's sum, and
+    `log_weight_spread`, per row the std of the finite log-weights.  When
+    some row has no survivors the result is flagged: `zero_survivors` is
+    True, value nan, stderr inf, n_effective 0 and both health fields None.
     """
 
     value: float
@@ -208,6 +228,8 @@ class LogMeanEstimate:
     n_effective: float
     survival: tuple
     zero_survivors: bool
+    max_weight_share: float | None
+    log_weight_spread: tuple | None
 
 
 def log_mean_estimate(log_w: np.ndarray, coeffs) -> LogMeanEstimate:
@@ -221,7 +243,8 @@ def log_mean_estimate(log_w: np.ndarray, coeffs) -> LogMeanEstimate:
     alive = log_w > -np.inf
     survival = tuple(float(f) for f in alive.mean(axis=1))
     if not alive.any(axis=1).all():
-        return LogMeanEstimate(float("nan"), float("inf"), 0.0, survival, True)
+        return LogMeanEstimate(float("nan"), float("inf"), 0.0, survival, True,
+                               None, None)
     shift = log_w.max(axis=1)
     w = np.exp(log_w - shift[:, None])
     means = w.mean(axis=1)
@@ -235,7 +258,10 @@ def log_mean_estimate(log_w: np.ndarray, coeffs) -> LogMeanEstimate:
     else:
         stderr = float(linear.std(ddof=1) / np.sqrt(linear.size))
     n_effective = float(w[0].sum() ** 2 / np.sum(w[0] ** 2))
-    return LogMeanEstimate(value, stderr, n_effective, survival, False)
+    max_share = float(w[0].max() / w[0].sum())
+    spread = tuple(float(np.std(row[ok])) for row, ok in zip(log_w, alive))
+    return LogMeanEstimate(value, stderr, n_effective, survival, False,
+                           max_share, spread)
 
 
 def _coefficients(config: RunConfig) -> np.ndarray:
@@ -258,7 +284,9 @@ def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
     """Energy estimate and diagnostics of one config from its log-weight rows."""
     est = log_mean_estimate(log_w, _coefficients(config))
     diagnostics = {"survival_fraction": est.survival[-1],
-                   "zero_survivors": est.zero_survivors}
+                   "zero_survivors": est.zero_survivors,
+                   "max_weight_share": est.max_weight_share,
+                   "log_weight_spread": est.log_weight_spread}
     value = est.value
     if config.variant == "plain":
         beta = config.grid.beta

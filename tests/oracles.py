@@ -3,9 +3,16 @@
 Everything here is written independently of the package internals:
 periodizations are literal image sums, Fourier coefficients come from
 quadrature, and operator identities are checked on dense matrices.
+The one exception is `full_batch_block`, the estimator's path block with
+the action evaluated on every path, built from the package's own layers.
 """
 
 import numpy as np
+
+from polaron1d.action import s_eff_decomposed
+from polaron1d.estimator import _horizons
+from polaron1d.geometry import survival_log_weights, uniform_ordered_points
+from polaron1d.paths import RngStream, TimeGrid, sample_brownian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -271,3 +278,25 @@ def delta_method_reference(log_w, coeffs, n_batches=32):
     grad = c / means
     cov = np.cov(batches) / n_batches
     return float(c @ np.log(means)), float(np.sqrt(grad @ cov @ grad))
+
+
+def full_batch_block(config, block_idx, n_block):
+    """(log-survival, S_eff, S_el) rows of one path block, action on every path.
+
+    The estimator's block as it was before the survivor filter: the same
+    seeds, paths and layer calls, but s_eff_decomposed runs on the whole
+    batch, dead paths included.  Their log-weights logs + S_eff + S_el are
+    -inf either way.
+    """
+    domain = config.domain
+    start_rng = np.random.default_rng([config.seed, 2 * block_idx])
+    x0 = uniform_ordered_points(start_rng, n_block, domain)
+    steps = _horizons(config)
+    grid = config.grid
+    if config.variant == "ratio":
+        grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
+    path = sample_brownian(x0, grid, RngStream(config.seed, 2 * block_idx + 1))
+    logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
+    bd = s_eff_decomposed(path, config.eps, config.params, cutoff=config.cutoff,
+                          pot=config.pot, horizons=steps)
+    return logs, bd.s_eff, bd.s_el

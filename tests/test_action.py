@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,21 @@ class TestHorizonRows:
         for bad in ((9,), (0,), (8, -2)):
             with pytest.raises(ValueError):
                 A.s_eff_decomposed(path, 0.1, params, horizons=bad)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("horizons", [None, (40, 27)])
+    def test_empty_batch_gives_empty_rows(self, eps, horizons):
+        # a path block with no path alive at beta hands the action no paths
+        path = PathSample(np.zeros((0, 41, 2)), TimeGrid(2.5, 40))
+        params = ModelParams(alpha=1.0, N=2, beta=2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = A.s_eff_decomposed(path, eps, params, pot=self.POT,
+                                      horizons=horizons)
+        shape = (0,) if horizons is None else (2, 0)
+        assert rows.n_paths == 0
+        for name in ("X", "Y", "Z", "s_el", "s_eff", "s_total"):
+            assert getattr(rows, name).shape == shape, name
 
 
 class TestDriftProfile:

@@ -45,6 +45,9 @@ class TestEnergyCommand:
         assert manifest["master_seed"] == SEED
         assert manifest["config"]["n_paths"] == "4096"
         assert "version" in manifest and "wall_clock_seconds" in manifest
+        health = manifest["diagnostics"]
+        assert 0 < health["max_weight_share"] <= 1
+        assert len(health["log_weight_spread"]) == 2
 
     def test_free_particle_value_within_3_sigma(self, tmp_path):
         run_cli("energy", "--out", tmp_path, "--set", "alpha=0",

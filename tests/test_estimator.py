@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from polaron1d import estimator as est_mod
+from polaron1d.action import PotentialSpec
 from polaron1d.estimator import (
     EnergyEstimate,
     RunConfig,
@@ -30,6 +31,7 @@ from oracles import (
     dirichlet_partition_series,
     dirichlet_plain_energy,
     dirichlet_ratio_energy,
+    full_batch_block,
     wedge_partition_series,
 )
 
@@ -178,6 +180,8 @@ class TestEnergyEstimate:
         assert res.stderr == np.inf
         assert res.n_effective == 0.0
         assert res.diagnostics["zero_survivors"]
+        assert res.diagnostics["max_weight_share"] is None
+        assert res.diagnostics["log_weight_spread"] is None
 
     def test_estimate_carries_its_config(self):
         cfg = free_config(beta=1.0, n_steps=64, n_paths=2048)
@@ -199,11 +203,18 @@ class TestOnePassPerBlock:
                              [("ratio", (80, 64)), ("plain", (64,))])
     def test_one_call_of_each_layer_per_block(self, monkeypatch, variant, horizons):
         calls = {"survival": [], "action": []}
+        alive_at_beta, action_paths = [], []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name].append(kwargs["horizons"])
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                if name == "survival":
+                    # beta is the last (shortest) horizon row
+                    alive_at_beta.append(int(np.sum(result[-1] > -np.inf)))
+                else:
+                    action_paths.append(args[0].n_paths)
+                return result
             return wrapper
 
         monkeypatch.setattr(est_mod, "survival_log_weights",
@@ -216,6 +227,76 @@ class TestOnePassPerBlock:
         res = energy_estimate(cfg)
         assert np.isfinite(res.value)
         assert calls == {"survival": [horizons] * 3, "action": [horizons] * 3}
+        # the action sees exactly the paths alive at beta, block by block
+        assert action_paths == alive_at_beta
+        assert sum(action_paths) < cfg.n_paths
+
+
+def with_full_batch(fn, *args):
+    """fn(*args) with the action evaluated on every path of each block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(est_mod, "_simulate_block", full_batch_block)
+        return fn(*args)
+
+
+def coupled_config(N=2, p=1, eps=0.0, variant="ratio", alpha=1.0, pot=None,
+                   beta=0.5, n_paths=300, path_block=128):
+    return RunConfig(params=ModelParams(alpha=alpha, N=N, L=1.0, beta=beta),
+                     sector=SpinSector(N, p), grid=TimeGrid(beta, 32), eps=eps,
+                     n_paths=n_paths, seed=SEED, variant=variant, pot=pot,
+                     path_block=path_block)
+
+
+# 16-path blocks on the N = 2 wedge at beta = 0.5: blocks 0, 2, 4 and 5
+# have no path alive at beta, blocks 1 and 3 have two and one
+EMPTY_BLOCK = dict(p=2, n_paths=96, path_block=16)
+POT = PotentialSpec(V=lambda x: 0.3 * x**2, W=lambda r: 0.2 * np.cos(r))
+FILTER_CASES = {f"N{N}-eps{eps}-{variant}": dict(N=N, eps=eps, variant=variant)
+                for N in (1, 2, 3) for eps in (0.0, 0.3) for variant in ("ratio", "plain")}
+FILTER_CASES.update({
+    "pot-eps0.0-ratio": dict(eps=0.0, pot=POT),
+    "pot-eps0.3-plain": dict(eps=0.3, variant="plain", pot=POT),
+    "alpha0": dict(alpha=0.0),
+    "empty-block-eps0.0-ratio": dict(eps=0.0, **EMPTY_BLOCK),
+    "empty-block-eps0.3-plain": dict(eps=0.3, variant="plain", **EMPTY_BLOCK),
+})
+
+
+class TestSurvivorFilter:
+    """The action runs on paths alive at beta only; no log-weight moves."""
+
+    @staticmethod
+    def log_weights(rows):
+        logs, s_eff, sel = rows
+        return logs + s_eff + sel
+
+    @pytest.mark.parametrize("kw", FILTER_CASES.values(), ids=FILTER_CASES.keys())
+    def test_log_weights_bitwise_equal_full_batch(self, kw):
+        cfg = coupled_config(**kw)
+        got = self.log_weights(est_mod._collect(cfg))
+        ref = self.log_weights(with_full_batch(est_mod._collect, cfg))
+        assert got.view(np.int64).tolist() == ref.view(np.int64).tolist()
+        alive = got[-1] > -np.inf
+        assert 0 < alive.sum() < cfg.n_paths
+
+    def test_a_block_without_survivors_is_covered(self):
+        cfg = coupled_config(**EMPTY_BLOCK)
+        logs = est_mod._collect(cfg)[0][-1].reshape(-1, cfg.path_block)
+        assert (logs > -np.inf).sum(axis=1).tolist() == [0, 2, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("kw", [dict(eps=0.0), dict(eps=0.3, variant="plain"),
+                                    dict(eps=0.0, **EMPTY_BLOCK)],
+                             ids=["ratio-eps0", "plain-eps0.3", "empty-block"])
+    def test_sweep_and_partition_unchanged(self, kw):
+        cfg = coupled_config(**kw)
+        alphas = [0.0, 0.5, 1.0]
+        got = sweep_alpha(cfg, alphas)
+        ref = with_full_batch(sweep_alpha, cfg, alphas)
+        for g, r in zip(got["estimates"], ref["estimates"]):
+            assert (g.value, g.stderr, g.n_effective) == (r.value, r.stderr, r.n_effective)
+            assert g.diagnostics == r.diagnostics
+        assert got["paired_differences"] == ref["paired_differences"]
+        assert partition_estimate(cfg) == with_full_batch(partition_estimate, cfg)
 
 
 class TestSweepAlpha:
@@ -338,6 +419,45 @@ class TestLogSpace:
         assert res.stderr == np.inf
         assert res.n_effective == 0.0
         assert res.survival == (0.0, 1.0)
+        assert res.max_weight_share is None and res.log_weight_spread is None
+
+
+class TestHealthFields:
+    """Largest single-weight share of row 0 and per-row log-weight spread."""
+
+    def test_equal_weights_share_one_over_n(self):
+        est = est_mod.log_mean_estimate(np.full((1, 64), -3.0), [1.0])
+        assert est.max_weight_share == 1 / 64
+        assert est.log_weight_spread == (0.0,)
+
+    def test_single_survivor_holds_all_weight(self):
+        log_w = np.full((2, 64), -np.inf)
+        log_w[:, 17] = 2.5
+        log_w[1, 40] = -1.0
+        est = est_mod.log_mean_estimate(log_w, [-1.0, 1.0])
+        assert est.max_weight_share == 1.0
+        assert est.log_weight_spread == (0.0, 1.75)
+
+    def test_spread_is_std_of_finite_log_weights(self):
+        rng = np.random.default_rng(SEED)
+        log_w = rng.normal(size=(2, 4096)) * [[1.0], [3.0]]
+        log_w[:, ::7] = -np.inf
+        log_w[1, ::5] = -np.inf
+        est = est_mod.log_mean_estimate(log_w, [-1.0, 1.0])
+        expect = [np.std(row[np.isfinite(row)]) for row in log_w]
+        assert est.log_weight_spread == pytest.approx(expect, rel=1e-14)
+        w = np.exp(log_w[0])
+        assert est.max_weight_share == pytest.approx(w.max() / w.sum(), rel=1e-14)
+
+    @pytest.mark.parametrize("variant, k", [("plain", 1), ("ratio", 2)])
+    def test_fields_reach_energy_and_sweep_diagnostics(self, variant, k):
+        cfg = coupled_config(eps=0.3, variant=variant)
+        swept = sweep_alpha(cfg, [0.5, 1.0])["estimates"]
+        for res in (energy_estimate(cfg), *swept):
+            share = res.diagnostics["max_weight_share"]
+            spread = res.diagnostics["log_weight_spread"]
+            assert 1 / cfg.n_paths < share <= 1.0
+            assert len(spread) == k and all(s > 0 for s in spread)
 
 
 class TestOrderingCheck:
