@@ -50,10 +50,16 @@ actions cannot overflow.  A row with no survivors (every log-weight
 back as value = stderr = inf, n_effective = 0 and
 diagnostics["zero_survivors"] True; partition estimates as (0.0, inf);
 paired differences as nan +- inf.
+
+Each energy estimate also goes out as one INFO record on the
+"polaron1d" logger: value, stderr, n_effective, the survival fraction of
+each row and zero_survivors.  The library adds no handler; the caller
+decides where the records go.
 """
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -68,6 +74,8 @@ from .paths import PathSample, RngStream, TimeGrid, sample_brownian
 
 N_BATCHES = 32
 PATH_BLOCK = 4096
+
+logger = logging.getLogger("polaron1d")
 
 
 @dataclass(frozen=True)
@@ -297,6 +305,11 @@ def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
         diagnostics["survival_fraction_extended"] = est.survival[0]
     if est.zero_survivors:
         value = float("inf")
+    logger.info("energy %s N=%d p=%d alpha=%g eps=%g: value=%r stderr=%r "
+                "n_effective=%r survival=%r zero_survivors=%s",
+                config.variant, config.sector.N, config.sector.p,
+                config.params.alpha, config.eps, float(value), est.stderr,
+                est.n_effective, est.survival, est.zero_survivors)
     return EnergyEstimate(float(value), est.stderr, est.n_effective, config,
                           diagnostics=diagnostics)
 

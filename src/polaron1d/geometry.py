@@ -22,6 +22,13 @@ distances; adjacent-order planes x_i = x_{i+1} use the Euclidean distance
 difference of two independent Brownian coordinates.  Constraints are
 applied independently (product form); corner correlations are a
 second-order-in-dt bias we accept.
+
+A path absorbed on the grid has weight exactly 0, and most sampled paths
+are: 88-99 % die before beta at the criterion-1 and criterion-4 shapes.
+`survival_log_weights` therefore tests membership first and computes the
+bridge factors only for the paths inside at every grid point through the
+shortest horizon; the others are -inf in every row without any
+transcendental work.
 """
 
 from __future__ import annotations
@@ -132,6 +139,14 @@ def survival_log_weights(states, domain: OrderedDomain, dt: float,
     tuple of step counts h <= n_steps, returns shape (k, ...): row i is
     the weight of the first h_i steps, the value of a call on
     states[..., :h_i + 1, :], from one evaluation of the step factors.
+
+    Membership is tested first: a path with a grid point outside the
+    domain within the shortest horizon is -inf in every row, so the
+    bridge factors are computed only for the paths inside through that
+    horizon.  `contains` and the signed distances agree on every point
+    (|x| < L exactly when L - x > 0 and x + L > 0; a positive difference
+    stays positive divided by sqrt(2)), so the -inf set and the finite
+    rows are those of the full evaluation.
     """
     states = np.asarray(states, dtype=float)
     _check_dim(states, domain.N)
@@ -139,20 +154,24 @@ def survival_log_weights(states, domain: OrderedDomain, dt: float,
     steps = (n,) if horizons is None else tuple(int(h) for h in horizons)
     if not all(1 <= h <= n for h in steps):
         raise ValueError(f"horizons must lie in 1..{n}, got {horizons}")
-    d = _constraint_distances(states, domain)
+    lead = states.shape[:-2]
+    flat = states.reshape((-1,) + states.shape[-2:])
+    keep = np.all(contains(domain, flat[:, :min(steps) + 1]), axis=-1)
+    d = _constraint_distances(flat[keep], domain)
     inside = np.all(d > 0, axis=-1)
     # exponent of the bridge crossing probability per step and constraint
-    expo = 2.0 * d[..., :-1, :] * d[..., 1:, :] / dt
-    rows = []
+    expo = 2.0 * d[:, :-1, :] * d[:, 1:, :] / dt
+    out = np.full((len(steps), flat.shape[0]), -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # finite wherever both endpoints are inside; rows that leave the
-        # domain are replaced by -inf below
+        # finite wherever both endpoints are inside; -inf where the
+        # exponent underflows to 0, nan after a later exit (masked below)
         log_step = np.log1p(-np.exp(-expo))
-        for h in steps:
-            alive = np.all(inside[..., :h + 1], axis=-1)
-            out = np.sum(log_step[..., :h, :], axis=(-1, -2))
-            rows.append(np.where(alive, out, -np.inf))
-    return rows[0] if horizons is None else np.stack(rows)
+        for row, h in zip(out, steps):
+            alive = np.all(inside[:, :h + 1], axis=-1)
+            row[keep] = np.where(alive, np.sum(log_step[:, :h, :], axis=(-1, -2)),
+                                 -np.inf)
+    out = out.reshape((len(steps),) + lead)
+    return out[0] if horizons is None else out
 
 
 def uniform_ordered_points(rng: np.random.Generator, n: int, domain: OrderedDomain) -> np.ndarray:

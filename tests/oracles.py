@@ -280,6 +280,36 @@ def delta_method_reference(log_w, coeffs, n_batches=32):
     return float(c @ np.log(means)), float(np.sqrt(grad @ cov @ grad))
 
 
+def full_survival_log_weights(states, domain, dt, horizons=None):
+    """survival_log_weights with the bridge factors of every path evaluated.
+
+    The full evaluation before the membership test: signed distances to
+    the walls (L - x, x + L) and to the chain planes (diff / sqrt(2)), in
+    that order, the crossing factor log(1 - exp(-2 d1 d2 / dt)) on every
+    step, constraint and path, and a horizon row set to -inf wherever a
+    grid point of its prefix lies outside.
+    """
+    states = np.asarray(states, dtype=float)
+    L, p, N = domain.L, domain.p, domain.N
+    n = states.shape[-2] - 1
+    steps = (n,) if horizons is None else tuple(int(h) for h in horizons)
+    parts = [L - states, states + L]
+    for chain in (states[..., :p], states[..., p:]):
+        if chain.shape[-1] >= 2:
+            parts.append(np.diff(chain, axis=-1) / SQRT2)
+    d = np.concatenate(parts, axis=-1)
+    inside = np.all(d > 0, axis=-1)
+    expo = 2.0 * d[..., :-1, :] * d[..., 1:, :] / dt
+    rows = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_step = np.log1p(-np.exp(-expo))
+        for h in steps:
+            alive = np.all(inside[..., :h + 1], axis=-1)
+            out = np.sum(log_step[..., :h, :], axis=(-1, -2))
+            rows.append(np.where(alive, out, -np.inf))
+    return rows[0] if horizons is None else np.stack(rows)
+
+
 def full_batch_block(config, block_idx, n_block):
     """(log-survival, S_eff, S_el) rows of one path block, action on every path.
 

@@ -6,6 +6,7 @@ oracles (box Dirichlet series, two-walker wedge series) live in
 oracles.py and were cross-checked against finite-difference heat kernels.
 """
 
+import logging
 import warnings
 
 import numpy as np
@@ -458,6 +459,43 @@ class TestHealthFields:
             spread = res.diagnostics["log_weight_spread"]
             assert 1 / cfg.n_paths < share <= 1.0
             assert len(spread) == k and all(s > 0 for s in spread)
+
+
+class TestLogging:
+    """One INFO record per energy estimate on the "polaron1d" logger."""
+
+    def records(self, caplog):
+        return [r for r in caplog.records if r.name == "polaron1d"]
+
+    def test_one_record_per_estimate(self, caplog):
+        cfg = free_config(beta=1.0, n_steps=64, n_paths=2048, variant="ratio")
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            res = energy_estimate(cfg)
+        (rec,) = self.records(caplog)
+        assert rec.levelno == logging.INFO
+        msg = rec.getMessage()
+        for part in (f"value={res.value!r}", f"stderr={res.stderr!r}",
+                     f"n_effective={res.n_effective!r}", "zero_survivors=False",
+                     repr(res.diagnostics["survival_fraction"]),
+                     repr(res.diagnostics["survival_fraction_extended"])):
+            assert part in msg
+
+    def test_sweep_logs_each_alpha(self, caplog):
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            sweep_alpha(coupled_config(eps=0.3), [0.0, 0.5, 1.0])
+        msgs = [r.getMessage() for r in self.records(caplog)]
+        assert [m.split("alpha=")[1].split()[0] for m in msgs] == ["0", "0.5", "1"]
+
+    def test_zero_survivors_are_logged(self, caplog):
+        cfg = free_config(N=2, p=2, beta=2.0, n_steps=32, n_paths=32)
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            energy_estimate(cfg)
+        (rec,) = self.records(caplog)
+        assert "value=inf" in rec.getMessage()
+        assert "zero_survivors=True" in rec.getMessage()
+
+    def test_library_adds_no_handler(self):
+        assert logging.getLogger("polaron1d").handlers == []
 
 
 class TestOrderingCheck:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from polaron1d import geometry as G
 from polaron1d import paths as P
+
+from oracles import full_survival_log_weights
 
 SEED = 31901
 
@@ -176,19 +179,23 @@ class TestSurvivalHorizonRows:
                 G.survival_log_weights(states, d, 0.1, horizons=bad)
 
 
+def mixed_block(N, p, n_paths=200, n_steps=32, key=12):
+    """Brownian paths on D^{N,(p)}: half start inside, half anywhere near the box."""
+    d = G.OrderedDomain(G.SpinSector(N, p), 1.0)
+    grid = P.TimeGrid(0.1, n_steps)
+    rng = np.random.default_rng([SEED, key, N, p])
+    x0 = np.concatenate([G.uniform_ordered_points(rng, n_paths // 2, d),
+                         rng.uniform(-1.05, 1.05, size=(n_paths - n_paths // 2, N))])
+    return d, grid, P.sample_brownian(x0, grid, P.RngStream(SEED, key + 1)).states
+
+
 class TestSurvivalAgreesWithContains:
     """A path is absorbed exactly when one of its grid points leaves the domain."""
 
     @pytest.mark.parametrize("N,p", [(N, p) for N in (1, 2, 3)
                                      for p in range(N + 1)])
     def test_neginf_iff_a_grid_point_is_outside(self, N, p):
-        d = G.OrderedDomain(G.SpinSector(N, p), 1.0)
-        grid = P.TimeGrid(0.1, 32)
-        rng = np.random.default_rng([SEED, 10, N, p])
-        # half the starts inside, half anywhere near the box
-        x0 = np.concatenate([G.uniform_ordered_points(rng, 200, d),
-                             rng.uniform(-1.05, 1.05, size=(200, N))])
-        states = P.sample_brownian(x0, grid, P.RngStream(SEED, 11)).states
+        d, grid, states = mixed_block(N, p, n_paths=400, key=10)
         inside = G.contains(d, states)
         logw = G.survival_log_weights(states, d, grid.dt)
         outside = ~np.all(inside, axis=1)
@@ -199,6 +206,100 @@ class TestSurvivalAgreesWithContains:
         for row, h in zip(rows, horizons):
             outside_h = ~np.all(inside[:, :h + 1], axis=1)
             assert np.array_equal(np.isneginf(row), outside_h)
+
+
+class TestSurvivorOnlySurvival:
+    """Bridge factors for survivors only give the full evaluation's bits."""
+
+    HORIZONS = (None, (20,), (32, 9))
+
+    def assert_equal_to_full(self, states, d, dt):
+        for horizons in self.HORIZONS:
+            got = G.survival_log_weights(states, d, dt, horizons=horizons)
+            ref = full_survival_log_weights(states, d, dt, horizons=horizons)
+            assert np.shape(got) == np.shape(ref)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("N,p", [(N, p) for N in (1, 2, 3)
+                                     for p in range(N + 1)])
+    def test_bitwise_equal_to_full_evaluation(self, N, p):
+        d, grid, states = mixed_block(N, p)
+        self.assert_equal_to_full(states, d, grid.dt)
+        rows = G.survival_log_weights(states, d, grid.dt, horizons=(32, 9))
+        # dead, alive at both horizons, and dying between them all occur
+        assert np.isneginf(rows[1]).any() and np.isfinite(rows[0]).any()
+        assert (np.isfinite(rows[1]) & np.isneginf(rows[0])).any()
+        # two leading dims are flattened and restored
+        self.assert_equal_to_full(states.reshape((4, 50) + states.shape[1:]), d, grid.dt)
+
+    def test_single_path_alive_and_dead(self):
+        d, grid, states = mixed_block(2, 1)
+        rows = G.survival_log_weights(states, d, grid.dt)
+        for i in (np.flatnonzero(np.isfinite(rows))[0], np.flatnonzero(np.isneginf(rows))[0]):
+            got = G.survival_log_weights(states[i], d, grid.dt)
+            assert np.ndim(got) == 0
+            assert got == rows[i]
+            self.assert_equal_to_full(states[i], d, grid.dt)
+
+    def test_empty_batch(self):
+        d = G.OrderedDomain(G.SpinSector(3, 1), 1.0)
+        states = np.zeros((0, 33, 3))
+        for horizons, shape in ((None, (0,)), ((32, 9), (2, 0))):
+            assert G.survival_log_weights(states, d, 0.1, horizons=horizons).shape == shape
+        self.assert_equal_to_full(states, d, 0.1)
+
+    def test_block_without_survivors(self):
+        d, grid, states = mixed_block(2, 2)
+        states = states.copy()
+        states[:, 0, 1] = states[:, 0, 0]  # every start on the plane x1 = x2
+        assert np.all(np.isneginf(G.survival_log_weights(states, d, grid.dt)))
+        self.assert_equal_to_full(states, d, grid.dt)
+
+    def test_integer_states(self):
+        d = G.OrderedDomain(G.SpinSector(2, 2), 3.0)
+        rng = np.random.default_rng([SEED, 14])
+        states = np.stack([rng.integers(-2, 0, size=(50, 33)),
+                           rng.integers(1, 3, size=(50, 33))], axis=-1)
+        states[::2, 20, 1] = 3  # every other path touches the wall at step 20
+        rows = G.survival_log_weights(states, d, 4.0, horizons=(32, 9))
+        assert np.isfinite(rows[1]).all()
+        assert np.array_equal(np.isneginf(rows[0]), np.arange(50) % 2 == 0)
+        self.assert_equal_to_full(states, d, 4.0)
+
+    @pytest.mark.parametrize("N,p", [(1, 0), (2, 1), (3, 2)])
+    def test_distances_only_for_paths_inside_through_the_shortest_horizon(
+            self, monkeypatch, N, p):
+        seen = []
+
+        def recorded(states, domain):
+            seen.append(states.shape[0])
+            return distances(states, domain)
+
+        distances = G._constraint_distances
+        monkeypatch.setattr(G, "_constraint_distances", recorded)
+        d, grid, states = mixed_block(N, p)
+        inside = G.contains(d, states)
+        for horizons in self.HORIZONS:
+            G.survival_log_weights(states, d, grid.dt, horizons=horizons)
+            h = 32 if horizons is None else min(horizons)
+            assert seen.pop() == int(np.all(inside[:, :h + 1], axis=1).sum())
+        assert seen == []
+
+    def test_underflowing_bridge_exponent_warns_nothing(self):
+        # a survivor 1e-300 from the plane x1 = x2: exp(-expo) rounds to 1
+        # and its row is log1p(-1) = -inf; another survivor leaves the
+        # domain after the shortest horizon, a nan step masked to -inf
+        d = G.OrderedDomain(G.SpinSector(2, 2), 1.0)
+        states = np.tile(np.array([-0.5, 0.5]), (3, 9, 1))
+        states[0, 0] = [0.0, 1e-300]
+        states[1, 6] = [-0.5, 1.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = G.survival_log_weights(states, d, 0.01, horizons=(8, 4))
+        assert np.isneginf(rows[:, 0]).all()
+        assert np.isneginf(rows[0, 1]) and np.isfinite(rows[1, 1])
+        assert np.isfinite(rows[:, 2]).all()
+        assert np.array_equal(rows, full_survival_log_weights(states, d, 0.01, (8, 4)))
 
 
 class TestUniformOrderedPoints:
