@@ -31,17 +31,28 @@ outer stochastic integral; mixing conventions puts an O(1) bias into Y),
 and the direct double sum is left-endpoint in both variables.  The
 eps = 0 action is only defined through the decomposition.
 
-For eps > 0 the drift profile Phi factorizes over the interaction modes
-k = 2 pi m / L: with F_k(b) = sum_j e^{-i k x_{j,b}},
+For eps > 0 the whole action factorizes over the interaction modes
+k = 2 pi m / L, m = 1..k_max.  One table per chunk of paths,
+E_k(b, j) = e^{-i k x_{j,b}} (one exp of the fundamental mode, then
+powers by a cumulative product over m), gives F_k(b) = sum_j E_k(b, j) and
 
-    Phi^(i)_a = -2 g_L sum_{k > 0} c_k Im[ e^{i k x_{i,a}} G_k(a) ],
-    c_k = k e^{-2 eps k^2} / (1 + k^2/2),
     G_k(a) = sum_{b < a} dt e^{-(t_a - t_b)} F_k(b)
            = e^{-dt} (G_k(a-1) + dt F_k(a-1)),
 
-which evaluates the same left-endpoint sum in O(n_steps * n_modes)
-instead of O(n_steps^2).  At eps = 0 the series has no usable truncation
-and Phi is accumulated directly from g' at O(n_steps^2) cost.
+evaluated as a rescaled cumulative sum inside time blocks of at most unit
+duration (so nothing overflows at large beta).  With
+c'_k = e^{-2 eps k^2} / (1 + k^2/2) and c_k = k c'_k,
+
+    Phi^(i)_a = -2 g_L sum_k c_k Im[ conj(E_k(a, i)) G_k(a) ],
+    X = dt g_L sum_{a < h} [ N^2 - N + 2 sum_k c'_k (|F_k(a)|^2 - N) ],
+    Z = -g_L [ N^2 sum_{s < h} dt e^{-(t_h - t_s)}
+               + 2 Re sum_{i,k} c'_k conj(E_k(h, i)) G_k(h) ],
+
+so X, Y and Z come from the same table in O(n_steps * N * n_modes) per
+path instead of O(n_steps^2) or O(n_steps * N^2 * n_modes) pair sums.
+At eps = 0 the series has no usable truncation: X and Z are pair sums
+of the closed-form phi, and Phi is accumulated directly from g' at
+O(n_steps^2) cost.
 
 Restricting a path to its first h steps (horizon beta_h) leaves S_el, X
 and Y as sums over those steps of per-step terms that do not see h: Phi
@@ -90,7 +101,6 @@ from .kernels import (
     default_k_max,
     eval_dphi,
     eval_phi,
-    eval_w_series,
 )
 from .paths import PathSample, ito_integral
 
@@ -129,9 +139,12 @@ class PotentialSpec:
 
 FREE = PotentialSpec()
 
-# Peak size of the pairwise-difference temporaries in s_eff_decomposed;
+# Peak size of the pairwise-difference temporaries of the eps = 0 terms;
 # the time axis is processed in blocks sized to stay under this.
 _BLOCK_BUDGET_BYTES = 2**27
+# Size of one eps > 0 mode table (paths x nodes x particles x modes,
+# complex); the paths are processed in chunks sized to stay under this.
+_TABLE_BUDGET_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -175,59 +188,105 @@ def _k_max_for(eps: float, params: ModelParams, cutoff: CutoffSpec | None) -> in
     return default_k_max(2 * eps, params.L)
 
 
-def s_eff_direct(
-    path: PathSample,
-    eps: float,
-    params: ModelParams,
-    cutoff: CutoffSpec | None = None,
-) -> np.ndarray:
-    """Double left-endpoint Riemann sum of the retarded pair interaction.
+def _mode_table_terms(
+    path: PathSample, eps: float, params: ModelParams, k_max: int, steps: tuple
+) -> tuple:
+    """(Phi, X, Z) of the eps > 0 action from one mode table per path chunk.
 
-    O(n_steps^2) reference evaluation, defined for eps > 0 only.  The
-    pair kernel is evaluated through its mode series truncated by the
-    same k_max rule as the decomposition, so the two routes differ by
-    quadrature error alone (series tail below 1e-15 at the default).
+    Phi has shape (n_paths, n_steps, N); X and Z are rows (k, n_paths)
+    for the k horizons in steps.  Every horizon row is bitwise equal to
+    a call on its prefix: all reductions run along the mode, particle or
+    time axes of one path, and the time blocks start at multiples of a
+    step count fixed by dt alone.
     """
-    if eps <= 0:
-        raise ValueError("s_eff_direct needs eps > 0; the eps = 0 action "
-                         "is defined through s_eff_decomposed")
-    if params.alpha == 0.0:
-        return np.zeros(path.n_paths)
-    left = path.states[:, :-1, :]
-    n = path.grid.n_steps
-    dt = path.grid.dt
-    t = path.grid.times[:-1]
-    ew = np.exp(-np.abs(t[:, None] - t[None, :]))
-    kcut = CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
-    out = np.zeros(path.n_paths)
-    for a in range(n):
-        # diff[p, b, i, j] = x_{i, t_a} - x_{j, t_b}
-        diff = left[:, a, None, :, None] - left[:, :, None, :]
-        w = eval_w_series(diff, eps, params, kcut)
-        out += np.sum(w, axis=(2, 3)) @ ew[a]
-    return out * dt * dt
-
-
-def _drift_profile_modes(
-    path: PathSample, eps: float, params: ModelParams, k_max: int
-) -> np.ndarray:
-    """Phi^(i) at all left endpoints via the mode-prefix recursion (eps > 0)."""
     states = path.states
     n_paths, _, N = states.shape
     n = path.grid.n_steps
     dt = path.grid.dt
-    L = params.L
-    k = 2 * np.pi * np.arange(1, k_max + 1) / L
-    c = k * np.exp(-2 * eps * k**2) / (1 + k**2 / 2)
-    decay = np.exp(-dt)
-    G = np.zeros((n_paths, k_max), dtype=complex)
-    phi = np.zeros((n_paths, n, N))
-    for a in range(1, n):
-        F = np.exp(-1j * k[None, None, :] * states[:, a - 1, :, None]).sum(axis=1)
-        G = decay * (G + dt * F)
-        Ei = np.exp(1j * k[None, None, :] * states[:, a, :, None])
-        phi[:, a, :] = -2 * params.g_L * ((Ei * G[:, None, :]).imag @ c)
-    return phi
+    g_L = params.g_L
+    k = 2 * np.pi * np.arange(1, k_max + 1) / params.L
+    c_xz = np.exp(-2 * eps * k**2) / (1 + k**2 / 2)
+    c_phi = k * c_xz
+    # G rescaled inside blocks of at most unit duration: the growth factor
+    # e^{(b - a0) dt} stays below e at any beta.
+    B = max(1, int(1.0 / dt))
+    grow = dt * np.exp(dt * np.arange(B))[:, None]
+    shrink = np.exp(-dt * np.arange(1, B + 1))[:, None]
+    drift = np.zeros((n_paths, n, N))
+    X = np.zeros((len(steps), n_paths))
+    Z = np.zeros_like(X)
+    chunk = max(1, _TABLE_BUDGET_BYTES // (16 * (n + 1) * N * k_max))
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        # E[p, b, j, m - 1] = e^{-i k_m x_{j,b}}: powers of the fundamental mode
+        E = np.repeat(np.exp(-1j * k[0] * states[lo:hi, :, :, None]), k_max, axis=-1)
+        np.cumprod(E, axis=-1, out=E)
+        F = E[:, :n].sum(axis=2)
+        # G[p, a] = sum_{b < a} dt e^{-(t_a - t_b)} F[p, b]
+        G = np.zeros((hi - lo, n + 1, k_max), dtype=complex)
+        for a0 in range(0, n, B):
+            a1 = min(a0 + B, n)
+            acc = np.cumsum(grow[:a1 - a0] * F[:, a0:a1], axis=1)
+            G[:, a0 + 1:a1 + 1] = shrink[:a1 - a0] * (G[:, a0, None] + acc)
+        # Phi^(i)_a = -2 g_L sum_k c_k Im[conj(E_k(a, i)) G_k(a)]
+        Ea, Ga = E[:, 1:n], G[:, 1:n, None]
+        im = Ea.real * Ga.imag - Ea.imag * Ga.real
+        drift[lo:hi, 1:] = -2 * g_L * np.sum(im * c_phi, axis=-1)
+        if N >= 2:  # X vanishes for one particle; skip its rounding noise
+            pair = np.sum((F.real**2 + F.imag**2 - N) * c_xz, axis=-1)
+            per_step = 0.5 * g_L * (N * N - N + 2 * pair)
+            for r, h in enumerate(steps):
+                X[r, lo:hi] = 2 * dt * np.sum(per_step[:, :h], axis=1)
+        for r, h in enumerate(steps):
+            Eh, Gh = E[:, h], G[:, h, None]
+            re = Eh.real * Gh.real + Eh.imag * Gh.imag
+            Z[r, lo:hi] = 2 * np.sum(np.sum(re * c_xz, axis=-1), axis=-1)
+    t_left = path.grid.times[:-1]
+    for r, h in enumerate(steps):
+        beta_h = path.grid.beta - (n - h) * dt
+        Z[r] = -g_L * (N * N * dt * np.sum(np.exp(-(beta_h - t_left[:h]))) + Z[r])
+    return drift, X, Z
+
+
+def _pair_terms_closed_form(
+    path: PathSample, params: ModelParams, steps: tuple, phi_diag: float
+) -> tuple:
+    """(X, Z) rows (k, n_paths) at eps = 0 from the closed-form phi.
+
+    Pair differences are formed over blocks of the time axis sized to
+    stay under _BLOCK_BUDGET_BYTES.
+    """
+    states = path.states
+    left = states[:, :-1, :]
+    n_paths, _, N = states.shape
+    n = path.grid.n_steps
+    dt = path.grid.dt
+    X = np.zeros((len(steps), n_paths))
+    Z = np.zeros_like(X)
+    # an empty batch takes one block (and computes nothing)
+    block = max(1, min(n, _BLOCK_BUDGET_BYTES // (8 * max(n_paths, 1) * N * N * 4)))
+    blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    if N >= 2:
+        for lo, hi in blocks:
+            seg = left[:, lo:hi, :]
+            phival = eval_phi(seg[:, :, :, None] - seg[:, :, None, :], 0.0, 0.0, params)
+            for r, h in enumerate(steps):
+                if lo < h:
+                    part = phival[:, :min(hi, h) - lo]
+                    X[r] += np.sum(part, axis=(1, 2, 3)) - part.shape[1] * N * phi_diag
+        X = 2 * dt * X
+    # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}.
+    t_left = path.grid.times[:-1]
+    for r, h in enumerate(steps):
+        beta_h = path.grid.beta - (n - h) * dt
+        endpoint = states[:, h, None, :, None]
+        for lo, hi in blocks:
+            if lo < h:
+                hi = min(hi, h)
+                diff_z = endpoint - left[:, lo:hi, None, :]
+                tz = (beta_h - t_left[lo:hi])[None, :, None, None]
+                Z[r] += np.sum(eval_phi(diff_z, tz, 0.0, params), axis=(1, 2, 3))
+    return X, -2 * dt * Z
 
 
 def _drift_profile_direct(
@@ -280,8 +339,9 @@ def s_eff_decomposed(
     prefix of the path returns, its horizon n_steps - h_i steps before
     beta.  Per-path fields then have shape (k, n_paths) and phi00_term
     shape (k,).  X, Y and S_el rows sum slices of per-step arrays
-    computed once; Z and phi(0,0) are evaluated per row, Z on the time
-    blocks of the full pass clipped at the horizon.
+    computed once; Z and phi(0,0) are evaluated per row.  At eps > 0, Z
+    reads the mode table at the horizon node; at eps = 0 it runs over
+    the time blocks of the full pass clipped at the horizon.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -293,8 +353,6 @@ def s_eff_decomposed(
     N = params.N
     beta = path.grid.beta
     dt = path.grid.dt
-    states = path.states
-    left = states[:, :-1, :]
     sel = _s_el_rows(path, pot, steps)
     X = np.zeros((len(steps), n_paths))
     Y = np.zeros_like(X)
@@ -304,40 +362,12 @@ def s_eff_decomposed(
         k_max = _k_max_for(eps, params, cutoff)
         kcut = None if eps == 0.0 else CutoffSpec(epsilon=eps, k_max=k_max)
         phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, kcut))
-        k_cost = 4 if eps == 0.0 else max(k_max, 4)
-        # an empty batch takes one block (and computes nothing)
-        block = max(1, min(n, _BLOCK_BUDGET_BYTES // (8 * max(n_paths, 1) * N * N * k_cost)))
-        blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-
-        if N >= 2:
-            for lo, hi in blocks:
-                seg = left[:, lo:hi, :]
-                phival = eval_phi(seg[:, :, :, None] - seg[:, :, None, :],
-                                  0.0, 2 * eps, params, kcut)
-                for r, h in enumerate(steps):
-                    if lo < h:
-                        part = phival[:, :min(hi, h) - lo]
-                        X[r] += np.sum(part, axis=(1, 2, 3)) - part.shape[1] * N * phi_diag
-            X = 2 * dt * X
-
-        # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}.
-        t_left = path.grid.times[:-1]
         for r, h in enumerate(steps):
-            beta_h = beta - (n - h) * dt
-            phi00[r] = 2 * beta_h * N * phi_diag
-            endpoint = states[:, h, None, :, None]
-            for lo, hi in blocks:
-                if lo < h:
-                    hi = min(hi, h)
-                    diff_z = endpoint - left[:, lo:hi, None, :]
-                    tz = (beta_h - t_left[lo:hi])[None, :, None, None]
-                    Z[r] += np.sum(eval_phi(diff_z, tz, 2 * eps, params, kcut),
-                                   axis=(1, 2, 3))
-        Z = -2 * dt * Z
-
+            phi00[r] = 2 * (beta - (n - h) * dt) * N * phi_diag
         if eps > 0.0:
-            drift = _drift_profile_modes(path, eps, params, k_max)
+            drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
         else:
+            X, Z = _pair_terms_closed_form(path, params, steps, phi_diag)
             drift = _drift_profile_direct(path, eps, params, cutoff)
         Y = np.stack([ito_integral(drift[:, :h], path) for h in steps])
 

@@ -37,7 +37,10 @@ every matrix element manifestly correct at these tiny dimensions.
 
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
-a symmetric matrix).  eps = 0 is never diagonalized: values there are
+a symmetric matrix).  Each solve records its basis dimension, nnz,
+solver (dense or eigsh), ncv, tol, residuals and seconds in the
+result's provenance and sends one INFO record to the "polaron1d" logger;
+the library adds no handler.  eps = 0 is never diagonalized: values there are
 produced by `richardson_extrapolate` over an eps ladder and labeled as
 extrapolations.
 
@@ -45,12 +48,16 @@ extrapolations.
 <u| e^{-(beta+delta) H} |u> / <u| e^{-beta H} |u> with u = (uniform
 function) x (vacuum), i.e. the same finite-horizon functional the ratio
 Monte Carlo estimator targets, so the two can be compared without any
-beta -> infinity argument.
+beta -> infinity argument.  H is symmetric, so <u| e^{-tH} |u> =
+||e^{-tH/2} u||^2: w = e^{-beta H/2} u is propagated once and then
+e^{-delta H/2} w, both over half the horizon.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +68,8 @@ from .fock import FockSpace, annihilator
 from .kernels import ModelParams
 
 SECTOR_LABELS = ("none", "symmetric", "antisymmetric")
+
+logger = logging.getLogger("polaron1d")
 
 
 class InvariantViolation(RuntimeError):
@@ -279,22 +288,35 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
 
     Rejects non-symmetric input; residuals must sit below 1e-8 times the
     infinity norm of H or the result is refused rather than returned.
+    The gate certifies that each returned pair is an eigenpair, not that
+    the pairs are the lowest m: a Lanczos solve that skips a degenerate
+    copy can pass it.
+
+    The provenance of the result is the caller's dict plus dim, nnz,
+    solver ("dense" or "eigsh"), ncv and tol (None for dense; tol 0.0
+    is ARPACK's machine precision), residuals and solve_s, the seconds
+    from the symmetry check to the certificate.
     """
+    start = perf_counter()
     dim = H.shape[0]
     scale = max(_inf_norm(H), 1e-300)
     if scipy.sparse.issparse(H):
         asym = abs(H - H.T).max()
+        nnz = int(H.nnz)
     else:
         asym = float(np.max(np.abs(H - H.T)))
+        nnz = int(np.count_nonzero(H))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: defect {asym:.3e} "
                          f"against scale {scale:.3e}")
     m = min(m, dim)
     if dim <= 1500 or m >= dim - 1:
+        solver, ncv, tol = "dense", None, None
         dense = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
         vals, vecs = scipy.linalg.eigh(dense)
         vals, vecs = vals[:m], vecs[:, :m]
     else:
+        solver, tol = "eigsh", 0.0
         v0 = np.full(dim, 1 / np.sqrt(dim))
         ncv = min(dim, max(6 * m, 60))
         try:
@@ -303,8 +325,9 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
         except scipy.sparse.linalg.ArpackNoConvergence:
             # clustered spectra can stall at machine-precision tolerance;
             # the residual gate below still certifies the relaxed solve
+            tol = 1e-11
             vals, vecs = scipy.sparse.linalg.eigsh(
-                H, k=m, which="SA", v0=v0, ncv=ncv, tol=1e-11,
+                H, k=m, which="SA", v0=v0, ncv=ncv, tol=tol,
                 maxiter=100 * dim)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
@@ -316,17 +339,27 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
             "spectrum-residual",
             f"residuals {residuals[bad]} exceed 1e-8 * ||H|| = {1e-8 * scale:.3e}")
     gap = float(vals[1] - vals[0]) if m >= 2 else 0.0
+    prov = dict(provenance or {})
+    prov.update(dim=dim, nnz=nnz, solver=solver, ncv=ncv, tol=tol,
+                residuals=residuals.tolist(), solve_s=perf_counter() - start)
+    logger.info("ground dim=%d nnz=%d solver=%s ncv=%s tol=%s m=%d E0=%r "
+                "residual_max=%.3e solve_s=%.3f", dim, nnz, solver, ncv, tol, m,
+                float(vals[0]), float(residuals.max()), prov["solve_s"])
     return SpectrumResult(
         eigenvalues=vals, ground_vector=vecs[:, 0], residuals=residuals,
-        gap=gap, norm_scale=scale, provenance=dict(provenance or {}))
+        gap=gap, norm_scale=scale, provenance=prov)
 
 
 def sector_ground(N: int, symmetry: str, pot, params: ModelParams,
                   spec: DiscretizationSpec, m: int = 2) -> SpectrumResult:
+    """ground of the sector Hamiltonian; provenance adds the model, the
+    truncation and assemble_s, the seconds spent in build_H_eps."""
+    start = perf_counter()
     H = build_H_eps(N, symmetry, pot, params, spec)
     prov = {"N": N, "symmetry": symmetry, "alpha": params.alpha,
             "epsilon": spec.epsilon, "n_el_basis": spec.n_el_basis,
-            "k_max": spec.k_max, "n_ph_max": spec.n_ph_max, "L": params.L}
+            "k_max": spec.k_max, "n_ph_max": spec.n_ph_max, "L": params.L,
+            "assemble_s": perf_counter() - start}
     return ground(H, m=m, provenance=prov)
 
 
@@ -452,6 +485,6 @@ def ratio_energy_oracle(params: ModelParams, spec: DiscretizationSpec,
     H = build_H_eps(1, "none", pot, params, spec)
     boson_dim = H.shape[0] // spec.n_el_basis
     u = uniform_vacuum_vector(spec, boson_dim, params.L)
-    z_beta = u @ scipy.sparse.linalg.expm_multiply(-beta * H, u)
-    z_more = u @ scipy.sparse.linalg.expm_multiply(-(beta + delta) * H, u)
-    return float(-np.log(z_more / z_beta) / delta)
+    w = scipy.sparse.linalg.expm_multiply(-(beta / 2) * H, u)
+    w_more = scipy.sparse.linalg.expm_multiply(-(delta / 2) * H, w)
+    return float(-np.log((w_more @ w_more) / (w @ w)) / delta)

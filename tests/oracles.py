@@ -3,15 +3,19 @@
 Everything here is written independently of the package internals:
 periodizations are literal image sums, Fourier coefficients come from
 quadrature, and operator identities are checked on dense matrices.
-The one exception is `full_batch_block`, the estimator's path block with
-the action evaluated on every path, built from the package's own layers.
+The exceptions are built from the package's own layers:
+`full_batch_block`, the estimator's path block with the action evaluated
+on every path, and the action references `s_eff_direct`,
+`drift_profile_mode_loop` and `pairwise_x_z`, which evaluate the
+package's kernels on pair differences or one time step at a time.
 """
 
 import numpy as np
 
-from polaron1d.action import s_eff_decomposed
+from polaron1d.action import _k_max_for, s_eff_decomposed
 from polaron1d.estimator import _horizons
 from polaron1d.geometry import survival_log_weights, uniform_ordered_points
+from polaron1d.kernels import CutoffSpec, eval_phi, eval_w_series
 from polaron1d.paths import RngStream, TimeGrid, sample_brownian
 
 SQRT2 = np.sqrt(2.0)
@@ -330,3 +334,83 @@ def full_batch_block(config, block_idx, n_block):
     bd = s_eff_decomposed(path, config.eps, config.params, cutoff=config.cutoff,
                           pot=config.pot, horizons=steps)
     return logs, bd.s_eff, bd.s_el
+
+
+def s_eff_direct(path, eps, params, cutoff=None):
+    """Double left-endpoint Riemann sum of the retarded pair interaction.
+
+    O(n_steps^2) reference evaluation, defined for eps > 0 only.  The
+    pair kernel is evaluated through its mode series truncated by the
+    same k_max rule as the decomposition, so the two routes differ by
+    quadrature error alone (series tail below 1e-15 at the default).
+    """
+    if eps <= 0:
+        raise ValueError("s_eff_direct needs eps > 0; the eps = 0 action "
+                         "is defined through s_eff_decomposed")
+    if params.alpha == 0.0:
+        return np.zeros(path.n_paths)
+    left = path.states[:, :-1, :]
+    n = path.grid.n_steps
+    dt = path.grid.dt
+    t = path.grid.times[:-1]
+    ew = np.exp(-np.abs(t[:, None] - t[None, :]))
+    kcut = CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
+    out = np.zeros(path.n_paths)
+    for a in range(n):
+        # diff[p, b, i, j] = x_{i, t_a} - x_{j, t_b}
+        diff = left[:, a, None, :, None] - left[:, :, None, :]
+        w = eval_w_series(diff, eps, params, kcut)
+        out += np.sum(w, axis=(2, 3)) @ ew[a]
+    return out * dt * dt
+
+
+def drift_profile_mode_loop(path, eps, params, k_max):
+    """Phi^(i) at every left endpoint, one time step at a time (eps > 0).
+
+    The mode-prefix recursion G(a) = e^{-dt} (G(a-1) + dt F(a-1)) with
+    F_k(b) = sum_j e^{-i k x_{j,b}}, and
+    Phi^(i)_a = -2 g_L sum_k c_k Im[e^{i k x_{i,a}} G_k(a)].
+    """
+    states = path.states
+    n_paths, _, N = states.shape
+    n = path.grid.n_steps
+    dt = path.grid.dt
+    k = 2 * np.pi * np.arange(1, k_max + 1) / params.L
+    c = k * np.exp(-2 * eps * k**2) / (1 + k**2 / 2)
+    decay = np.exp(-dt)
+    G = np.zeros((n_paths, k_max), dtype=complex)
+    phi = np.zeros((n_paths, n, N))
+    for a in range(1, n):
+        F = np.exp(-1j * k[None, None, :] * states[:, a - 1, :, None]).sum(axis=1)
+        G = decay * (G + dt * F)
+        Ei = np.exp(1j * k[None, None, :] * states[:, a, :, None])
+        phi[:, a, :] = -2 * params.g_L * ((Ei * G[:, None, :]).imag @ c)
+    return phi
+
+
+def pairwise_x_z(path, eps, params, cutoff=None, horizons=None):
+    """X and Z rows (k, n_paths) from the phi mode series on pair differences.
+
+    X = 2 sum_{i != j} sum_{a < h} dt phi(x_{i,a} - x_{j,a}, 0) and
+    Z = -2 sum_{i,j} sum_{s < h} dt phi(x_{i,h} - x_{j,s}, t_h - t_s),
+    phi at damping 2 eps, for each horizon h (default: the whole path).
+    """
+    states = path.states
+    n = path.grid.n_steps
+    dt = path.grid.dt
+    N = states.shape[-1]
+    steps = (n,) if horizons is None else tuple(horizons)
+    kcut = CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
+    left = states[:, :-1, :]
+    t_left = path.grid.times[:-1]
+    X = np.zeros((len(steps), path.n_paths))
+    Z = np.zeros_like(X)
+    pair = eval_phi(left[:, :, :, None] - left[:, :, None, :], 0.0, 2 * eps, params, kcut)
+    off_diagonal = ~np.eye(N, dtype=bool)
+    for r, h in enumerate(steps):
+        X[r] = 2 * dt * np.sum(pair[:, :h, off_diagonal], axis=(1, 2))
+        beta_h = path.grid.beta - (n - h) * dt
+        diff = states[:, h, None, :, None] - left[:, :h, None, :]
+        lag = (beta_h - t_left[:h])[None, :, None, None]
+        Z[r] = -2 * dt * np.sum(eval_phi(diff, lag, 2 * eps, params, kcut), axis=(1, 2, 3))
+    return X, Z

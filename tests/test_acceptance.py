@@ -44,7 +44,7 @@ from polaron1d.paths import (
     sample_brownian,
 )
 
-from oracles import dirichlet_partition_series
+from oracles import dirichlet_partition_series, s_eff_direct
 
 SEED = 20260815
 E_FREE_1 = np.pi**2 / 8
@@ -189,7 +189,7 @@ def test_criterion_6_action_properties():
     sub = uniform_paths(128, 2, 2.0, 32, stream_index=62)
     gaps = []
     for level in range(4):
-        sd = A.s_eff_direct(sub, 0.2, params)
+        sd = s_eff_direct(sub, 0.2, params)
         bd = A.s_eff_decomposed(sub, 0.2, params)
         gaps.append(float(np.mean(np.abs(sd - bd.s_eff))))
         if level < 3:

@@ -18,7 +18,13 @@ from polaron1d.paths import (
     sample_brownian,
 )
 
-from oracles import brute_retarded_action, brute_theta_direct
+from oracles import (
+    brute_retarded_action,
+    brute_theta_direct,
+    drift_profile_mode_loop,
+    pairwise_x_z,
+    s_eff_direct,
+)
 
 SEED = 52901
 
@@ -83,21 +89,21 @@ class TestSEffDirect:
         path = make_paths(2, 1, n_steps=8)
         params = ModelParams(alpha=1.0, N=1)
         with pytest.raises(ValueError):
-            A.s_eff_direct(path, 0.0, params)
+            s_eff_direct(path, 0.0, params)
         with pytest.raises(ValueError):
-            A.s_eff_direct(path, -0.1, params)
+            s_eff_direct(path, -0.1, params)
 
     def test_alpha_zero_is_zero(self):
         path = make_paths(3, 2, n_steps=16)
         params = ModelParams(alpha=0.0, N=2, beta=2.0)
-        assert np.array_equal(A.s_eff_direct(path, 0.2, params), np.zeros(3))
+        assert np.array_equal(s_eff_direct(path, 0.2, params), np.zeros(3))
 
     def test_exact_alpha_linearity(self):
         path = make_paths(3, 2, n_steps=24)
         p1 = ModelParams(alpha=0.7, N=2, beta=2.0)
         p3 = ModelParams(alpha=2.1, N=2, beta=2.0)
-        s1 = A.s_eff_direct(path, 0.3, p1)
-        s3 = A.s_eff_direct(path, 0.3, p3)
+        s1 = s_eff_direct(path, 0.3, p1)
+        s3 = s_eff_direct(path, 0.3, p3)
         np.testing.assert_allclose(s3, 3 * s1, rtol=1e-13)
 
     def test_against_literal_image_sum(self):
@@ -105,7 +111,7 @@ class TestSEffDirect:
         path = make_paths(1, 2, beta=1.0, n_steps=12, stream_index=2)
         params = ModelParams(alpha=1.3, N=2, beta=1.0)
         eps = 0.15
-        got = A.s_eff_direct(path, eps, params)[0]
+        got = s_eff_direct(path, eps, params)[0]
         want = brute_retarded_action(path.states[0, :-1], path.grid.times,
                                      eps, params.alpha)
         assert got == pytest.approx(want, rel=1e-12)
@@ -166,23 +172,30 @@ class TestDecomposition:
             A.s_eff_decomposed(path, -0.2, ModelParams(alpha=1.0, N=1, beta=2.0))
 
     def test_time_blocking_does_not_change_values(self, monkeypatch):
+        # every reduction of the mode table runs along one path, so path
+        # chunks of 3 (and a ragged one of 2) change no bit
         path = make_paths(5, 2, n_steps=48, stream_index=5)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         full = A.s_eff_decomposed(path, 0.1, params)
-        monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 4 * 4 * 3)
+        k_max = A._k_max_for(0.1, params, None)
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 49 * 2 * k_max * 3)
         blocked = A.s_eff_decomposed(path, 0.1, params)
-        # summation order differs across block sizes, so rounding-level only
-        np.testing.assert_allclose(blocked.X, full.X, rtol=1e-13)
-        np.testing.assert_allclose(blocked.Z, full.Z, rtol=1e-13)
+        for name in ("X", "Y", "Z"):
+            assert np.array_equal(getattr(blocked, name), getattr(full, name)), name
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_partial_final_block(self, monkeypatch, eps):
-        # block size that does not divide n_steps: the ragged last block
-        # must pair left endpoints with left-endpoint times
+        # eps = 0: a time block that does not divide n_steps must pair left
+        # endpoints with left-endpoint times; eps > 0: a path chunk that
+        # does not divide n_paths
         path = make_paths(5, 2, n_steps=48, stream_index=5)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         full = A.s_eff_decomposed(path, eps, params)
-        monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 4 * 4 * 5)
+        if eps == 0.0:
+            monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 4 * 4 * 5)
+        else:
+            k_max = A._k_max_for(eps, params, None)
+            monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 49 * 2 * k_max * 2)
         blocked = A.s_eff_decomposed(path, eps, params)
         np.testing.assert_allclose(blocked.X, full.X, rtol=1e-13)
         np.testing.assert_allclose(blocked.Z, full.Z, rtol=1e-13)
@@ -221,12 +234,17 @@ class TestHorizonRows:
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_rows_equal_prefix_calls_with_ragged_blocks(self, monkeypatch, eps):
-        # time blocks of 6 steps divide neither 40 nor 27: every row's
-        # last block is clipped at its own horizon
+        # eps = 0: time blocks of 6 steps divide neither 40 nor 27, so every
+        # row's last block is clipped at its own horizon.  eps > 0: path
+        # chunks of 2 do not divide 5, and the unit-duration blocks of the
+        # G recursion (16 steps at dt = 1/16) divide neither 40 nor 27
         path = make_paths(5, 2, beta=2.5, n_steps=40, stream_index=21)
         params = ModelParams(alpha=1.0, N=2, beta=2.5)
-        k_cost = 4 if eps == 0.0 else max(A._k_max_for(eps, params, None), 4)
-        monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 2 * 2 * k_cost * 6)
+        if eps == 0.0:
+            monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 2 * 2 * 4 * 6)
+        else:
+            k_max = A._k_max_for(eps, params, None)
+            monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 2)
         self.assert_rows_equal_prefix_calls(path, eps, params, (40, 27), self.POT)
 
     def test_alpha_zero_rows(self):
@@ -266,6 +284,12 @@ class TestHorizonRows:
             assert getattr(rows, name).shape == shape, name
 
 
+def assert_rel_close(got, want, rel=1e-12):
+    """max |got - want| <= rel * max |want|, with matching shapes."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
 class TestDriftProfile:
     @pytest.mark.parametrize("eps", [0.05, 0.2])
     def test_mode_recursion_equals_direct_sum(self, eps):
@@ -273,7 +297,7 @@ class TestDriftProfile:
         path = make_paths(6, 2, n_steps=64, stream_index=6)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         k_max = A._k_max_for(eps, params, None)
-        rec = A._drift_profile_modes(path, eps, params, k_max)
+        rec = A._mode_table_terms(path, eps, params, k_max, (64,))[0]
         direct = A._drift_profile_direct(path, eps, params)
         np.testing.assert_allclose(rec, direct, rtol=0, atol=1e-10)
 
@@ -281,9 +305,50 @@ class TestDriftProfile:
         path = make_paths(2, 2, n_steps=16, stream_index=6)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         cut = CutoffSpec(epsilon=0.2, k_max=3)
-        rec = A._drift_profile_modes(path, 0.2, params, 3)
+        rec = A._mode_table_terms(path, 0.2, params, 3, (16,))[0]
         direct = A._drift_profile_direct(path, 0.2, params, cut)
         np.testing.assert_allclose(rec, direct, rtol=0, atol=1e-12)
+
+
+class TestModeTable:
+    """Phi, X and Z of the eps > 0 table against the step loop and pair sums."""
+
+    def assert_matches_oracles(self, path, eps, params, horizons, cutoff=None):
+        k_max = A._k_max_for(eps, params, cutoff)
+        drift, X, Z = A._mode_table_terms(path, eps, params, k_max, horizons)
+        assert_rel_close(drift, drift_profile_mode_loop(path, eps, params, k_max))
+        X_ref, Z_ref = pairwise_x_z(path, eps, params, cutoff, horizons)
+        if params.N == 1:
+            assert np.array_equal(X, np.zeros_like(X_ref))
+        else:
+            assert_rel_close(X, X_ref)
+        assert_rel_close(Z, Z_ref)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_explicit_cutoff(self, N):
+        path = make_paths(4, N, beta=2.0, n_steps=48, stream_index=30 + N)
+        params = ModelParams(alpha=1.3, N=N, beta=2.0)
+        cutoff = CutoffSpec(epsilon=0.1, k_max=5)
+        self.assert_matches_oracles(path, 0.1, params, (48, 31), cutoff)
+
+    def test_ragged_chunks_and_time_blocks(self, monkeypatch):
+        # chunks of 3 of 7 paths; G blocks of 16 steps (dt = 1/16) divide
+        # neither 40 nor 27
+        path = make_paths(7, 2, beta=2.5, n_steps=40, stream_index=34)
+        params = ModelParams(alpha=1.0, N=2, beta=2.5)
+        k_max = A._k_max_for(0.2, params, None)
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 3)
+        self.assert_matches_oracles(path, 0.2, params, (40, 27))
+
+    @pytest.mark.parametrize("beta, n_steps", [(40.0, 320), (800.0, 1600)])
+    def test_long_horizon_without_warnings(self, beta, n_steps):
+        # the G recursion is rescaled inside unit-duration blocks; a single
+        # rescaled sum over the whole path would overflow past beta ~ 709
+        path = make_paths(3, 2, beta=beta, n_steps=n_steps, stream_index=35)
+        params = ModelParams(alpha=1.0, N=2, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_oracles(path, 0.3, params, (n_steps, n_steps * 5 // 8))
 
 
 class TestDirectVsDecomposed:
@@ -293,7 +358,7 @@ class TestDirectVsDecomposed:
         path = make_paths(16, 1, beta=1.0, n_steps=32, stream_index=7)
         gaps = []
         for level in range(4):
-            sd = A.s_eff_direct(path, 0.2, params)
+            sd = s_eff_direct(path, 0.2, params)
             bd = A.s_eff_decomposed(path, 0.2, params)
             gaps.append(np.mean(np.abs(sd - bd.s_eff)))
             if level < 3:

@@ -123,6 +123,11 @@ class TestDiagCommand:
         assert row["estimator_variant"] == "exact-diag"
         assert float(row["value"]) == pytest.approx(np.pi**2 / 8, abs=1e-10)
         assert float(row["stderr"]) == 0.0
+        # solver and timings reach the manifest, not results.csv
+        prov = json.loads((tmp_path / "manifest.json").read_text())["provenance"]
+        assert prov["solver"] == "dense" and prov["dim"] > 0
+        assert "solve_s" in prov and "assemble_s" in prov
+        assert not any(key in row for key in ("solver", "solve_s", "assemble_s"))
 
     def test_three_particles_rejected(self, tmp_path, capsys):
         code = run_cli("diag", "--out", tmp_path, "--set", "N=3",

@@ -6,6 +6,9 @@ every nonzero mode, so the model separates numerically into (Dirichlet
 electron) x (single displaced oscillator), both exactly solvable.
 """
 
+import json
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -182,6 +185,42 @@ class TestGround:
         H = np.diag([1.0, 2.0])
         res = ed.ground(H, m=5)
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], atol=1e-14)
+
+
+class TestProvenance:
+    """What each solve did, in the result and on the "polaron1d" logger."""
+
+    def test_dense_sector_solve(self, caplog):
+        spec = ed.DiscretizationSpec(8, 2, 3, 0.5)
+        H = ed.build_H_eps(1, "none", None, params_for(0.7), spec)
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            res = ed.sector_ground(1, "none", None, params_for(0.7), spec, m=3)
+        prov = res.provenance
+        assert prov["N"] == 1 and prov["k_max"] == 2
+        assert (prov["dim"], prov["nnz"]) == (H.shape[0], H.nnz)
+        assert (prov["solver"], prov["ncv"], prov["tol"]) == ("dense", None, None)
+        assert prov["residuals"] == res.residuals.tolist()
+        assert prov["assemble_s"] >= 0.0 and prov["solve_s"] >= 0.0
+        json.dumps(prov)
+        [rec] = [r for r in caplog.records if r.name == "polaron1d"]
+        assert rec.levelno == logging.INFO
+        assert "solver=dense" in rec.getMessage()
+        assert logging.getLogger("polaron1d").handlers == []
+
+    def test_lanczos_solve(self, caplog):
+        dim = 2000
+        H = scipy.sparse.diags(
+            [np.full(dim - 1, 0.01), np.sqrt(np.arange(dim, dtype=float)),
+             np.full(dim - 1, 0.01)], [-1, 0, 1], format="csr")
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            res = ed.ground(H, m=2, provenance={"label": "tridiagonal"})
+        prov = res.provenance
+        assert prov["label"] == "tridiagonal"
+        assert (prov["dim"], prov["nnz"]) == (dim, H.nnz)
+        assert prov["solver"] == "eigsh" and prov["ncv"] == 60 and prov["tol"] == 0.0
+        assert len(prov["residuals"]) == 2 and "assemble_s" not in prov
+        json.dumps(prov)
+        assert len([r for r in caplog.records if r.name == "polaron1d"]) == 1
 
 
 class TestSectorSweep:
