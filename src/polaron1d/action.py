@@ -85,7 +85,13 @@ therefore a left-endpoint sum on the reversed path, i.e. a backward sum
 on the original one).  Direct quadrature of both vectors uses the exact
 per-step weights int_{t_b}^{t_{b+1}} e^{-s} ds = e^{-t_b} - e^{-t_{b+1}}
 with the position frozen at the left endpoint, so a constant path is
-integrated exactly.
+integrated exactly.  One table per chunk of paths,
+E(b, j, m) = e^{-i m (pi/L) x_{j,b}} for m >= 0 (powers as in the action
+table), serves both vectors: read forwards with the increments it gives
+theta, read backwards with the increments reversed and negated it gives
+theta of the reversed path.  A real path has theta(-k) = conj theta(k),
+so the k < 0 half comes by conjugation; e^{-eps k^2} is a final per-mode
+scale.
 """
 
 from __future__ import annotations
@@ -128,13 +134,6 @@ class PotentialSpec:
                 for j in range(i + 1, N):
                     u = u + self.W(states[..., i] - states[..., j])
         return u
-
-    def symmetry_defect(self, xs) -> float:
-        """max |W(x) - W(-x)| over the probe points (0 when W is None)."""
-        if self.W is None:
-            return 0.0
-        xs = np.asarray(xs, dtype=float)
-        return float(np.max(np.abs(self.W(xs) - self.W(-xs))))
 
 
 FREE = PotentialSpec()
@@ -188,6 +187,16 @@ def _k_max_for(eps: float, params: ModelParams, cutoff: CutoffSpec | None) -> in
     return default_k_max(2 * eps, params.L)
 
 
+def _phase_powers(x: np.ndarray, k0: float, n_modes: int) -> np.ndarray:
+    """E[..., m - 1] = e^{-i m k0 x} for m = 1..n_modes on a new trailing axis.
+
+    One exp of the fundamental mode, then powers by a cumulative product
+    over m.
+    """
+    E = np.repeat(np.exp(-1j * k0 * x)[..., None], n_modes, axis=-1)
+    return np.cumprod(E, axis=-1, out=E)
+
+
 def _mode_table_terms(
     path: PathSample, eps: float, params: ModelParams, k_max: int, steps: tuple
 ) -> tuple:
@@ -218,9 +227,8 @@ def _mode_table_terms(
     chunk = max(1, _TABLE_BUDGET_BYTES // (16 * (n + 1) * N * k_max))
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
-        # E[p, b, j, m - 1] = e^{-i k_m x_{j,b}}: powers of the fundamental mode
-        E = np.repeat(np.exp(-1j * k[0] * states[lo:hi, :, :, None]), k_max, axis=-1)
-        np.cumprod(E, axis=-1, out=E)
+        # E[p, b, j, m - 1] = e^{-i k_m x_{j,b}}
+        E = _phase_powers(states[lo:hi], k[0], k_max)
         F = E[:, :n].sum(axis=2)
         # G[p, a] = sum_{b < a} dt e^{-(t_a - t_b)} F[p, b]
         G = np.zeros((hi - lo, n + 1, k_max), dtype=complex)
@@ -289,33 +297,18 @@ def _pair_terms_closed_form(
     return X, -2 * dt * Z
 
 
-def _drift_profile_direct(
-    path: PathSample,
-    eps: float,
-    params: ModelParams,
-    cutoff: CutoffSpec | None = None,
-) -> np.ndarray:
-    """Phi^(i) by direct O(n_steps^2) accumulation.
-
-    Reference for the mode recursion at eps > 0 (identical sums, so
-    agreement is at rounding level) and the only evaluation at eps = 0,
-    where the derivative kernel is the closed form g'.
-    """
+def _drift_profile_direct(path: PathSample, params: ModelParams) -> np.ndarray:
+    """Phi^(i) at eps = 0 by direct O(n_steps^2) accumulation of g'."""
     states = path.states
     n_paths, _, N = states.shape
     n = path.grid.n_steps
     dt = path.grid.dt
     times = path.grid.times
-    kcut = (
-        None
-        if eps == 0.0
-        else CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
-    )
     phi = np.zeros((n_paths, n, N))
     for a in range(1, n):
         # diff[p, i, b, j] = x_{i, t_a} - x_{j, t_b},  b < a
         diff = states[:, a, :, None, None] - states[:, None, :a, :]
-        dphi = eval_dphi(diff, times[a] - times[None, :a, None], 2 * eps, params, kcut)
+        dphi = eval_dphi(diff, times[a] - times[None, :a, None], 0.0, params)
         phi[:, a, :] = 2 * dt * np.sum(dphi, axis=(2, 3))
     return phi
 
@@ -368,7 +361,7 @@ def s_eff_decomposed(
             drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
         else:
             X, Z = _pair_terms_closed_form(path, params, steps, phi_diag)
-            drift = _drift_profile_direct(path, eps, params, cutoff)
+            drift = _drift_profile_direct(path, params)
         Y = np.stack([ito_integral(drift[:, :h], path) for h in steps])
 
     s_eff = phi00[:, None] + X + Y + Z
@@ -449,39 +442,6 @@ class ThetaIntegrals:
         return self.tilde_direct - self.tilde_decomposed
 
 
-def _theta_forward(states, times, modes, eps, params, mode_block=16):
-    """(direct, boundary, ito) for the e^{-s}-weighted vector on one grid.
-
-    Damping is applied as a final per-mode scale, so ladders over eps
-    reuse bitwise-identical undamped sums.
-    """
-    n_paths, n_nodes, N = states.shape
-    n = n_nodes - 1
-    beta = times[-1]
-    step_w = np.exp(-times[:-1]) - np.exp(-times[1:])
-    exp_t = np.exp(-times[:-1])
-    inc = np.diff(states, axis=1)
-    n_modes = modes.size
-    direct = np.empty((n_paths, n_modes), dtype=complex)
-    boundary = np.empty_like(direct)
-    ito = np.empty_like(direct)
-    root_g = np.sqrt(params.g_L)
-    for lo in range(0, n_modes, mode_block):
-        k = modes[lo:lo + mode_block]
-        phase = np.exp(-1j * k[None, None, None, :] * states[:, :, :, None])
-        srcsum = phase.sum(axis=2)
-        direct[:, lo:lo + k.size] = -root_g * np.einsum("pbk,b->pk", srcsum[:, :-1], step_w)
-        psi0 = -root_g * srcsum[:, 0]
-        psib = -root_g * np.exp(-beta) * srcsum[:, -1]
-        denom = 1 + k**2 / 2
-        boundary[:, lo:lo + k.size] = (psi0 - psib) / denom
-        psi_j = -root_g * phase[:, :-1] * exp_t[None, :, None, None]
-        stoch = np.einsum("pbjk,pbj->pk", psi_j, inc)
-        ito[:, lo:lo + k.size] = -(1j * k / denom) * stoch
-    damp = np.exp(-eps * modes**2)
-    return direct * damp, boundary * damp, ito * damp
-
-
 def theta_integrals(
     path: PathSample,
     eps: float,
@@ -497,14 +457,44 @@ def theta_integrals(
         raise ValueError(f"eps must be >= 0, got {eps}")
     if mode_count < 1:
         raise ValueError(f"mode_count must be >= 1, got {mode_count}")
-    L = params.L
-    modes = np.pi * np.arange(-mode_count, mode_count + 1) / L
+    modes = np.pi * np.arange(-mode_count, mode_count + 1) / params.L
+    k = modes[mode_count:]
+    states = path.states
+    n_paths, n_nodes, N = states.shape
     times = path.grid.times
-    d, b, i = _theta_forward(path.states, times, modes, eps, params)
-    rd, rb, ri = _theta_forward(path.states[:, ::-1, :], times, modes, eps, params)
-    flip = slice(None, None, -1)
+    step_w = np.exp(-times[:-1]) - np.exp(-times[1:])
+    exp_t = np.exp(-times[:-1])[:, None]
+    exp_beta = np.exp(-times[-1])
+    # sums[d, q, p, m] at k_m >= 0: direction d (path, reversed path),
+    # q = direct, boundary, Ito, all before their mode factors
+    sums = np.empty((2, 3, n_paths, k.size), dtype=complex)
+    chunk = max(1, _TABLE_BUDGET_BYTES // (16 * n_nodes * N * k.size))
+    for lo in range(0, n_paths, chunk):
+        x = states[lo:lo + chunk]
+        # E[p, b, j, m] = e^{-i m (pi/L) x_{j,b}}, m = 0..mode_count
+        powers = _phase_powers(x, np.pi / params.L, mode_count)
+        E = np.concatenate([np.ones(x.shape + (1,)), powers], axis=-1)
+        F = E.sum(axis=2)
+        inc = np.diff(x, axis=1)
+        out = sums[:, :, lo:lo + chunk]
+        # the reversed path reads the same table backwards
+        reads = ((E, F, inc), (E[:, ::-1], F[:, ::-1], -inc[:, ::-1]))
+        for d, (E_d, F_d, inc_d) in enumerate(reads):
+            out[d, 0] = np.einsum("pbm,b->pm", F_d[:, :-1], step_w)
+            out[d, 1] = F_d[:, 0] - exp_beta * F_d[:, -1]
+            out[d, 2] = np.einsum("pbjm,pbj->pm", E_d[:, :-1], inc_d * exp_t)
+    denom = 1 + k**2 / 2
+    scale = -np.sqrt(params.g_L) * np.exp(-eps * k**2) * np.stack(
+        [np.ones_like(k), 1 / denom, -1j * k / denom])
+    (d, b, i), (rd, rb, ri) = sums * scale[:, None, :]
+
+    def mirrored(half):  # theta(-k) = conj theta(k) on a real path
+        return np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+
+    # theta_tilde[x](k) = theta[x o rev](-k)
     return ThetaIntegrals(
         modes=modes,
-        direct=d, boundary=b, ito=i,
-        tilde_direct=rd[:, flip], tilde_boundary=rb[:, flip], tilde_ito=ri[:, flip],
+        direct=mirrored(d), boundary=mirrored(b), ito=mirrored(i),
+        tilde_direct=mirrored(rd)[:, ::-1], tilde_boundary=mirrored(rb)[:, ::-1],
+        tilde_ito=mirrored(ri)[:, ::-1],
     )

@@ -6,8 +6,11 @@ quadrature, and operator identities are checked on dense matrices.
 The exceptions are built from the package's own layers:
 `full_batch_block`, the estimator's path block with the action evaluated
 on every path, and the action references `s_eff_direct`,
-`drift_profile_mode_loop` and `pairwise_x_z`, which evaluate the
-package's kernels on pair differences or one time step at a time.
+`drift_profile_mode_loop`, `drift_profile_pair_sum` and `pairwise_x_z`,
+which evaluate the package's kernels on pair differences or one time
+step at a time.  `theta_two_pass` evaluates theta and theta_tilde in two
+passes, one on the path and one on its time reversal, with one complex
+exponential per mode.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import numpy as np
 from polaron1d.action import _k_max_for, s_eff_decomposed
 from polaron1d.estimator import _horizons
 from polaron1d.geometry import survival_log_weights, uniform_ordered_points
-from polaron1d.kernels import CutoffSpec, eval_phi, eval_w_series
+from polaron1d.kernels import CutoffSpec, eval_dphi, eval_phi, eval_w_series
 from polaron1d.paths import RngStream, TimeGrid, sample_brownian
 
 SQRT2 = np.sqrt(2.0)
@@ -414,3 +417,58 @@ def pairwise_x_z(path, eps, params, cutoff=None, horizons=None):
         lag = (beta_h - t_left[:h])[None, :, None, None]
         Z[r] = -2 * dt * np.sum(eval_phi(diff, lag, 2 * eps, params, kcut), axis=(1, 2, 3))
     return X, Z
+
+
+def drift_profile_pair_sum(path, eps, params, cutoff=None):
+    """Phi^(i) at eps > 0 by direct O(n_steps^2) accumulation on pair differences.
+
+    The same left-endpoint double sum as the mode table, with the
+    derivative kernel evaluated through its truncated mode series.
+    """
+    states = path.states
+    n_paths, _, N = states.shape
+    n = path.grid.n_steps
+    dt = path.grid.dt
+    times = path.grid.times
+    kcut = CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
+    phi = np.zeros((n_paths, n, N))
+    for a in range(1, n):
+        # diff[p, i, b, j] = x_{i, t_a} - x_{j, t_b},  b < a
+        diff = states[:, a, :, None, None] - states[:, None, :a, :]
+        dphi = eval_dphi(diff, times[a] - times[None, :a, None], 2 * eps, params, kcut)
+        phi[:, a, :] = 2 * dt * np.sum(dphi, axis=(2, 3))
+    return phi
+
+
+def _theta_one_direction(states, times, modes, eps, g_L):
+    """(direct, boundary, ito) of the e^{-s}-weighted vector, one exp per mode."""
+    step_w = np.exp(-times[:-1]) - np.exp(-times[1:])
+    exp_t = np.exp(-times[:-1])
+    inc = np.diff(states, axis=1)
+    root_g = np.sqrt(g_L)
+    denom = 1 + modes**2 / 2
+    phase = np.exp(-1j * modes[None, None, None, :] * states[:, :, :, None])
+    srcsum = phase.sum(axis=2)
+    direct = -root_g * np.einsum("pbk,b->pk", srcsum[:, :-1], step_w)
+    psi0 = -root_g * srcsum[:, 0]
+    psib = -root_g * np.exp(-times[-1]) * srcsum[:, -1]
+    boundary = (psi0 - psib) / denom
+    psi_j = -root_g * phase[:, :-1] * exp_t[None, :, None, None]
+    ito = -(1j * modes / denom) * np.einsum("pbjk,pbj->pk", psi_j, inc)
+    damp = np.exp(-eps * modes**2)
+    return direct * damp, boundary * damp, ito * damp
+
+
+def theta_two_pass(path, eps, params, mode_count=64):
+    """theta and theta_tilde on modes pi/L * {-mode_count..mode_count}.
+
+    Two independent passes with one complex exponential per mode and
+    node: the path itself for theta, and the time-reversed path for
+    theta_tilde[x](k) = theta[x o rev](-k).  Returns the six arrays
+    (direct, boundary, ito, tilde_direct, tilde_boundary, tilde_ito).
+    """
+    modes = np.pi * np.arange(-mode_count, mode_count + 1) / params.L
+    times = path.grid.times
+    fwd = _theta_one_direction(path.states, times, modes, eps, params.g_L)
+    rev = _theta_one_direction(path.states[:, ::-1], times, modes, eps, params.g_L)
+    return fwd + tuple(a[:, ::-1] for a in rev)

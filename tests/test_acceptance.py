@@ -176,7 +176,9 @@ def test_criterion_5_coupling_monotonicity():
 def test_criterion_6_action_properties():
     params = ModelParams(alpha=1.0, N=2, L=1.0, beta=2.0)
     path = uniform_paths(10000, 2, 2.0, 128, stream_index=60)
-    s_unit = A.s_eff_decomposed(path, 0.0, params).s_eff
+    # the study's S_eff,0 is s_eff_decomposed(path, 0.0, params).s_eff
+    study = A.uv_convergence_study(path, [0.2, 0.1, 0.05, 0.025], params)
+    s_unit = study["s_eff_0"]
     assert s_unit.min() >= -1e-9
 
     s_half = A.s_eff_decomposed(
@@ -197,7 +199,6 @@ def test_criterion_6_action_properties():
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
     assert np.all(orders >= 0.4)
 
-    study = A.uv_convergence_study(path, [0.2, 0.1, 0.05, 0.025], params)
     med = study["median_abs_diff"]
     assert np.all(np.diff(med) < 0)
     announce(6, f"min S_eff,0 = {s_unit.min():.2e}, linearity {rel:.2e}, "

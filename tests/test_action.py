@@ -22,8 +22,10 @@ from oracles import (
     brute_retarded_action,
     brute_theta_direct,
     drift_profile_mode_loop,
+    drift_profile_pair_sum,
     pairwise_x_z,
     s_eff_direct,
+    theta_two_pass,
 )
 
 SEED = 52901
@@ -48,14 +50,6 @@ class TestPotentialSpec:
         xs = np.array([[0.5, -0.5], [1.0, 0.0]])
         expect = np.array([0.5 + np.cos(1.0), 1.0 + np.cos(1.0)])
         np.testing.assert_allclose(pot.total(xs), expect, rtol=1e-15)
-
-    def test_symmetry_defect(self):
-        sym = A.PotentialSpec(W=lambda x: x**2)
-        asym = A.PotentialSpec(W=lambda x: x**3 + x**2)
-        probes = np.linspace(-1, 1, 11)
-        assert sym.symmetry_defect(probes) == 0.0
-        assert asym.symmetry_defect(probes) > 0.1
-        assert A.FREE.symmetry_defect(probes) == 0.0
 
 
 class TestSEl:
@@ -298,7 +292,7 @@ class TestDriftProfile:
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         k_max = A._k_max_for(eps, params, None)
         rec = A._mode_table_terms(path, eps, params, k_max, (64,))[0]
-        direct = A._drift_profile_direct(path, eps, params)
+        direct = drift_profile_pair_sum(path, eps, params)
         np.testing.assert_allclose(rec, direct, rtol=0, atol=1e-10)
 
     def test_respects_explicit_cutoff(self):
@@ -306,7 +300,7 @@ class TestDriftProfile:
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         cut = CutoffSpec(epsilon=0.2, k_max=3)
         rec = A._mode_table_terms(path, 0.2, params, 3, (16,))[0]
-        direct = A._drift_profile_direct(path, 0.2, params, cut)
+        direct = drift_profile_pair_sum(path, 0.2, params, cut)
         np.testing.assert_allclose(rec, direct, rtol=0, atol=1e-12)
 
 
@@ -540,3 +534,69 @@ class TestThetaIntegrals:
             gap = np.sum(np.abs(th.direct - th0.direct)**2, axis=1)
             means.append(np.mean(gap**4))
         assert all(b < a for a, b in zip(means, means[1:]))
+
+
+THETA_FIELDS = ("direct", "boundary", "ito", "tilde_direct", "tilde_boundary", "tilde_ito")
+
+
+class TestThetaOnePass:
+    """One phase table per path chunk against the two-pass reference."""
+
+    def assert_matches_two_pass(self, path, params, mode_count, eps=0.1):
+        th = A.theta_integrals(path, eps, params, mode_count=mode_count)
+        want = theta_two_pass(path, eps, params, mode_count=mode_count)
+        for field, ref in zip(THETA_FIELDS, want):
+            assert_rel_close(getattr(th, field), ref, rel=1e-13)
+
+    @pytest.mark.parametrize("mode_count", [1, 5, 64])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_two_pass(self, N, mode_count):
+        path = make_paths(6, N, n_steps=32, stream_index=40 + N)
+        self.assert_matches_two_pass(path, ModelParams(alpha=1.0, N=N, beta=2.0), mode_count)
+
+    def test_ragged_chunks(self, monkeypatch):
+        # chunks of 2 of 5 paths (one table: 33 nodes x 2 particles x 6 modes)
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 33 * 2 * 6 * 2)
+        path = make_paths(5, 2, n_steps=32, stream_index=44)
+        self.assert_matches_two_pass(path, ModelParams(alpha=1.0, N=2, beta=2.0), 5)
+
+    def test_empty_batch(self):
+        path = PathSample(states=np.zeros((0, 17, 2)), grid=TimeGrid(2.0, 16))
+        th = A.theta_integrals(path, 0.1, ModelParams(alpha=1.0, N=2, beta=2.0),
+                               mode_count=5)
+        for field in THETA_FIELDS:
+            assert getattr(th, field).shape == (0, 11)
+
+    def test_one_table_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 33 * 2 * 6 * 2)
+        shapes = []
+        powers = A._phase_powers
+
+        def counting(x, k0, n_modes):
+            shapes.append(x.shape)
+            return powers(x, k0, n_modes)
+
+        monkeypatch.setattr(A, "_phase_powers", counting)
+        path = make_paths(5, 2, n_steps=32, stream_index=45)
+        A.theta_integrals(path, 0.1, ModelParams(alpha=1.0, N=2, beta=2.0), mode_count=5)
+        assert shapes == [(2, 33, 2), (2, 33, 2), (1, 33, 2)]
+
+    def test_negative_modes_are_conjugates(self):
+        path = make_paths(4, 2, n_steps=32, stream_index=46)
+        th = A.theta_integrals(path, 0.2, ModelParams(alpha=1.0, N=2, beta=2.0),
+                               mode_count=7)
+        for field in THETA_FIELDS:
+            arr = getattr(th, field)
+            assert np.array_equal(arr[:, ::-1], arr.conj())
+
+    def test_tilde_is_theta_of_reversed_path(self):
+        path = make_paths(4, 2, n_steps=32, stream_index=47)
+        reverse = PathSample(states=path.states[:, ::-1], grid=path.grid)
+        params = ModelParams(alpha=1.0, N=2, beta=2.0)
+        th = A.theta_integrals(path, 0.2, params, mode_count=7)
+        th_rev = A.theta_integrals(reverse, 0.2, params, mode_count=7)
+        for field in ("direct", "boundary", "ito"):
+            assert_rel_close(getattr(th, "tilde_" + field),
+                             getattr(th_rev, field)[:, ::-1], rel=1e-14)
+            assert_rel_close(getattr(th, field),
+                             getattr(th_rev, "tilde_" + field)[:, ::-1], rel=1e-14)
