@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 from .estimator import EnergyEstimate, RunConfig, energy_estimate
 from .exact_diag import DiscretizationSpec, InvariantViolation, sector_ground
 from .geometry import OrderedDomain, SpinSector
-from .kernels import CutoffSpec, ModelParams
+from .kernels import ModelParams
 from .paths import RngStream, TimeGrid
 
 __all__ = [
-    "CutoffSpec",
     "DiscretizationSpec",
     "EnergyEstimate",
     "InvariantViolation",

@@ -101,13 +101,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import (
-    CutoffSpec,
-    ModelParams,
-    default_k_max,
-    eval_dphi,
-    eval_phi,
-)
+from .kernels import ModelParams, _resolve_k_max, eval_dphi, eval_phi
 from .paths import PathSample, ito_integral
 
 
@@ -138,9 +132,6 @@ class PotentialSpec:
 
 FREE = PotentialSpec()
 
-# Peak size of the pairwise-difference temporaries of the eps = 0 terms;
-# the time axis is processed in blocks sized to stay under this.
-_BLOCK_BUDGET_BYTES = 2**27
 # Size of one eps > 0 mode table (paths x nodes x particles x modes,
 # complex); the paths are processed in chunks sized to stay under this.
 _TABLE_BUDGET_BYTES = 2**19
@@ -179,12 +170,6 @@ def _s_el_rows(path: PathSample, pot: PotentialSpec | None, steps) -> np.ndarray
         return np.zeros((len(steps), path.n_paths))
     u = pot.total(path.states[:, :-1, :])
     return np.stack([-path.grid.dt * np.sum(u[:, :h], axis=1) for h in steps])
-
-
-def _k_max_for(eps: float, params: ModelParams, cutoff: CutoffSpec | None) -> int:
-    if cutoff is not None:
-        return cutoff.k_max
-    return default_k_max(2 * eps, params.L)
 
 
 def _phase_powers(x: np.ndarray, k0: float, n_modes: int) -> np.ndarray:
@@ -261,8 +246,9 @@ def _pair_terms_closed_form(
 ) -> tuple:
     """(X, Z) rows (k, n_paths) at eps = 0 from the closed-form phi.
 
-    Pair differences are formed over blocks of the time axis sized to
-    stay under _BLOCK_BUDGET_BYTES.
+    X sums one equal-time pair array (n_paths, n_steps, N, N) over the
+    first h steps and removes the h N phi(0,0) of the diagonal; Z pairs
+    the endpoint x_h with every left endpoint before it.
     """
     states = path.states
     left = states[:, :-1, :]
@@ -271,29 +257,17 @@ def _pair_terms_closed_form(
     dt = path.grid.dt
     X = np.zeros((len(steps), n_paths))
     Z = np.zeros_like(X)
-    # an empty batch takes one block (and computes nothing)
-    block = max(1, min(n, _BLOCK_BUDGET_BYTES // (8 * max(n_paths, 1) * N * N * 4)))
-    blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
     if N >= 2:
-        for lo, hi in blocks:
-            seg = left[:, lo:hi, :]
-            phival = eval_phi(seg[:, :, :, None] - seg[:, :, None, :], 0.0, 0.0, params)
-            for r, h in enumerate(steps):
-                if lo < h:
-                    part = phival[:, :min(hi, h) - lo]
-                    X[r] += np.sum(part, axis=(1, 2, 3)) - part.shape[1] * N * phi_diag
-        X = 2 * dt * X
+        pair = eval_phi(left[:, :, :, None] - left[:, :, None, :], 0.0, 0.0, params)
+        for r, h in enumerate(steps):
+            X[r] = 2 * dt * (np.sum(pair[:, :h], axis=(1, 2, 3)) - h * N * phi_diag)
     # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}.
     t_left = path.grid.times[:-1]
     for r, h in enumerate(steps):
         beta_h = path.grid.beta - (n - h) * dt
-        endpoint = states[:, h, None, :, None]
-        for lo, hi in blocks:
-            if lo < h:
-                hi = min(hi, h)
-                diff_z = endpoint - left[:, lo:hi, None, :]
-                tz = (beta_h - t_left[lo:hi])[None, :, None, None]
-                Z[r] += np.sum(eval_phi(diff_z, tz, 0.0, params), axis=(1, 2, 3))
+        diff = states[:, h, None, :, None] - left[:, :h, None, :]
+        lag = (beta_h - t_left[:h])[None, :, None, None]
+        Z[r] = np.sum(eval_phi(diff, lag, 0.0, params), axis=(1, 2, 3))
     return X, -2 * dt * Z
 
 
@@ -317,7 +291,7 @@ def s_eff_decomposed(
     path: PathSample,
     eps: float,
     params: ModelParams,
-    cutoff: CutoffSpec | None = None,
+    k_max: int | None = None,
     pot: PotentialSpec | None = None,
     horizons: tuple | None = None,
 ) -> ActionBreakdown:
@@ -333,8 +307,11 @@ def s_eff_decomposed(
     beta.  Per-path fields then have shape (k, n_paths) and phi00_term
     shape (k,).  X, Y and S_el rows sum slices of per-step arrays
     computed once; Z and phi(0,0) are evaluated per row.  At eps > 0, Z
-    reads the mode table at the horizon node; at eps = 0 it runs over
-    the time blocks of the full pass clipped at the horizon.
+    reads the mode table at the horizon node; at eps = 0 it pairs the
+    horizon node with the left endpoints before it.
+
+    k_max truncates the eps > 0 mode series (default: default_k_max at
+    damping 2 eps); it must be >= 1 at every eps.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -352,12 +329,11 @@ def s_eff_decomposed(
     Z = np.zeros_like(X)
     phi00 = np.zeros(len(steps))
     if params.alpha != 0.0:
-        k_max = _k_max_for(eps, params, cutoff)
-        kcut = None if eps == 0.0 else CutoffSpec(epsilon=eps, k_max=k_max)
-        phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, kcut))
+        phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, k_max))
         for r, h in enumerate(steps):
             phi00[r] = 2 * (beta - (n - h) * dt) * N * phi_diag
         if eps > 0.0:
+            k_max = _resolve_k_max(k_max, 2 * eps, params.L)
             drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
         else:
             X, Z = _pair_terms_closed_form(path, params, steps, phi_diag)
@@ -379,7 +355,7 @@ def uv_convergence_study(
     path: PathSample,
     eps_ladder,
     params: ModelParams,
-    cutoff: CutoffSpec | None = None,
+    k_max: int | None = None,
 ) -> dict:
     """Per-path |S_eff,eps - S_eff,0| along a decreasing eps ladder.
 
@@ -392,10 +368,10 @@ def uv_convergence_study(
         raise ValueError("uv ladder entries must be > 0")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("uv ladder must decrease")
-    s0 = s_eff_decomposed(path, 0.0, params, cutoff).s_eff
+    s0 = s_eff_decomposed(path, 0.0, params, k_max).s_eff
     diffs = np.empty((len(eps_ladder), path.n_paths))
     for row, eps in enumerate(eps_ladder):
-        s_eps = s_eff_decomposed(path, eps, params, cutoff).s_eff
+        s_eps = s_eff_decomposed(path, eps, params, k_max).s_eff
         diffs[row] = np.abs(s_eps - s0)
     return {
         "eps": np.array(eps_ladder),

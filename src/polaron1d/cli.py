@@ -28,7 +28,7 @@ from .action import PotentialSpec
 from .exact_diag import DiscretizationSpec, InvariantViolation, sector_ground
 from .estimator import RunConfig, energy_estimate, ordering_check, sweep_alpha
 from .geometry import SpinSector
-from .kernels import CutoffSpec, ModelParams
+from .kernels import ModelParams
 from .paths import TimeGrid
 from .validate import run_validation
 
@@ -146,9 +146,6 @@ class ExperimentConfig:
 
     def run_config(self) -> RunConfig:
         v = self.values
-        cutoff = None
-        if v["cutoff_k_max"] > 0:
-            cutoff = CutoffSpec(epsilon=v["epsilon"], k_max=v["cutoff_k_max"])
         try:
             return RunConfig(
                 params=ModelParams(alpha=v["alpha"], N=v["N"], L=v["L"],
@@ -157,7 +154,8 @@ class ExperimentConfig:
                 grid=TimeGrid(v["beta"], v["n_steps"]),
                 eps=v["epsilon"], n_paths=v["n_paths"], seed=v["seed"],
                 n_workers=v["workers"], variant=v["variant"],
-                delta=v["delta"], pot=self.potential(), cutoff=cutoff)
+                delta=v["delta"], pot=self.potential(),
+                k_max=v["cutoff_k_max"] or None)
         except ValueError as err:
             raise ConfigError(str(err))
 

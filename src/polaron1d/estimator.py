@@ -69,7 +69,7 @@ from .action import PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
-from .kernels import CutoffSpec, ModelParams
+from .kernels import ModelParams
 from .paths import PathSample, RngStream, TimeGrid, sample_brownian
 
 N_BATCHES = 32
@@ -92,7 +92,7 @@ class RunConfig:
     variant: str = "ratio"
     delta: float | None = None
     pot: PotentialSpec | None = None
-    cutoff: CutoffSpec | None = None
+    k_max: int | None = None
     path_block: int = PATH_BLOCK
 
     def __post_init__(self):
@@ -102,6 +102,8 @@ class RunConfig:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        if self.k_max is not None and self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.path_block < 1:
             raise ValueError("path_block must be >= 1")
         if self.variant not in ("plain", "ratio"):
@@ -180,7 +182,7 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
     # alive at any horizon means alive at the shortest one, beta
     alive = (logs > -np.inf).any(axis=0)
     bd = s_eff_decomposed(PathSample(path.states[alive], grid), config.eps,
-                          config.params, cutoff=config.cutoff, pot=config.pot,
+                          config.params, k_max=config.k_max, pot=config.pot,
                           horizons=steps)
     s_eff = np.zeros_like(logs)
     sel = np.zeros_like(logs)

@@ -40,6 +40,10 @@ everywhere else:
   and eval_dphi is the true spatial derivative (series term-by-term for
   eps > 0, (alpha/2) g'(x) xi(t) for eps = 0).
 
+* eps is the only UV regulator.  The series keep the modes |m| <= k_max,
+  a purely numerical truncation passed as a plain int; None means
+  default_k_max at the damping of the series, and k_max < 1 is an error.
+
 * Pair kernel: w_eps(x) = (g_L/2) sum_m exp(-2 eps k_m^2) exp(i k_m x).
   Poisson summation folds this onto Gaussian images:
 
@@ -84,34 +88,28 @@ class ModelParams:
         return SQRT2 * self.alpha / self.L
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """UV regularization: Gaussian damping exp(-eps k^2) and series truncation.
+def default_k_max(eps: float, L: float = 1.0) -> int:
+    """Smallest mode count with Gaussian tail below ~1e-16 at this eps.
 
     k_max counts retained positive modes of the 2*pi/L lattice; the
     retained set is {2*pi*m/L : |m| <= k_max}.  For eps > 0 the damping
-    makes truncation error explicit: choose k_max with
-    exp(-eps (2*pi*k_max/L)^2) below the target.  default_k_max does this
-    at 1e-16 relative.  eps = 0 paths use closed forms, not the series.
+    makes truncation error explicit: exp(-eps (2*pi*k_max/L)^2) falls
+    below 1e-16 here.  eps = 0 paths use closed forms, not the series.
     """
-
-    epsilon: float
-    k_max: int = 64
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-
-
-def default_k_max(eps: float, L: float = 1.0) -> int:
-    """Smallest mode count with Gaussian tail below ~1e-16 at this eps."""
     if eps <= 0:
         return 64
     # exp(-eps k^2) <= 1e-16  <=>  k >= sqrt(36.8/eps); pad a little.
     m = int(np.ceil(L * np.sqrt(37.0 / eps) / (2 * np.pi))) + 4
     return max(m, 8)
+
+
+def _resolve_k_max(k_max: int | None, eps: float, L: float) -> int:
+    """The mode count of a series at damping eps: default_k_max unless given."""
+    if k_max is None:
+        return default_k_max(eps, L)
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    return k_max
 
 
 def reduce_to_cell(x, L: float = 1.0):
@@ -167,18 +165,19 @@ def _mode_numbers(k_max: int) -> np.ndarray:
     return np.arange(1, k_max + 1)
 
 
-def eval_phi(x, t, eps: float, params: ModelParams, cutoff: CutoffSpec | None = None):
+def eval_phi(x, t, eps: float, params: ModelParams, k_max: int | None = None):
     """Retarded interaction phi_eps(x, t); exact closed form at eps = 0.
 
     phi_eps(x,t) = (g_L/2) xi(t) sum_{|m|<=k_max} e^{-eps k^2} e^{ikx}/(1+k^2/2)
     with k = 2*pi*m/L; the real form below pairs +-m.  At eps = 0 the full
-    series sums to (alpha/2) g(x) xi(t), which is what we return.
+    series sums to (alpha/2) g(x) xi(t), which is what we return.  k_max
+    defaults to default_k_max(eps, L); it must be >= 1 at every eps.
     """
     x = np.asarray(x, dtype=float)
-    if eps == 0.0:
-        return 0.5 * params.alpha * eval_g(x, params.L) * xi(t)
     L = params.L
-    k_max = cutoff.k_max if cutoff is not None else default_k_max(eps, L)
+    k_max = _resolve_k_max(k_max, eps, L)
+    if eps == 0.0:
+        return 0.5 * params.alpha * eval_g(x, L) * xi(t)
     m = _mode_numbers(k_max)
     k = 2 * np.pi * m / L
     coeff = np.exp(-eps * k**2) / (1 + k**2 / 2)
@@ -186,13 +185,13 @@ def eval_phi(x, t, eps: float, params: ModelParams, cutoff: CutoffSpec | None = 
     return 0.5 * params.g_L * series * xi(t)
 
 
-def eval_dphi(x, t, eps: float, params: ModelParams, cutoff: CutoffSpec | None = None):
+def eval_dphi(x, t, eps: float, params: ModelParams, k_max: int | None = None):
     """Spatial derivative d/dx phi_eps(x, t); (alpha/2) g'(x) xi(t) at eps = 0."""
     x = np.asarray(x, dtype=float)
-    if eps == 0.0:
-        return 0.5 * params.alpha * eval_dg(x, params.L) * xi(t)
     L = params.L
-    k_max = cutoff.k_max if cutoff is not None else default_k_max(eps, L)
+    k_max = _resolve_k_max(k_max, eps, L)
+    if eps == 0.0:
+        return 0.5 * params.alpha * eval_dg(x, L) * xi(t)
     m = _mode_numbers(k_max)
     k = 2 * np.pi * m / L
     coeff = k * np.exp(-eps * k**2) / (1 + k**2 / 2)
@@ -215,13 +214,13 @@ def eval_w(x, eps: float, params: ModelParams):
     return pref * (eval_K_eps(x, eps, L) + eval_K_eps(x + L, eps, L))
 
 
-def eval_w_series(x, eps: float, params: ModelParams, cutoff: CutoffSpec | None = None):
+def eval_w_series(x, eps: float, params: ModelParams, k_max: int | None = None):
     """Truncated-series form of eval_w, kept for cross-checks."""
     if eps <= 0:
         raise ValueError("eval_w_series needs eps > 0")
     x = np.asarray(x, dtype=float)
     L = params.L
-    k_max = cutoff.k_max if cutoff is not None else default_k_max(2 * eps, L)
+    k_max = _resolve_k_max(k_max, 2 * eps, L)
     m = _mode_numbers(k_max)
     k = 2 * np.pi * m / L
     coeff = np.exp(-2 * eps * k**2)

@@ -113,25 +113,20 @@ def refine_midpoint(path: PathSample, stream: RngStream) -> PathSample:
     return PathSample(states=out, grid=grid, stream=path.stream)
 
 
-def ito_integral(integrand, path: PathSample, coordinate: int | None = None):
-    """Left-endpoint stochastic sum sum_j f_j (x_{j+1} - x_j).
+def ito_integral(integrand, path: PathSample):
+    """Left-endpoint stochastic sum sum_j f_j . (x_{j+1} - x_j).
 
-    integrand: per-step values, shape (n_paths, h) with a single
-    coordinate selected, or (n_paths, h, N) summed over coordinates when
-    coordinate is None.  The sum runs over the first h <= n_steps steps,
-    i.e. the integral up to t_h.
+    integrand: per-step values, shape (n_paths, h, N), summed over
+    coordinates.  The sum runs over the first h <= n_steps steps, i.e.
+    the integral up to t_h.
     """
     f = np.asarray(integrand, dtype=float)
     inc = path.increments
-    if coordinate is not None:
-        inc = inc[..., coordinate]
     if f.ndim == inc.ndim:
         inc = inc[:, :f.shape[1]]
     if f.shape != inc.shape:
         raise ValueError(f"integrand shape {f.shape} != increments shape {inc.shape}")
-    if f.ndim == 3:
-        return np.sum(f * inc, axis=(1, 2))
-    return np.sum(f * inc, axis=1)
+    return np.sum(f * inc, axis=(1, 2))
 
 
 def girsanov_log_weight(drift, path: PathSample) -> np.ndarray:

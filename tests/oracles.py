@@ -15,10 +15,10 @@ exponential per mode.
 
 import numpy as np
 
-from polaron1d.action import _k_max_for, s_eff_decomposed
+from polaron1d.action import s_eff_decomposed
 from polaron1d.estimator import _horizons
 from polaron1d.geometry import survival_log_weights, uniform_ordered_points
-from polaron1d.kernels import CutoffSpec, eval_dphi, eval_phi, eval_w_series
+from polaron1d.kernels import eval_dphi, eval_phi, eval_w_series
 from polaron1d.paths import RngStream, TimeGrid, sample_brownian
 
 SQRT2 = np.sqrt(2.0)
@@ -334,12 +334,12 @@ def full_batch_block(config, block_idx, n_block):
         grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
     path = sample_brownian(x0, grid, RngStream(config.seed, 2 * block_idx + 1))
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
-    bd = s_eff_decomposed(path, config.eps, config.params, cutoff=config.cutoff,
+    bd = s_eff_decomposed(path, config.eps, config.params, k_max=config.k_max,
                           pot=config.pot, horizons=steps)
     return logs, bd.s_eff, bd.s_el
 
 
-def s_eff_direct(path, eps, params, cutoff=None):
+def s_eff_direct(path, eps, params, k_max=None):
     """Double left-endpoint Riemann sum of the retarded pair interaction.
 
     O(n_steps^2) reference evaluation, defined for eps > 0 only.  The
@@ -357,12 +357,11 @@ def s_eff_direct(path, eps, params, cutoff=None):
     dt = path.grid.dt
     t = path.grid.times[:-1]
     ew = np.exp(-np.abs(t[:, None] - t[None, :]))
-    kcut = CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
     out = np.zeros(path.n_paths)
     for a in range(n):
         # diff[p, b, i, j] = x_{i, t_a} - x_{j, t_b}
         diff = left[:, a, None, :, None] - left[:, :, None, :]
-        w = eval_w_series(diff, eps, params, kcut)
+        w = eval_w_series(diff, eps, params, k_max)
         out += np.sum(w, axis=(2, 3)) @ ew[a]
     return out * dt * dt
 
@@ -391,35 +390,36 @@ def drift_profile_mode_loop(path, eps, params, k_max):
     return phi
 
 
-def pairwise_x_z(path, eps, params, cutoff=None, horizons=None):
-    """X and Z rows (k, n_paths) from the phi mode series on pair differences.
+def pairwise_x_z(path, eps, params, k_max=None, horizons=None):
+    """X and Z rows (k, n_paths) from phi on pair differences.
 
     X = 2 sum_{i != j} sum_{a < h} dt phi(x_{i,a} - x_{j,a}, 0) and
     Z = -2 sum_{i,j} sum_{s < h} dt phi(x_{i,h} - x_{j,s}, t_h - t_s),
-    phi at damping 2 eps, for each horizon h (default: the whole path).
+    phi at damping 2 eps (its mode series at eps > 0, its closed form at
+    eps = 0), for each horizon h (default: the whole path).  X sums the
+    off-diagonal pairs only.
     """
     states = path.states
     n = path.grid.n_steps
     dt = path.grid.dt
     N = states.shape[-1]
     steps = (n,) if horizons is None else tuple(horizons)
-    kcut = CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
     left = states[:, :-1, :]
     t_left = path.grid.times[:-1]
     X = np.zeros((len(steps), path.n_paths))
     Z = np.zeros_like(X)
-    pair = eval_phi(left[:, :, :, None] - left[:, :, None, :], 0.0, 2 * eps, params, kcut)
+    pair = eval_phi(left[:, :, :, None] - left[:, :, None, :], 0.0, 2 * eps, params, k_max)
     off_diagonal = ~np.eye(N, dtype=bool)
     for r, h in enumerate(steps):
         X[r] = 2 * dt * np.sum(pair[:, :h, off_diagonal], axis=(1, 2))
         beta_h = path.grid.beta - (n - h) * dt
         diff = states[:, h, None, :, None] - left[:, :h, None, :]
         lag = (beta_h - t_left[:h])[None, :, None, None]
-        Z[r] = -2 * dt * np.sum(eval_phi(diff, lag, 2 * eps, params, kcut), axis=(1, 2, 3))
+        Z[r] = -2 * dt * np.sum(eval_phi(diff, lag, 2 * eps, params, k_max), axis=(1, 2, 3))
     return X, Z
 
 
-def drift_profile_pair_sum(path, eps, params, cutoff=None):
+def drift_profile_pair_sum(path, eps, params, k_max=None):
     """Phi^(i) at eps > 0 by direct O(n_steps^2) accumulation on pair differences.
 
     The same left-endpoint double sum as the mode table, with the
@@ -430,12 +430,11 @@ def drift_profile_pair_sum(path, eps, params, cutoff=None):
     n = path.grid.n_steps
     dt = path.grid.dt
     times = path.grid.times
-    kcut = CutoffSpec(epsilon=eps, k_max=_k_max_for(eps, params, cutoff))
     phi = np.zeros((n_paths, n, N))
     for a in range(1, n):
         # diff[p, i, b, j] = x_{i, t_a} - x_{j, t_b},  b < a
         diff = states[:, a, :, None, None] - states[:, None, :a, :]
-        dphi = eval_dphi(diff, times[a] - times[None, :a, None], 2 * eps, params, kcut)
+        dphi = eval_dphi(diff, times[a] - times[None, :a, None], 2 * eps, params, k_max)
         phi[:, a, :] = 2 * dt * np.sum(dphi, axis=(2, 3))
     return phi
 

@@ -5,8 +5,8 @@ import pytest
 
 from polaron1d import action as A
 from polaron1d.kernels import (
-    CutoffSpec,
     ModelParams,
+    default_k_max,
     eval_g,
     phi_sup_bound,
 )
@@ -165,31 +165,34 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             A.s_eff_decomposed(path, -0.2, ModelParams(alpha=1.0, N=1, beta=2.0))
 
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_mode_count_below_one_rejected(self, eps, k_max):
+        path = make_paths(2, 2, n_steps=8)
+        params = ModelParams(alpha=1.0, N=2, beta=2.0)
+        with pytest.raises(ValueError, match="k_max"):
+            A.s_eff_decomposed(path, eps, params, k_max=k_max)
+
     def test_time_blocking_does_not_change_values(self, monkeypatch):
         # every reduction of the mode table runs along one path, so path
         # chunks of 3 (and a ragged one of 2) change no bit
         path = make_paths(5, 2, n_steps=48, stream_index=5)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         full = A.s_eff_decomposed(path, 0.1, params)
-        k_max = A._k_max_for(0.1, params, None)
+        k_max = default_k_max(0.2, params.L)
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 49 * 2 * k_max * 3)
         blocked = A.s_eff_decomposed(path, 0.1, params)
         for name in ("X", "Y", "Z"):
             assert np.array_equal(getattr(blocked, name), getattr(full, name)), name
 
-    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("eps", [0.1])
     def test_partial_final_block(self, monkeypatch, eps):
-        # eps = 0: a time block that does not divide n_steps must pair left
-        # endpoints with left-endpoint times; eps > 0: a path chunk that
-        # does not divide n_paths
+        # a path chunk that does not divide n_paths
         path = make_paths(5, 2, n_steps=48, stream_index=5)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         full = A.s_eff_decomposed(path, eps, params)
-        if eps == 0.0:
-            monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 4 * 4 * 5)
-        else:
-            k_max = A._k_max_for(eps, params, None)
-            monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 49 * 2 * k_max * 2)
+        k_max = default_k_max(2 * eps, params.L)
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 49 * 2 * k_max * 2)
         blocked = A.s_eff_decomposed(path, eps, params)
         np.testing.assert_allclose(blocked.X, full.X, rtol=1e-13)
         np.testing.assert_allclose(blocked.Z, full.Z, rtol=1e-13)
@@ -226,19 +229,14 @@ class TestHorizonRows:
         pot = self.POT if with_pot else None
         self.assert_rows_equal_prefix_calls(path, eps, params, (40, 27, 13), pot)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("eps", [0.2])
     def test_rows_equal_prefix_calls_with_ragged_blocks(self, monkeypatch, eps):
-        # eps = 0: time blocks of 6 steps divide neither 40 nor 27, so every
-        # row's last block is clipped at its own horizon.  eps > 0: path
-        # chunks of 2 do not divide 5, and the unit-duration blocks of the
-        # G recursion (16 steps at dt = 1/16) divide neither 40 nor 27
+        # path chunks of 2 do not divide 5, and the unit-duration blocks of
+        # the G recursion (16 steps at dt = 1/16) divide neither 40 nor 27
         path = make_paths(5, 2, beta=2.5, n_steps=40, stream_index=21)
         params = ModelParams(alpha=1.0, N=2, beta=2.5)
-        if eps == 0.0:
-            monkeypatch.setattr(A, "_BLOCK_BUDGET_BYTES", 8 * 5 * 2 * 2 * 4 * 6)
-        else:
-            k_max = A._k_max_for(eps, params, None)
-            monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 2)
+        k_max = default_k_max(2 * eps, params.L)
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 2)
         self.assert_rows_equal_prefix_calls(path, eps, params, (40, 27), self.POT)
 
     def test_alpha_zero_rows(self):
@@ -290,7 +288,7 @@ class TestDriftProfile:
         # same left-endpoint double sum, factorized over modes
         path = make_paths(6, 2, n_steps=64, stream_index=6)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
-        k_max = A._k_max_for(eps, params, None)
+        k_max = default_k_max(2 * eps, params.L)
         rec = A._mode_table_terms(path, eps, params, k_max, (64,))[0]
         direct = drift_profile_pair_sum(path, eps, params)
         np.testing.assert_allclose(rec, direct, rtol=0, atol=1e-10)
@@ -298,20 +296,20 @@ class TestDriftProfile:
     def test_respects_explicit_cutoff(self):
         path = make_paths(2, 2, n_steps=16, stream_index=6)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
-        cut = CutoffSpec(epsilon=0.2, k_max=3)
         rec = A._mode_table_terms(path, 0.2, params, 3, (16,))[0]
-        direct = drift_profile_pair_sum(path, 0.2, params, cut)
+        direct = drift_profile_pair_sum(path, 0.2, params, k_max=3)
         np.testing.assert_allclose(rec, direct, rtol=0, atol=1e-12)
 
 
 class TestModeTable:
     """Phi, X and Z of the eps > 0 table against the step loop and pair sums."""
 
-    def assert_matches_oracles(self, path, eps, params, horizons, cutoff=None):
-        k_max = A._k_max_for(eps, params, cutoff)
+    def assert_matches_oracles(self, path, eps, params, horizons, k_max=None):
+        if k_max is None:
+            k_max = default_k_max(2 * eps, params.L)
         drift, X, Z = A._mode_table_terms(path, eps, params, k_max, horizons)
         assert_rel_close(drift, drift_profile_mode_loop(path, eps, params, k_max))
-        X_ref, Z_ref = pairwise_x_z(path, eps, params, cutoff, horizons)
+        X_ref, Z_ref = pairwise_x_z(path, eps, params, k_max, horizons)
         if params.N == 1:
             assert np.array_equal(X, np.zeros_like(X_ref))
         else:
@@ -322,15 +320,14 @@ class TestModeTable:
     def test_explicit_cutoff(self, N):
         path = make_paths(4, N, beta=2.0, n_steps=48, stream_index=30 + N)
         params = ModelParams(alpha=1.3, N=N, beta=2.0)
-        cutoff = CutoffSpec(epsilon=0.1, k_max=5)
-        self.assert_matches_oracles(path, 0.1, params, (48, 31), cutoff)
+        self.assert_matches_oracles(path, 0.1, params, (48, 31), k_max=5)
 
     def test_ragged_chunks_and_time_blocks(self, monkeypatch):
         # chunks of 3 of 7 paths; G blocks of 16 steps (dt = 1/16) divide
         # neither 40 nor 27
         path = make_paths(7, 2, beta=2.5, n_steps=40, stream_index=34)
         params = ModelParams(alpha=1.0, N=2, beta=2.5)
-        k_max = A._k_max_for(0.2, params, None)
+        k_max = default_k_max(0.4, params.L)
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 3)
         self.assert_matches_oracles(path, 0.2, params, (40, 27))
 
@@ -343,6 +340,22 @@ class TestModeTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.assert_matches_oracles(path, 0.3, params, (n_steps, n_steps * 5 // 8))
+
+
+class TestClosedFormPairTerms:
+    """X and Z at eps = 0 against the pair sums of tests/oracles.py."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_pair_sums(self, N):
+        path = make_paths(4, N, beta=2.0, n_steps=48, stream_index=40 + N)
+        params = ModelParams(alpha=1.3, N=N, beta=2.0)
+        rows = A.s_eff_decomposed(path, 0.0, params, horizons=(48, 31))
+        X_ref, Z_ref = pairwise_x_z(path, 0.0, params, horizons=(48, 31))
+        if N == 1:
+            assert np.array_equal(rows.X, np.zeros_like(X_ref))
+        else:
+            assert_rel_close(rows.X, X_ref)
+        assert_rel_close(rows.Z, Z_ref)
 
 
 class TestDirectVsDecomposed:

@@ -6,9 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from polaron1d import validate
+from polaron1d import cli, validate
 from polaron1d.cli import CSV_COLUMNS, main
+from polaron1d.estimator import RunConfig, energy_estimate
 from polaron1d.exact_diag import InvariantViolation
+from polaron1d.geometry import SpinSector
+from polaron1d.kernels import ModelParams
+from polaron1d.paths import TimeGrid
 
 SEED = 90121
 
@@ -70,6 +74,30 @@ class TestEnergyCommand:
         assert row["n_steps"] == "64"
         assert row["n_paths"] == "2048"
 
+    def test_cutoff_k_max_sets_the_mode_count(self, tmp_path, monkeypatch):
+        # default_k_max(2 * 0.005) = 14 modes; 3 must reach the action
+        estimates = []
+
+        def recording(cfg):
+            estimates.append(energy_estimate(cfg))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli, "energy_estimate", recording)
+        settings = {"alpha": 1.0, "epsilon": 0.005, "n_paths": 1024}
+        for i, key in enumerate(({"cutoff_k_max": 3}, {"cutoff_k_max": 0}, {})):
+            assert run_cli(*small_energy_args(tmp_path / str(i), **settings, **key)) == 0
+        direct = energy_estimate(RunConfig(
+            params=ModelParams(alpha=1.0, N=1, L=1.0, beta=1.0),
+            sector=SpinSector(1, 1), grid=TimeGrid(1.0, 64), eps=0.005,
+            n_paths=1024, seed=SEED, k_max=3))
+        three, zero, absent = estimates
+        assert three.config == direct.config
+        assert (three.value, three.stderr) == (direct.value, direct.stderr)
+        # 0 means the default mode count, as without the key
+        assert zero.config == absent.config and absent.config.k_max is None
+        assert (zero.value, zero.stderr) == (absent.value, absent.stderr)
+        assert three.value != absent.value
+
     def test_set_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = 1.0\nn_steps = 64\nn_paths = 2048\n")
@@ -100,6 +128,11 @@ class TestConfigErrors:
         # ratio delta off the time grid is a configuration error
         code = run_cli("energy", "--out", tmp_path, "--set", "delta=0.013")
         assert code == 2
+
+    def test_negative_cutoff_k_max_exits_2(self, tmp_path, capsys):
+        code = run_cli("energy", "--out", tmp_path, "--set", "cutoff_k_max=-1")
+        assert code == 2
+        assert "k_max" in capsys.readouterr().err
 
     def test_missing_input_file_exits_3(self, tmp_path):
         code = run_cli("compare", "--out", tmp_path,

@@ -57,7 +57,8 @@ class TestRunConfig:
             free_config(variant="jackknife")
 
     @pytest.mark.parametrize("field, value", [
-        ("n_paths", 0), ("n_workers", 0), ("path_block", 0)])
+        ("n_paths", 0), ("n_workers", 0), ("path_block", 0), ("k_max", 0),
+        ("k_max", -1)])
     def test_positive_counts_required(self, field, value):
         with pytest.raises(ValueError):
             free_config(**{field: value})

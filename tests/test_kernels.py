@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polaron1d import kernels as K
-from polaron1d.kernels import CutoffSpec, ModelParams
+from polaron1d.kernels import ModelParams
 
 import oracles
 
@@ -147,14 +147,14 @@ class TestEvalDphi:
         km = K.default_k_max(eps)
         x = np.linspace(-0.9, 0.9, 19)
         diff = np.abs(
-            K.eval_dphi(x, 0.0, eps, PARAMS, CutoffSpec(eps, km))
+            K.eval_dphi(x, 0.0, eps, PARAMS, km)
             - K.eval_dphi(x, 0.0, 0.0, PARAMS)
         )
         half_delta = 0.5 * K.eval_delta_eps(x, eps, 1.0, km)
         assert np.max(np.abs(diff - half_delta)) < 1e-13
         t = 0.8
         diff_t = np.abs(
-            K.eval_dphi(x, t, eps, PARAMS, CutoffSpec(eps, km))
+            K.eval_dphi(x, t, eps, PARAMS, km)
             - K.eval_dphi(x, t, 0.0, PARAMS)
         )
         assert np.all(diff_t <= half_delta + 1e-13)
@@ -222,10 +222,23 @@ class TestParamValidation:
             ModelParams(alpha=1.0, N=1, beta=-2.0)
         assert ModelParams(alpha=2.0, N=3, L=2.0).g_L == pytest.approx(np.sqrt(2.0))
 
-    def test_cutoff_spec(self):
-        with pytest.raises(ValueError):
-            CutoffSpec(epsilon=-1e-3)
-        with pytest.raises(ValueError):
-            CutoffSpec(epsilon=0.1, k_max=0)
+    @pytest.mark.parametrize("k_max", [0, -2])
+    def test_mode_count_below_one_rejected(self, k_max):
+        x = np.linspace(-0.5, 0.5, 5)
+        for eps in (0.0, 0.1):
+            with pytest.raises(ValueError, match="k_max"):
+                K.eval_phi(x, 0.0, eps, PARAMS, k_max)
+            with pytest.raises(ValueError, match="k_max"):
+                K.eval_dphi(x, 0.0, eps, PARAMS, k_max)
+        with pytest.raises(ValueError, match="k_max"):
+            K.eval_w_series(x, 0.1, PARAMS, k_max)
+
+    def test_default_mode_count(self):
+        x = np.linspace(-0.5, 0.5, 5)
+        km = K.default_k_max(0.1)
+        assert np.array_equal(K.eval_phi(x, 0.3, 0.1, PARAMS, km),
+                              K.eval_phi(x, 0.3, 0.1, PARAMS))
+        assert np.array_equal(K.eval_w_series(x, 0.05, PARAMS, km),
+                              K.eval_w_series(x, 0.05, PARAMS))
         assert K.default_k_max(0.5) >= 8
         assert K.default_k_max(1e-4) > K.default_k_max(0.1)

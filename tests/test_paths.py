@@ -67,8 +67,9 @@ class TestRefineMidpoint:
 class TestItoIntegral:
     def test_integral_of_one(self):
         path = P.sample_brownian(np.zeros((7, 2)), P.TimeGrid(1.0, 12), P.RngStream(SEED, 10))
-        ones = np.ones((7, 12))
-        val = P.ito_integral(ones, path, coordinate=0)
+        f = np.zeros((7, 12, 2))
+        f[..., 0] = 1.0
+        val = P.ito_integral(f, path)
         want = path.states[:, -1, 0] - path.states[:, 0, 0]
         assert np.allclose(val, want, atol=1e-14)
 
@@ -78,7 +79,7 @@ class TestItoIntegral:
         path = P.sample_brownian(np.zeros((9, 1)), P.TimeGrid(2.0, 40), P.RngStream(SEED, 11))
         grid = path.grid
         t_left = grid.times[:-1]
-        lhs = P.ito_integral(np.tile(t_left, (9, 1)), path, coordinate=0)
+        lhs = P.ito_integral(np.tile(t_left, (9, 1))[..., None], path)
         rhs = grid.beta * path.states[:, -1, 0] - grid.dt * path.states[:, 1:, 0].sum(axis=1)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -87,7 +88,7 @@ class TestItoIntegral:
         grid = P.TimeGrid(1.0, 32)
         path = P.sample_brownian(np.zeros((n, 1)), grid, P.RngStream(SEED, 12))
         f = np.exp(-grid.times[:-1])
-        vals = P.ito_integral(np.tile(f, (n, 1)), path, coordinate=0)
+        vals = P.ito_integral(np.tile(f, (n, 1))[..., None], path)
         target = float(np.sum(f**2) * grid.dt)
         sigma = target * np.sqrt(2.0 / n)  # var of squared Gaussian mean
         assert abs(np.mean(vals**2) - target) < 3 * sigma
@@ -98,13 +99,14 @@ class TestItoIntegral:
         prefix = P.PathSample(states=path.states[:, :11], grid=P.TimeGrid(10 / 16, 10))
         assert np.array_equal(P.ito_integral(f[:, :10], path),
                               P.ito_integral(f[:, :10], prefix))
-        assert np.array_equal(P.ito_integral(f[:, :10, 1], path, coordinate=1),
-                              P.ito_integral(f[:, :10, 1], prefix, coordinate=1))
+        one = np.zeros_like(f[:, :10])
+        one[..., 1] = f[:, :10, 1]
+        assert np.array_equal(P.ito_integral(one, path), P.ito_integral(one, prefix))
 
     def test_shape_mismatch(self):
         path = P.sample_brownian(np.zeros((3, 1)), P.TimeGrid(1.0, 8), P.RngStream(SEED, 13))
         with pytest.raises(ValueError):
-            P.ito_integral(np.ones((3, 9)), path, coordinate=0)
+            P.ito_integral(np.ones((3, 9, 1)), path)
 
 
 class TestGirsanov:
