@@ -311,7 +311,7 @@ def s_eff_decomposed(
     horizon node with the left endpoints before it.
 
     k_max truncates the eps > 0 mode series (default: default_k_max at
-    damping 2 eps); it must be >= 1 at every eps.
+    damping 2 eps); it must be >= 1 at every eps, also at alpha = 0.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -328,12 +328,12 @@ def s_eff_decomposed(
     Y = np.zeros_like(X)
     Z = np.zeros_like(X)
     phi00 = np.zeros(len(steps))
+    k_max = _resolve_k_max(k_max, 2 * eps, params.L)
     if params.alpha != 0.0:
         phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, k_max))
         for r, h in enumerate(steps):
             phi00[r] = 2 * (beta - (n - h) * dt) * N * phi_diag
         if eps > 0.0:
-            k_max = _resolve_k_max(k_max, 2 * eps, params.L)
             drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
         else:
             X, Z = _pair_terms_closed_form(path, params, steps, phi_diag)

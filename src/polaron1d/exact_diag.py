@@ -35,12 +35,37 @@ Lifting one- and two-body operators to the (anti)symmetrized pair basis
 goes through the explicit isometry into the tensor product, which keeps
 every matrix element manifestly correct at these tiny dimensions.
 
+`build_H_eps` returns the Hamiltonian as its Kronecker factors,
+
+    H = h_el (x) 1 + 1 (x) diag(n) + sum_k c_k E_k (x) Q_k,
+
+with h_el the sector matrix (potential included), n the boson
+occupations and, per quadrature mode, the coupling c_k, the lifted
+electronic matrix E_k and Q_k = a_k + a_k^T.  With the state reshaped as
+X (n_el x n_boson), H x = h_el X + X diag(n) + sum_k c_k E_k X Q_k^T:
+two dense products (h_el, and the stacked c_k E_k against X) and one
+sparse product with the interleaved Q_k.  The dense products call
+scipy's dgemm rather than numpy's `@`: numpy and scipy each bundle their
+own OpenBLAS with its own thread pool, and scipy's is the one ARPACK
+already drives.  With numpy's products inside the Lanczos loop the two
+pools contend for the cores: a (10,4,4) N = 2 symmetric solve took
+6.3-6.9 s that way on 2 cores, against 1.4-2.0 s with dgemm.
+||H||_inf and the symmetry defect come from the factors and are exact
+up to summation order: h_el (x) 1 and 1 (x) diag(n) fill only
+boson-diagonal positions, and each E_k (x) Q_k only positions one mode-k
+quantum apart, so the terms never share a position and every row sum
+splits into per-term sums.  `KroneckerHamiltonian.tocsr` renders the
+same factors in the kron/sum order, bit for bit the matrix the CSR
+assembly always gave; it serves the dense solver (dim <= 1500) and
+`expm_multiply`.
+
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
 a symmetric matrix).  Each solve records its basis dimension, nnz,
-solver (dense or eigsh), ncv, tol, residuals and seconds in the
-result's provenance and sends one INFO record to the "polaron1d" logger;
-the library adds no handler.  eps = 0 is never diagonalized: values there are
+operator (kronecker or matrix), solver (dense or eigsh), ncv, tol, the
+products eigsh took, residuals and seconds in the result's provenance
+and sends one INFO record to the "polaron1d" logger; the library adds
+no handler.  eps = 0 is never diagonalized: values there are
 produced by `richardson_extrapolate` over an eps ladder and labeled as
 extrapolations.
 
@@ -57,12 +82,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.blas import dgemm
 
 from .fock import FockSpace, annihilator
 from .kernels import ModelParams
@@ -256,79 +283,212 @@ def _interaction_blocks(N: int, symmetry: str, spec: DiscretizationSpec,
     return blocks
 
 
+@dataclass(frozen=True, eq=False)
+class KroneckerHamiltonian:
+    """H = h_el (x) 1 + 1 (x) diag(n) + sum_k c_k E_k (x) Q_k, kept as factors.
+
+    h_el is the electronic sector matrix, n the boson occupations, and
+    per interacting quadrature mode c_k its coupling, E_k its lifted
+    electronic matrix and Q_k = a_k + a_k^T (sparse).  States are indexed
+    (electron, boson), the boson index fastest.
+    """
+
+    h_el: np.ndarray
+    occupation: np.ndarray
+    couplings: tuple = ()
+    el_mats: tuple = ()
+    quads: tuple = ()
+
+    dtype = np.dtype(np.float64)
+
+    @property
+    def shape(self) -> tuple:
+        dim = self.h_el.shape[0] * self.occupation.size
+        return (dim, dim)
+
+    @cached_property
+    def _h_el_t(self) -> np.ndarray:
+        return np.asfortranarray(self.h_el.T)
+
+    @cached_property
+    def _stacked_el(self) -> np.ndarray:
+        """Rows k * n_el + i hold c_k E_k[i, :]."""
+        return np.asfortranarray(np.concatenate(
+            [c * E for c, E in zip(self.couplings, self.el_mats)]))
+
+    @cached_property
+    def _interleaved_quads(self) -> scipy.sparse.csr_matrix:
+        """(n_b, n_b K) with Q_k[b, b'] at column b' K + k."""
+        K, n_b = len(self.quads), self.occupation.size
+        coo = [Q.tocoo() for Q in self.quads]
+        rows = np.concatenate([q.row for q in coo])
+        cols = np.concatenate([q.col * K + k for k, q in enumerate(coo)])
+        data = np.concatenate([q.data for q in coo])
+        return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n_b, n_b * K))
+
+    def __matmul__(self, x) -> np.ndarray:
+        """H x as h_el X + X diag(n) + sum_k c_k E_k X Q_k^T, X = x as (n_el, n_b).
+
+        A C-ordered X is X^T in Fortran order, so both dgemm calls take it
+        without a copy.  The stacked product, read as C-ordered
+        (n_b, K n_el), is the (n_b K, n_el) operand of one sparse product
+        with the interleaved Q_k.
+        """
+        n_el, n_b = self.h_el.shape[0], self.occupation.size
+        X = np.ascontiguousarray(x, dtype=np.float64).reshape(n_el, n_b)
+        Y = dgemm(1.0, X.T, self._h_el_t).T
+        Y += X * self.occupation
+        if self.couplings:
+            P = dgemm(1.0, self._stacked_el, X.T, trans_b=True)
+            Y += (self._interleaved_quads
+                  @ P.T.reshape(n_b * len(self.couplings), n_el)).T
+        return Y.ravel()
+
+    @cached_property
+    def nnz(self) -> int:
+        """Nonzeros of the represented matrix, as many as tocsr() stores.
+
+        The three kinds of term fill disjoint positions (boson-diagonal,
+        and one mode-k quantum apart for each k), so the count is theirs
+        summed; a position counts when its value, computed as tocsr()
+        computes it, is nonzero.
+        """
+        n_b = self.occupation.size
+        off = self.h_el != 0
+        np.fill_diagonal(off, False)
+        count = int(off.sum()) * n_b + int(np.count_nonzero(
+            np.diag(self.h_el)[:, None] + self.occupation[None, :]))
+        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
+            e = E[E != 0]
+            q_vals, q_counts = np.unique(Q.data, return_counts=True)
+            count += sum(int(qc) * int(np.count_nonzero(c * (e * qv)))
+                         for qv, qc in zip(q_vals, q_counts))
+        return count
+
+    def inf_norm(self) -> float:
+        """max_r sum_c |H_rc| from the factors, exact up to summation order.
+
+        On disjoint positions the row sum splits: the boson-diagonal part
+        sum_j |h_ij + delta_ij n_b| plus sum_k |c_k| (sum_j |E_k,ij|)
+        (sum_b' |Q_k,bb'|).
+        """
+        a = np.abs(self.h_el)
+        np.fill_diagonal(a, 0.0)
+        rows = a.sum(axis=1)[:, None] + np.abs(
+            np.diag(self.h_el)[:, None] + self.occupation[None, :])
+        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
+            rows += np.outer(abs(c) * np.abs(E).sum(axis=1),
+                             np.asarray(abs(Q).sum(axis=1)).ravel())
+        return float(rows.max())
+
+    def asymmetry(self) -> float:
+        """max |H - H^T| from the factors.
+
+        Exact when every Q_k is symmetric, as build_H_eps makes them,
+        and an upper bound otherwise: E (x) Q - E^T (x) Q^T =
+        (E - E^T) (x) Q + E^T (x) (Q - Q^T).
+        """
+        defect = float(np.abs(self.h_el - self.h_el.T).max())
+        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
+            defect = max(defect, float(abs(c) * (
+                np.abs(E - E.T).max() * abs(Q).max()
+                + np.abs(E).max() * abs(Q - Q.T).max())))
+        return defect
+
+    def tocsr(self) -> scipy.sparse.csr_matrix:
+        """The same matrix as CSR, summed term by term in this order."""
+        eye_b = scipy.sparse.identity(self.occupation.size, format="csr")
+        eye_e = scipy.sparse.identity(self.h_el.shape[0], format="csr")
+        n_ph = scipy.sparse.diags(self.occupation, format="csr")
+        H = (scipy.sparse.kron(scipy.sparse.csr_matrix(self.h_el), eye_b)
+             + scipy.sparse.kron(eye_e, n_ph))
+        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
+            H = H + c * scipy.sparse.kron(scipy.sparse.csr_matrix(E), Q)
+        return H.tocsr()
+
+
 def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
-                spec: DiscretizationSpec) -> scipy.sparse.csr_matrix:
-    """Full cutoff Hamiltonian H_el + N_ph + interaction, real symmetric CSR."""
+                spec: DiscretizationSpec) -> KroneckerHamiltonian:
+    """Full cutoff Hamiltonian H_el + N_ph + interaction, as its factors."""
     _check_sector(N, symmetry)
     blocks = _interaction_blocks(N, symmetry, spec, params)
     labels = tuple(label for label, _, _ in blocks)
     space = FockSpace(modes=labels, cap=spec.n_ph_max)
-    h_el = scipy.sparse.csr_matrix(build_H_el(N, symmetry, pot, spec, params.L))
-    eye_b = scipy.sparse.identity(space.dim, format="csr")
-    eye_e = scipy.sparse.identity(h_el.shape[0], format="csr")
-    n_ph = scipy.sparse.diags(space.total_occupation, format="csr")
-    H = scipy.sparse.kron(h_el, eye_b) + scipy.sparse.kron(eye_e, n_ph)
-    if params.alpha > 0:
-        for pos, (_, coupling, el_mat) in enumerate(blocks):
-            low = annihilator(space, pos)
-            quad = low + low.T
-            H = H + coupling * scipy.sparse.kron(
-                scipy.sparse.csr_matrix(el_mat), quad)
-    return H.tocsr()
-
-
-def _inf_norm(H) -> float:
-    if scipy.sparse.issparse(H):
-        return float(abs(H).sum(axis=1).max())
-    return float(np.abs(H).sum(axis=1).max())
+    terms = blocks if params.alpha > 0 else ()
+    quads = []
+    for pos in range(len(terms)):
+        low = annihilator(space, pos)
+        quads.append(low + low.T)
+    return KroneckerHamiltonian(
+        h_el=build_H_el(N, symmetry, pot, spec, params.L),
+        occupation=space.total_occupation,
+        couplings=tuple(c for _, c, _ in terms),
+        el_mats=tuple(E for _, _, E in terms), quads=tuple(quads))
 
 
 def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
     """Lowest-m eigenpairs with explicit residual certificates.
 
+    H is a KroneckerHamiltonian or a plain dense or sparse matrix.
     Rejects non-symmetric input; residuals must sit below 1e-8 times the
     infinity norm of H or the result is refused rather than returned.
     The gate certifies that each returned pair is an eigenpair, not that
     the pairs are the lowest m: a Lanczos solve that skips a degenerate
-    copy can pass it.
+    copy can pass it.  eigsh applies H through its product, so a
+    KroneckerHamiltonian is never assembled on that branch.
 
     The provenance of the result is the caller's dict plus dim, nnz,
-    solver ("dense" or "eigsh"), ncv and tol (None for dense; tol 0.0
-    is ARPACK's machine precision), residuals and solve_s, the seconds
-    from the symmetry check to the certificate.
+    operator ("kronecker" or "matrix"), solver ("dense" or "eigsh"), ncv
+    and tol (None for dense; tol 0.0 is ARPACK's machine precision),
+    matvecs (the products eigsh took; 0 for dense), residuals and
+    solve_s, the seconds from the symmetry check to the certificate.
     """
     start = perf_counter()
     dim = H.shape[0]
-    scale = max(_inf_norm(H), 1e-300)
-    if scipy.sparse.issparse(H):
-        asym = abs(H - H.T).max()
-        nnz = int(H.nnz)
+    if isinstance(H, KroneckerHamiltonian):
+        operator = "kronecker"
+        scale, asym, nnz = H.inf_norm(), H.asymmetry(), H.nnz
     else:
-        asym = float(np.max(np.abs(H - H.T)))
-        nnz = int(np.count_nonzero(H))
+        operator = "matrix"
+        sparse = scipy.sparse.issparse(H)
+        H = H if sparse else np.asarray(H)
+        scale, asym = float(abs(H).sum(axis=1).max()), float(abs(H - H.T).max())
+        nnz = int(H.nnz) if sparse else int(np.count_nonzero(H))
+    scale = max(scale, 1e-300)
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: defect {asym:.3e} "
                          f"against scale {scale:.3e}")
     m = min(m, dim)
+    matvecs = 0
     if dim <= 1500 or m >= dim - 1:
         solver, ncv, tol = "dense", None, None
-        dense = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
+        matrix = H.tocsr() if operator == "kronecker" else H
+        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else matrix
         vals, vecs = scipy.linalg.eigh(dense)
         vals, vecs = vals[:m], vecs[:, :m]
     else:
+        def apply(x):
+            nonlocal matvecs
+            matvecs += 1
+            return H @ x
+
+        A = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply,
+                                               dtype=H.dtype)
         solver, tol = "eigsh", 0.0
         v0 = np.full(dim, 1 / np.sqrt(dim))
         ncv = min(dim, max(6 * m, 60))
+        # ARPACK asks for a random vector when the Krylov space from v0
+        # turns invariant; a pinned rng keeps that restart reproducible
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                H, k=m, which="SA", v0=v0, ncv=ncv)
+                A, k=m, which="SA", v0=v0, ncv=ncv, rng=0)
         except scipy.sparse.linalg.ArpackNoConvergence:
             # clustered spectra can stall at machine-precision tolerance;
             # the residual gate below still certifies the relaxed solve
             tol = 1e-11
             vals, vecs = scipy.sparse.linalg.eigsh(
-                H, k=m, which="SA", v0=v0, ncv=ncv, tol=tol,
-                maxiter=100 * dim)
+                A, k=m, which="SA", v0=v0, ncv=ncv, tol=tol,
+                maxiter=100 * dim, rng=0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.array([np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])
@@ -340,10 +500,12 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
             f"residuals {residuals[bad]} exceed 1e-8 * ||H|| = {1e-8 * scale:.3e}")
     gap = float(vals[1] - vals[0]) if m >= 2 else 0.0
     prov = dict(provenance or {})
-    prov.update(dim=dim, nnz=nnz, solver=solver, ncv=ncv, tol=tol,
-                residuals=residuals.tolist(), solve_s=perf_counter() - start)
-    logger.info("ground dim=%d nnz=%d solver=%s ncv=%s tol=%s m=%d E0=%r "
-                "residual_max=%.3e solve_s=%.3f", dim, nnz, solver, ncv, tol, m,
+    prov.update(dim=dim, nnz=nnz, operator=operator, solver=solver, ncv=ncv,
+                tol=tol, matvecs=matvecs, residuals=residuals.tolist(),
+                solve_s=perf_counter() - start)
+    logger.info("ground dim=%d nnz=%d operator=%s solver=%s ncv=%s tol=%s "
+                "matvecs=%d m=%d E0=%r residual_max=%.3e solve_s=%.3f",
+                dim, nnz, operator, solver, ncv, tol, matvecs, m,
                 float(vals[0]), float(residuals.max()), prov["solve_s"])
     return SpectrumResult(
         eigenvalues=vals, ground_vector=vecs[:, 0], residuals=residuals,
@@ -477,12 +639,15 @@ def ratio_energy_oracle(params: ModelParams, spec: DiscretizationSpec,
 
     N = 1 only: the electronic part of the reference vector is the
     uniform function, matching Monte Carlo paths started uniformly.
+    expm_multiply runs on the CSR rendering: on an operator it would
+    estimate the 1-norm with onenormest, which draws from numpy's global
+    unseeded RNG, and the oracle's bits would vary from run to run.
     """
     if params.N != 1:
         raise ValueError("the matched semigroup oracle is implemented for N = 1")
     if delta <= 0 or beta <= 0:
         raise ValueError("beta and delta must be > 0")
-    H = build_H_eps(1, "none", pot, params, spec)
+    H = build_H_eps(1, "none", pot, params, spec).tocsr()
     boson_dim = H.shape[0] // spec.n_el_basis
     u = uniform_vacuum_vector(spec, boson_dim, params.L)
     w = scipy.sparse.linalg.expm_multiply(-(beta / 2) * H, u)

@@ -19,6 +19,7 @@ from .action import s_eff_decomposed
 from .exact_diag import (
     DiscretizationSpec,
     InvariantViolation,
+    build_H_eps,
     electronic_ground,
     sector_ground,
 )
@@ -154,6 +155,23 @@ def check_exact_diag_coupling_lowers():
               f"coupled {coupled:.8f} not below free {free:.8f}")
 
 
+def check_exact_diag_kronecker_matvec():
+    """The factor-form product against its CSR rendering, N = 2 symmetric."""
+    spec = DiscretizationSpec(n_el_basis=6, k_max=2, n_ph_max=2, epsilon=0.3)
+    params = ModelParams(alpha=1.0, N=2, L=1.0, beta=1.0)
+    H = build_H_eps(2, "symmetric", None, params, spec)
+    C = H.tocsr()
+    x = np.random.default_rng([SEED, 5]).standard_normal(H.shape[0])
+    want = C @ x
+    gap = float(np.linalg.norm(H @ x - want) / np.linalg.norm(want))
+    if gap > 1e-13:
+        _fail("exact-diag-kronecker-matvec",
+              f"product differs from the CSR by {gap:.2e} relative (tol 1e-13)")
+    if H.nnz != C.nnz:
+        _fail("exact-diag-kronecker-matvec",
+              f"factor nnz {H.nnz} against CSR nnz {C.nnz}")
+
+
 def check_estimator_free_energy(n_workers=1):
     """Ratio estimate of the free box ground energy."""
     cfg = RunConfig(params=ModelParams(alpha=0.0, N=1, L=1.0, beta=2.0),
@@ -203,6 +221,7 @@ CHECKS = (
     ("fock-number-occupation", check_fock_number_operator),
     ("exact-diag-free-pins", check_exact_diag_free_pins),
     ("exact-diag-coupling-lowers", check_exact_diag_coupling_lowers),
+    ("exact-diag-kronecker-matvec", check_exact_diag_kronecker_matvec),
     ("estimator-partition-series", check_estimator_partition),
     ("estimator-free-energy", check_estimator_free_energy),
     ("estimator-sector-ordering", check_estimator_sector_ordering),

@@ -173,6 +173,15 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="k_max"):
             A.s_eff_decomposed(path, eps, params, k_max=k_max)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("k_max", [0, -5])
+    def test_mode_count_below_one_rejected_at_alpha_zero(self, eps, k_max):
+        # alpha = 0 skips every mode series, but k_max is checked all the same
+        path = make_paths(2, 2, n_steps=8)
+        params = ModelParams(alpha=0.0, N=2, beta=2.0)
+        with pytest.raises(ValueError, match="k_max"):
+            A.s_eff_decomposed(path, eps, params, k_max=k_max)
+
     def test_time_blocking_does_not_change_values(self, monkeypatch):
         # every reduction of the mode table runs along one path, so path
         # chunks of 3 (and a ragged one of 2) change no bit

@@ -6,6 +6,7 @@ every nonzero mode, so the model separates numerically into (Dirichlet
 electron) x (single displaced oscillator), both exactly solvable.
 """
 
+import dataclasses
 import json
 import logging
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from polaron1d import exact_diag as ed
 from polaron1d.action import PotentialSpec
@@ -24,6 +26,23 @@ SEED = 71003
 
 def params_for(alpha, N=1, beta=2.0):
     return ModelParams(alpha=alpha, N=N, L=1.0, beta=beta)
+
+
+def count_eigsh_products(monkeypatch):
+    """Route scipy's eigsh through an operator that records each product."""
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(A, *args, **kwargs):
+        def matvec(x):
+            calls.append(1)
+            return A.matvec(x)
+
+        op = scipy.sparse.linalg.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype)
+        return eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
 
 
 class TestDiscretizationSpec:
@@ -118,7 +137,7 @@ class TestBuildHeps:
                                             (2, "antisymmetric")])
     def test_real_symmetric(self, N, symmetry):
         spec = ed.DiscretizationSpec(5, 2, 2, 0.5)
-        H = ed.build_H_eps(N, symmetry, None, params_for(0.8, N=N), spec)
+        H = ed.build_H_eps(N, symmetry, None, params_for(0.8, N=N), spec).tocsr()
         assert H.dtype == np.float64
         defect = abs(H - H.T).max()
         assert defect <= 1e-12 * abs(H).max()
@@ -175,7 +194,7 @@ class TestGround:
     def test_sparse_path_matches_dense(self):
         # dim 2640 forces the Lanczos branch; dense eigh is the oracle
         spec = ed.DiscretizationSpec(8, 3, 4, 0.5)
-        H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
+        H = ed.build_H_eps(1, "none", None, params_for(1.0), spec).tocsr()
         assert H.shape[0] > 1500
         res_sparse = ed.ground(H, m=3)
         dense = scipy.linalg.eigh(H.toarray(), eigvals_only=True)[:3]
@@ -185,6 +204,97 @@ class TestGround:
         H = np.diag([1.0, 2.0])
         res = ed.ground(H, m=5)
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], atol=1e-14)
+
+
+class TestKroneckerHamiltonian:
+    """The factor form against its own CSR rendering."""
+
+    V_AND_W = PotentialSpec(V=lambda x: 0.4 * x**2 - 0.3,
+                            W=lambda r: 0.2 * np.cos(np.pi * r))
+    CASES = {
+        "n1": (1, "none", (6, 2, 3), 1.0, None),
+        "n1-alpha0": (1, "none", (5, 2, 3), 0.0, None),
+        "n1-kmax0": (1, "none", (6, 0, 4), 1.0, None),
+        "n1-V": (1, "none", (6, 2, 3), 0.6, V_AND_W),
+        "n2-sym": (2, "symmetric", (5, 2, 2), 0.8, None),
+        "n2-sym-kmax0": (2, "symmetric", (4, 0, 3), 1.0, None),
+        "n2-anti": (2, "antisymmetric", (5, 2, 2), 0.8, None),
+        "n2-anti-alpha0": (2, "antisymmetric", (5, 1, 2), 0.0, V_AND_W),
+        "n2-anti-VW": (2, "antisymmetric", (5, 1, 2), 0.7, V_AND_W),
+    }
+
+    @staticmethod
+    def build(case):
+        N, symmetry, sizes, alpha, pot = TestKroneckerHamiltonian.CASES[case]
+        return ed.build_H_eps(N, symmetry, pot, params_for(alpha, N=N),
+                              ed.DiscretizationSpec(*sizes, 0.3))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_product_matches_csr(self, case):
+        H = self.build(case)
+        C = H.tocsr()
+        rng = np.random.default_rng([SEED, len(case)])
+        for _ in range(3):
+            x = rng.standard_normal(H.shape[0])
+            want = C @ x
+            assert np.linalg.norm(H @ x - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_norm_nnz_and_symmetry_match_csr(self, case):
+        H = self.build(case)
+        C = H.tocsr()
+        row_sums = abs(C).sum(axis=1).max()
+        assert abs(H.inf_norm() - row_sums) <= 1e-14 * row_sums
+        assert H.nnz == C.nnz
+        assert H.asymmetry() <= 1e-15 * row_sums
+        assert H.shape == C.shape
+
+    def test_interaction_terms_only_at_positive_alpha(self):
+        assert self.build("n1-alpha0").couplings == ()
+        assert len(self.build("n1-kmax0").couplings) == 1
+        assert len(self.build("n2-sym").couplings) == 5
+
+    @pytest.mark.parametrize("target", ["h_el", "el_mats"])
+    def test_asymmetric_factor_rejected(self, target):
+        H = self.build("n2-anti-VW")
+        if target == "h_el":
+            bad = H.h_el.copy()
+            bad[0, 1] += 1e-3
+            H = dataclasses.replace(H, h_el=bad)
+        else:
+            bad = H.el_mats[1].copy()
+            bad[1, 0] -= 1e-3
+            H = dataclasses.replace(H, el_mats=(H.el_mats[0], bad) + H.el_mats[2:])
+        C = H.tocsr()
+        defect = abs(C - C.T).max()
+        assert defect > 0
+        assert H.asymmetry() == pytest.approx(defect, rel=1e-12)
+        with pytest.raises(ValueError, match="symmetric"):
+            ed.ground(H)
+
+    def test_eigsh_branch_assembles_no_csr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the eigsh branch assembled a matrix")
+
+        monkeypatch.setattr(scipy.sparse, "kron", refuse)
+        monkeypatch.setattr(ed.KroneckerHamiltonian, "tocsr", refuse)
+        spec = ed.DiscretizationSpec(6, 2, 4, 0.5)
+        res = ed.sector_ground(2, "antisymmetric", None, params_for(1.0, N=2), spec)
+        prov = res.provenance
+        assert prov["dim"] > 1500
+        assert (prov["operator"], prov["solver"]) == ("kronecker", "eigsh")
+        assert np.all(res.residuals <= 1e-8 * res.norm_scale)
+
+    def test_operator_lanczos_matches_dense(self):
+        # the degenerate pair 0.929464... must come back twice, as for the CSR
+        spec = ed.DiscretizationSpec(8, 3, 4, 0.5)
+        H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
+        assert H.shape[0] > 1500
+        res = ed.ground(H, m=3)
+        assert res.provenance["operator"] == "kronecker"
+        dense = scipy.linalg.eigh(H.tocsr().toarray(), eigvals_only=True)[:3]
+        np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-9)
+        np.testing.assert_allclose(res.eigenvalues[1:], 0.929464, atol=1e-6)
 
 
 class TestProvenance:
@@ -199,15 +309,30 @@ class TestProvenance:
         assert prov["N"] == 1 and prov["k_max"] == 2
         assert (prov["dim"], prov["nnz"]) == (H.shape[0], H.nnz)
         assert (prov["solver"], prov["ncv"], prov["tol"]) == ("dense", None, None)
+        assert (prov["operator"], prov["matvecs"]) == ("kronecker", 0)
         assert prov["residuals"] == res.residuals.tolist()
         assert prov["assemble_s"] >= 0.0 and prov["solve_s"] >= 0.0
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert rec.levelno == logging.INFO
-        assert "solver=dense" in rec.getMessage()
+        assert "operator=kronecker solver=dense" in rec.getMessage()
+        assert "matvecs=0" in rec.getMessage()
         assert logging.getLogger("polaron1d").handlers == []
 
-    def test_lanczos_solve(self, caplog):
+    def test_lanczos_sector_solve(self, monkeypatch, caplog):
+        calls = count_eigsh_products(monkeypatch)
+        spec = ed.DiscretizationSpec(8, 3, 4, 0.5)
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            res = ed.sector_ground(1, "none", None, params_for(1.0), spec, m=3)
+        prov = res.provenance
+        assert (prov["operator"], prov["solver"]) == ("kronecker", "eigsh")
+        assert prov["matvecs"] == len(calls) > 0
+        [rec] = [r for r in caplog.records if r.name == "polaron1d"]
+        assert "operator=kronecker solver=eigsh" in rec.getMessage()
+        assert f"matvecs={len(calls)} " in rec.getMessage()
+
+    def test_lanczos_solve(self, monkeypatch, caplog):
+        calls = count_eigsh_products(monkeypatch)
         dim = 2000
         H = scipy.sparse.diags(
             [np.full(dim - 1, 0.01), np.sqrt(np.arange(dim, dtype=float)),
@@ -218,9 +343,19 @@ class TestProvenance:
         assert prov["label"] == "tridiagonal"
         assert (prov["dim"], prov["nnz"]) == (dim, H.nnz)
         assert prov["solver"] == "eigsh" and prov["ncv"] == 60 and prov["tol"] == 0.0
+        assert prov["operator"] == "matrix"
+        assert prov["matvecs"] == len(calls) > 0
         assert len(prov["residuals"]) == 2 and "assemble_s" not in prov
         json.dumps(prov)
-        assert len([r for r in caplog.records if r.name == "polaron1d"]) == 1
+        [rec] = [r for r in caplog.records if r.name == "polaron1d"]
+        assert "operator=matrix solver=eigsh" in rec.getMessage()
+        assert f"matvecs={len(calls)} " in rec.getMessage()
+
+    def test_matvec_count_is_per_call(self):
+        dim = 2000
+        H = scipy.sparse.diags(np.arange(dim, dtype=float), format="csr")
+        first = ed.ground(H, m=2).provenance["matvecs"]
+        assert ed.ground(H, m=2).provenance["matvecs"] == first > 0
 
 
 class TestSectorSweep:
