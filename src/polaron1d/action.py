@@ -51,8 +51,13 @@ c'_k = e^{-2 eps k^2} / (1 + k^2/2) and c_k = k c'_k,
 so X, Y and Z come from the same table in O(n_steps * N * n_modes) per
 path instead of O(n_steps^2) or O(n_steps * N^2 * n_modes) pair sums.
 At eps = 0 the series has no usable truncation: X and Z are pair sums
-of the closed-form phi, and Phi is accumulated directly from g' at
-O(n_steps^2) cost.
+of the closed-form phi, over chunks of paths.  Phi splits at time blocks
+of _DRIFT_BLOCK steps: sources inside the block of step a go through g'
+pair by pair, and the earlier blocks through prefix and suffix sums of
+e^{+-sqrt2 y} over the sorted positions of one path (g' is separable on
+the four intervals between x - L, x and x + L); see _drift_near_far.
+That costs O(n_steps * B N^2) pair terms and O(n_steps^2 N / B) table
+entries per path instead of O(n_steps^2 N^2) pair terms.
 
 Restricting a path to its first h steps (horizon beta_h) leaves S_el, X
 and Y as sums over those steps of per-step terms that do not see h: Phi
@@ -101,7 +106,14 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import ModelParams, _resolve_k_max, eval_dphi, eval_phi
+from .kernels import (
+    SQRT2,
+    ModelParams,
+    _resolve_k_max,
+    eval_dphi,
+    eval_phi,
+    reduce_to_cell,
+)
 from .paths import PathSample, ito_integral
 
 
@@ -132,9 +144,21 @@ class PotentialSpec:
 
 FREE = PotentialSpec()
 
-# Size of one eps > 0 mode table (paths x nodes x particles x modes,
-# complex); the paths are processed in chunks sized to stay under this.
+# Size of the largest array of one chunk of paths: the eps > 0 mode table
+# (paths x nodes x particles x modes, complex), the theta phase table, the
+# eps = 0 pair arrays and the drift's rank bounds.  The paths are
+# processed in chunks sized to stay under this.
 _TABLE_BUDGET_BYTES = 2**19
+
+# Steps per time block of the eps = 0 drift: pairs inside a block use g'
+# directly, earlier blocks the sorted sums.  A constant, not a function of
+# n_steps, so that a horizon row sees the same blocks as a prefix call;
+# about sqrt(n_steps) on the 96-160-step grids of the checks.
+_DRIFT_BLOCK = 8
+
+# Largest L for the eps = 0 drift: its tables hold sums of e^{sqrt2 |y|}
+# with |y| <= L, and e^{sqrt2 400} ~ 1e245 leaves room for any node count.
+_DRIFT_L_MAX = 400.0
 
 
 @dataclass(frozen=True)
@@ -246,45 +270,167 @@ def _pair_terms_closed_form(
 ) -> tuple:
     """(X, Z) rows (k, n_paths) at eps = 0 from the closed-form phi.
 
-    X sums one equal-time pair array (n_paths, n_steps, N, N) over the
+    X sums one equal-time pair array (paths, n_steps, N, N) over the
     first h steps and removes the h N phi(0,0) of the diagonal; Z pairs
-    the endpoint x_h with every left endpoint before it.
+    the endpoint x_h with every left endpoint before it.  Paths go in
+    chunks whose pair array stays under _TABLE_BUDGET_BYTES; every sum
+    runs along one path, so the chunks change no bit.
     """
     states = path.states
-    left = states[:, :-1, :]
     n_paths, _, N = states.shape
     n = path.grid.n_steps
     dt = path.grid.dt
+    t_left = path.grid.times[:-1]
     X = np.zeros((len(steps), n_paths))
     Z = np.zeros_like(X)
-    if N >= 2:
-        pair = eval_phi(left[:, :, :, None] - left[:, :, None, :], 0.0, 0.0, params)
+    chunk = max(1, _TABLE_BUDGET_BYTES // (8 * n * N * N))
+    for lo in range(0, n_paths, chunk):
+        x = states[lo:lo + chunk]
+        left = x[:, :-1]
+        if N >= 2:
+            pair = eval_phi(left[:, :, :, None] - left[:, :, None, :], 0.0, 0.0, params)
+            for r, h in enumerate(steps):
+                X[r, lo:lo + chunk] = 2 * dt * (
+                    np.sum(pair[:, :h], axis=(1, 2, 3)) - h * N * phi_diag)
+        # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}
         for r, h in enumerate(steps):
-            X[r] = 2 * dt * (np.sum(pair[:, :h], axis=(1, 2, 3)) - h * N * phi_diag)
-    # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}.
-    t_left = path.grid.times[:-1]
-    for r, h in enumerate(steps):
-        beta_h = path.grid.beta - (n - h) * dt
-        diff = states[:, h, None, :, None] - left[:, :h, None, :]
-        lag = (beta_h - t_left[:h])[None, :, None, None]
-        Z[r] = np.sum(eval_phi(diff, lag, 0.0, params), axis=(1, 2, 3))
+            beta_h = path.grid.beta - (n - h) * dt
+            diff = x[:, h, None, :, None] - left[:, :h, None, :]
+            lag = (beta_h - t_left[:h])[None, :, None, None]
+            Z[r, lo:lo + chunk] = np.sum(eval_phi(diff, lag, 0.0, params), axis=(1, 2, 3))
     return X, -2 * dt * Z
 
 
-def _drift_profile_direct(path: PathSample, params: ModelParams) -> np.ndarray:
-    """Phi^(i) at eps = 0 by direct O(n_steps^2) accumulation of g'."""
+def _interval_bounds(ys: np.ndarray, L: float) -> np.ndarray:
+    """Rank bounds of the four intervals of every sorted node, per row.
+
+    ys is sorted along axis 1.  For x = ys[:, r], interval j of
+    _drift_near_far holds the ranks [lo_j, hi_j) with lo = (0, #{y <= x - L},
+    #{y <= x}, #{y <= x + L}) and hi = (#{y < x - L}, #{y < x}, #{y < x + L},
+    S); returns (..., 8) = lo then hi.  The ranks at x come from the runs
+    of equal values.  Those at x +- L come from a stable merge that puts
+    each threshold ahead of the nodes equal to it, then from the run at
+    that rank when it holds the threshold itself.
+    """
+    n_rows, S = ys.shape
+    r = np.arange(S)
+    edge = ys[:, 1:] != ys[:, :-1]
+    # rank r holds a value whose copies fill [first[r], end[r])
+    first = np.zeros((n_rows, S), dtype=np.intp)
+    first[:, 1:] = np.maximum.accumulate(np.where(edge, r[1:], 0), axis=1)
+    end = np.full((n_rows, S + 1), S, dtype=np.intp)
+    end[:, :S - 1] = np.minimum.accumulate(np.where(edge, r[1:], S)[:, ::-1], axis=1)[:, ::-1]
+    padded = np.concatenate([ys, np.full((n_rows, 1), np.inf)], axis=1)
+    lt, le = [], []  # at x - L, then at x + L
+    for t in (ys - L, ys + L):
+        order = np.argsort(np.concatenate((t, ys), axis=1), axis=1, kind="stable")
+        is_node = order >= S
+        # the thresholds keep their sorted order through the merge
+        below = np.cumsum(is_node, axis=1)[~is_node].reshape(n_rows, S)
+        tied = np.take_along_axis(padded, below, axis=1) == t
+        lt.append(below)
+        le.append(np.where(tied, np.take_along_axis(end, below, axis=1), below))
+    return np.stack([np.zeros_like(first), le[0], end[:, :S], le[1],
+                     lt[0], first, lt[1], np.full_like(first, S)], axis=-1)
+
+
+def _drift_near_far(path: PathSample, params: ModelParams) -> np.ndarray:
+    """Phi^(i) at eps = 0: exact g' inside a time block, sorted sums before it.
+
+    Phi^(i)_a = 2 dt sum_{b < a} e^{-(t_a - t_b)} sum_j (alpha/2)
+    g'(x_{i,a} - x_{j,b}).  Steps a in [k B, (k+1) B) form block k.
+    Sources b in [k B, a) go through eval_dphi pair by pair.  For the
+    sources b < k B, write x and y for the positions reduced to [-L, L)
+    and q = e^{-sqrt2 L}; g'(x - y) / (sqrt2 / (1 - q)) is, with
+    u = e^{sqrt2 x} and v = 1/u, one separable term on each interval:
+
+        j = 0   y < x - L          q^2 u e^{-sqrt2 y} - (v / q) e^{sqrt2 y}
+        j = 1   x - L < y < x      q u e^{-sqrt2 y}   - v e^{sqrt2 y}
+        j = 2   x < y < x + L      u e^{-sqrt2 y}     - q v e^{sqrt2 y}
+        j = 3   y > x + L          (u / q) e^{-sqrt2 y} - q^2 v e^{sqrt2 y}
+
+    and 0 at y = x and y = x +- L, where g' is 0 (sgn 0 and the snapped
+    wall).  So one sort of a path's n_steps * N reduced nodes serves every
+    step.  For each block k, the weights e^{-(t_{kB} - t_b)} [b < kB] times
+    e^{+-sqrt2 y} in rank order give prefix sums of e^{+sqrt2 y} and suffix
+    sums of e^{-sqrt2 y}; each interval sum is the difference of two of
+    them at the rank bounds of _interval_bounds.  In those directions
+    every difference is dominated by its own terms, so the absolute error
+    stays near (n_steps N) eps_mach.  Every time factor is <= 1, so
+    nothing overflows at any beta.  u / q exceeds 1 / q only at x > 0,
+    where interval 3 is empty, and v / q only at x < 0, where interval 0
+    is; both are clipped at 1 / q.  The tables stay finite for
+    L <= _DRIFT_L_MAX.
+
+    A separation that equals 0 or +-L exactly in binary gives 0, as in
+    eval_dg.  One within a rounding of +-L (0.3 against -0.7 at L = 1,
+    where 0.3 - 1 != -0.7 in binary) can land on the other side of the
+    jump, a measure-zero event on Brownian paths.
+
+    Every row is per path and the block starts depend on _DRIFT_BLOCK
+    alone, so path chunks change no bit, and Phi at the steps before h is
+    bitwise what an h-step prefix of the path gives: its nodes keep their
+    order in the stable sort, and the later ones weigh an exact 0.
+    """
+    L = params.L
+    if L > _DRIFT_L_MAX:
+        raise ValueError(f"the eps = 0 drift needs L <= {_DRIFT_L_MAX}, got {L}")
     states = path.states
     n_paths, _, N = states.shape
     n = path.grid.n_steps
     dt = path.grid.dt
-    times = path.grid.times
-    phi = np.zeros((n_paths, n, N))
-    for a in range(1, n):
-        # diff[p, i, b, j] = x_{i, t_a} - x_{j, t_b},  b < a
-        diff = states[:, a, :, None, None] - states[:, None, :a, :]
-        dphi = eval_dphi(diff, times[a] - times[None, :a, None], 0.0, params)
-        phi[:, a, :] = 2 * dt * np.sum(dphi, axis=(2, 3))
-    return phi
+    B = _DRIFT_BLOCK
+    S = n * N
+    steps = np.arange(n)
+    # wlag[n + m] = e^{-m dt} for m >= 1 and 0 for m <= 0
+    wlag = np.concatenate([np.zeros(n + 1), np.exp(-dt * np.arange(1, n + 1))])
+    decay = np.exp(-dt * (steps % B))[:, None]  # e^{-(t_a - t_{kB})}
+    q = np.exp(-SQRT2 * L)
+    c_far = 0.5 * params.alpha * SQRT2 / (1 - q)
+    drift = np.zeros((n_paths, n, N))
+    # the largest arrays, the gathered rank bounds, hold 8 per node
+    chunk = max(1, _TABLE_BUDGET_BYTES // (64 * S))
+    for lo in range(0, n_paths, chunk):
+        x = states[lo:lo + chunk, :n]
+        P = x.shape[0]
+        # near: the source b = a - d lies in the block of a, 1 <= d <= a mod B
+        near = np.zeros((P, n, N))
+        for d in range(1, B):
+            a = steps[steps % B >= d]
+            dphi = eval_dphi(x[:, a, :, None] - x[:, a - d, None, :], d * dt, 0.0, params)
+            near[:, a] += np.sum(dphi, axis=-1)
+        far = np.zeros((P, S))
+        if n > B:
+            xh = reduce_to_cell(x, L).reshape(P, S)  # node f = a N + i
+            order = np.argsort(xh, axis=1, kind="stable")
+            ys = np.take_along_axis(xh, order, axis=1)
+            rows = np.arange(P)[:, None]
+            # flat bounds into the (P, S + 1) tables, in node order
+            node = np.empty((P, S), dtype=np.intp)
+            node[rows, order] = np.arange(S) + S * rows
+            bounds = _interval_bounds(ys, L).reshape(P * S, 8)[node]
+            bounds += (S + 1) * rows[..., None]
+            u = np.exp(SQRT2 * xh)[..., None]
+            v = 1 / u
+            coef_m = np.concatenate([u * q * q, u * q, u, np.minimum(u, 1) / q], axis=-1)
+            coef_p = np.concatenate([np.minimum(v, 1) / q, v, v * q, v * q * q], axis=-1)
+            src_lag = n - order // N
+            e_plus, e_minus = np.exp(SQRT2 * ys), np.exp(-SQRT2 * ys)
+            up = np.zeros((P, S + 1))
+            down = np.zeros((P, S + 1))
+            at_up = np.zeros((P, S, 8))
+            at_down = np.zeros((P, S, 8))
+            for k0 in range(B, n, B):
+                w = wlag[src_lag + k0]
+                np.cumsum(w * e_plus, axis=1, out=up[:, 1:])
+                np.cumsum((w * e_minus)[:, ::-1], axis=1, out=down[:, S - 1::-1])
+                f = slice(k0 * N, min(k0 + B, n) * N)
+                np.take(up, bounds[:, f], out=at_up[:, f])
+                np.take(down, bounds[:, f], out=at_down[:, f])
+            far = (np.sum(coef_m * (at_down[..., :4] - at_down[..., 4:]), axis=-1)
+                   - np.sum(coef_p * (at_up[..., 4:] - at_up[..., :4]), axis=-1))
+        drift[lo:lo + chunk] = 2 * dt * (near + c_far * decay * far.reshape(P, n, N))
+    return drift
 
 
 def s_eff_decomposed(
@@ -312,6 +458,8 @@ def s_eff_decomposed(
 
     k_max truncates the eps > 0 mode series (default: default_k_max at
     damping 2 eps); it must be >= 1 at every eps, also at alpha = 0.
+    At eps = 0 and alpha != 0 the drift needs L <= _DRIFT_L_MAX (400)
+    and raises ValueError above it.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -337,7 +485,7 @@ def s_eff_decomposed(
             drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
         else:
             X, Z = _pair_terms_closed_form(path, params, steps, phi_diag)
-            drift = _drift_profile_direct(path, params)
+            drift = _drift_near_far(path, params)
         Y = np.stack([ito_integral(drift[:, :h], path) for h in steps])
 
     s_eff = phi00[:, None] + X + Y + Z

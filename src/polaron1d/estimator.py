@@ -65,7 +65,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import PotentialSpec, s_eff_decomposed
+from .action import _DRIFT_L_MAX, PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
@@ -104,6 +104,8 @@ class RunConfig:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.k_max is not None and self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if self.eps == 0.0 and self.params.alpha != 0.0 and self.params.L > _DRIFT_L_MAX:
+            raise ValueError(f"the eps = 0 drift needs L <= {_DRIFT_L_MAX}, got {self.params.L}")
         if self.path_block < 1:
             raise ValueError("path_block must be >= 1")
         if self.variant not in ("plain", "ratio"):

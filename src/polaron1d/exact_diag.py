@@ -65,9 +65,7 @@ a symmetric matrix).  Each solve records its basis dimension, nnz,
 operator (kronecker or matrix), solver (dense or eigsh), ncv, tol, the
 products eigsh took, residuals and seconds in the result's provenance
 and sends one INFO record to the "polaron1d" logger; the library adds
-no handler.  eps = 0 is never diagonalized: values there are
-produced by `richardson_extrapolate` over an eps ladder and labeled as
-extrapolations.
+no handler.  eps = 0 is never diagonalized.
 
 `ratio_energy_oracle` evaluates -(1/delta) log of the semigroup ratio
 <u| e^{-(beta+delta) H} |u> / <u| e^{-beta H} |u> with u = (uniform

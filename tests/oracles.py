@@ -420,10 +420,12 @@ def pairwise_x_z(path, eps, params, k_max=None, horizons=None):
 
 
 def drift_profile_pair_sum(path, eps, params, k_max=None):
-    """Phi^(i) at eps > 0 by direct O(n_steps^2) accumulation on pair differences.
+    """Phi^(i) by direct O(n_steps^2) accumulation on pair differences.
 
-    The same left-endpoint double sum as the mode table, with the
-    derivative kernel evaluated through its truncated mode series.
+    The same left-endpoint double sum as the mode table at eps > 0, with
+    the derivative kernel evaluated through its truncated mode series,
+    and as the near/far split at eps = 0, with the closed form
+    (alpha/2) g' from eval_dphi at every pair.
     """
     states = path.states
     n_paths, _, N = states.shape

@@ -366,6 +366,88 @@ class TestClosedFormPairTerms:
             assert_rel_close(rows.X, X_ref)
         assert_rel_close(rows.Z, Z_ref)
 
+    def test_ragged_chunks_change_no_bit(self, monkeypatch):
+        # pair-term chunks of 3 of 7 paths (drift chunks of 1), as rows
+        path = make_paths(7, 2, beta=2.5, n_steps=40, stream_index=44)
+        params = ModelParams(alpha=1.0, N=2, beta=2.5)
+        full = A.s_eff_decomposed(path, 0.0, params, horizons=(40, 27))
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 8 * 40 * 2 * 2 * 3)
+        chunked = A.s_eff_decomposed(path, 0.0, params, horizons=(40, 27))
+        for name in ("X", "Y", "Z"):
+            assert np.array_equal(getattr(chunked, name), getattr(full, name)), name
+
+
+class TestEpsZeroDrift:
+    """The eps = 0 near/far drift against the pair loop of tests/oracles.py."""
+
+    def assert_matches_pair_sum(self, path, params):
+        drift = A._drift_near_far(path, params)
+        assert_rel_close(drift, drift_profile_pair_sum(path, 0.0, params))
+        return drift
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, 4.0])
+    def test_cell_sizes(self, N, L):
+        # 45 steps: five full blocks and a partial one
+        path = make_paths(4, N, beta=2.0, n_steps=45, stream_index=50 + N, L=L)
+        self.assert_matches_pair_sum(path, ModelParams(alpha=1.3, N=N, L=L, beta=2.0))
+
+    def test_paths_that_leave_the_cell(self):
+        # at L = 0.5 most paths cross a wall, as the delta extension's
+        # dying paths do; positions are reduced node by node
+        path = make_paths(6, 2, beta=2.0, n_steps=64, stream_index=54, L=0.5)
+        assert np.mean(np.abs(path.states) >= 0.5) > 0.2
+        self.assert_matches_pair_sum(path, ModelParams(alpha=1.0, N=2, L=0.5, beta=2.0))
+
+    @pytest.mark.parametrize("n_steps", [1, 5, A._DRIFT_BLOCK, A._DRIFT_BLOCK + 1, 67])
+    def test_step_counts_around_the_block(self, n_steps):
+        path = make_paths(3, 2, beta=1.0, n_steps=n_steps, stream_index=55)
+        self.assert_matches_pair_sum(path, ModelParams(alpha=1.0, N=2, beta=1.0))
+
+    def test_ragged_chunks(self, monkeypatch):
+        path = make_paths(7, 3, beta=2.0, n_steps=40, stream_index=56)
+        params = ModelParams(alpha=1.0, N=3, beta=2.0)
+        full = A._drift_near_far(path, params)
+        # chunks of 3, 3 and 1 paths
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 64 * 40 * 3 * 3)
+        assert np.array_equal(self.assert_matches_pair_sum(path, params), full)
+
+    @pytest.mark.parametrize("beta, n_steps", [(40.0, 320), (800.0, 1600)])
+    def test_long_horizon_without_warnings(self, beta, n_steps):
+        path = make_paths(3, 2, beta=beta, n_steps=n_steps, stream_index=57)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_pair_sum(path, ModelParams(alpha=1.0, N=2, beta=beta))
+
+    def test_largest_cell_without_warnings(self):
+        # nodes spread over the whole cell put e^{+-sqrt2 L} at both ends
+        # of the tables and fill all four intervals
+        L = A._DRIFT_L_MAX
+        states = np.random.default_rng(SEED).uniform(-L, L, size=(3, 41, 2))
+        path = PathSample(states=states, grid=TimeGrid(2.0, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_pair_sum(path, ModelParams(alpha=1.0, N=2, L=L, beta=2.0))
+
+    def test_larger_cell_rejected(self):
+        path = make_paths(2, 2, n_steps=16)
+        params = ModelParams(alpha=1.0, N=2, L=2 * A._DRIFT_L_MAX, beta=2.0)
+        with pytest.raises(ValueError, match="L <="):
+            A.s_eff_decomposed(path, 0.0, params)
+
+    def test_exact_ties_give_zero(self):
+        # separations 0 and +-1.0 = +-L are exact in binary: g' is 0 there
+        # (sgn 0 and the snapped wall), for near and far sources alike
+        params = ModelParams(alpha=1.0, N=2, L=1.0, beta=2.0)
+        drift = self.assert_matches_pair_sum(static_path([0.25, -0.75]), params)
+        assert np.array_equal(drift, np.zeros_like(drift))
+
+    def test_ties_among_other_separations(self):
+        params = ModelParams(alpha=1.0, N=3, L=1.0, beta=2.0)
+        path = static_path([0.25, -0.75, 0.5])
+        drift = self.assert_matches_pair_sum(path, params)
+        assert np.all(drift[:, 1:] != 0)
+
 
 class TestDirectVsDecomposed:
     def test_coupled_refinement_order(self):

@@ -63,6 +63,17 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             free_config(**{field: value})
 
+    def test_eps_zero_cell_limit(self):
+        # checked here so that a run fails before it samples any path
+        def config(alpha, eps):
+            return RunConfig(params=ModelParams(alpha=alpha, N=1, L=500.0, beta=1.0),
+                             sector=SpinSector(1, 1), grid=TimeGrid(1.0, 64),
+                             eps=eps, n_paths=10, seed=SEED)
+        with pytest.raises(ValueError, match="L <="):
+            config(1.0, 0.0)
+        config(0.0, 0.0)
+        config(1.0, 0.1)
+
     def test_sector_particle_count_must_match(self):
         with pytest.raises(ValueError, match="sector.N"):
             RunConfig(params=ModelParams(alpha=0.0, N=1, L=1.0, beta=1.0),
