@@ -52,8 +52,10 @@ diagnostics["zero_survivors"] True; partition estimates as (0.0, inf);
 paired differences as nan +- inf.
 
 Each energy estimate also goes out as one INFO record on the
-"polaron1d" logger: value, stderr, n_effective, the survival fraction of
-each row and zero_survivors.  The library adds no handler; the caller
+"polaron1d" logger: the mode count of the eps > 0 action series
+(diagnostics["k_max"], None at eps = 0, where closed forms read no
+series), value, stderr, n_effective, the survival fraction of each row
+and zero_survivors.  The library adds no handler; the caller
 decides where the records go.
 """
 
@@ -69,7 +71,7 @@ from .action import _DRIFT_L_MAX, PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
-from .kernels import ModelParams
+from .kernels import ModelParams, _resolve_k_max
 from .paths import PathSample, RngStream, TimeGrid, sample_brownian
 
 N_BATCHES = 32
@@ -295,7 +297,10 @@ def _partition(config: RunConfig, est: LogMeanEstimate,
 def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
     """Energy estimate and diagnostics of one config from its log-weight rows."""
     est = log_mean_estimate(log_w, _coefficients(config))
-    diagnostics = {"survival_fraction": est.survival[-1],
+    k_max = (_resolve_k_max(config.k_max, 2 * config.eps, config.params.L)
+             if config.eps > 0 else None)
+    diagnostics = {"k_max": k_max,
+                   "survival_fraction": est.survival[-1],
                    "zero_survivors": est.zero_survivors,
                    "max_weight_share": est.max_weight_share,
                    "log_weight_spread": est.log_weight_spread}
@@ -309,11 +314,11 @@ def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
         diagnostics["survival_fraction_extended"] = est.survival[0]
     if est.zero_survivors:
         value = float("inf")
-    logger.info("energy %s N=%d p=%d alpha=%g eps=%g: value=%r stderr=%r "
-                "n_effective=%r survival=%r zero_survivors=%s",
+    logger.info("energy %s N=%d p=%d alpha=%g eps=%g k_max=%s: value=%r "
+                "stderr=%r n_effective=%r survival=%r zero_survivors=%s",
                 config.variant, config.sector.N, config.sector.p,
-                config.params.alpha, config.eps, float(value), est.stderr,
-                est.n_effective, est.survival, est.zero_survivors)
+                config.params.alpha, config.eps, k_max, float(value),
+                est.stderr, est.n_effective, est.survival, est.zero_survivors)
     return EnergyEstimate(float(value), est.stderr, est.n_effective, config,
                           diagnostics=diagnostics)
 

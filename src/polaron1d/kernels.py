@@ -42,7 +42,8 @@ everywhere else:
 
 * eps is the only UV regulator.  The series keep the modes |m| <= k_max,
   a purely numerical truncation passed as a plain int; None means
-  default_k_max at the damping of the series, and k_max < 1 is an error.
+  default_k_max at the damping of the series (the last mode whose
+  damping is still >= e^{-37}, at least 1), and k_max < 1 is an error.
 
 * Pair kernel: w_eps(x) = (g_L/2) sum_m exp(-2 eps k_m^2) exp(i k_m x).
   Poisson summation folds this onto Gaussian images:
@@ -89,18 +90,19 @@ class ModelParams:
 
 
 def default_k_max(eps: float, L: float = 1.0) -> int:
-    """Smallest mode count with Gaussian tail below ~1e-16 at this eps.
+    """Mode count at which the Gaussian damping leaves no tail above ~1e-16.
 
     k_max counts retained positive modes of the 2*pi/L lattice; the
-    retained set is {2*pi*m/L : |m| <= k_max}.  For eps > 0 the damping
-    makes truncation error explicit: exp(-eps (2*pi*k_max/L)^2) falls
-    below 1e-16 here.  eps = 0 paths use closed forms, not the series.
+    retained set is {2*pi*m/L : |m| <= k_max}.  For eps > 0 this is the
+    largest m >= 1 with exp(-eps (2*pi*m/L)^2) >= e^{-37} (~8.5e-17), so
+    every dropped mode is damped below e^{-37} relative to the m = 0 term:
+    max(1, floor(L sqrt(37/eps) / 2 pi)).  The floor of 1 keeps the
+    series non-empty at strong damping.  eps = 0 paths use closed forms,
+    not the series.
     """
     if eps <= 0:
         return 64
-    # exp(-eps k^2) <= 1e-16  <=>  k >= sqrt(36.8/eps); pad a little.
-    m = int(np.ceil(L * np.sqrt(37.0 / eps) / (2 * np.pi))) + 4
-    return max(m, 8)
+    return max(1, int(L * np.sqrt(37.0 / eps) / (2 * np.pi)))
 
 
 def _resolve_k_max(k_max: int | None, eps: float, L: float) -> int:
@@ -251,11 +253,10 @@ def eval_delta_eps(x, eps: float, L: float = 1.0, k_max: int | None = None):
     it tends to 0 for x away from the jumps and is uniformly below
     2 + 4 e^{-sqrt2 L} sinh(sqrt2 L) / (1 - e^{-sqrt2 L})   (see dei_bound).
     """
-    if eps <= 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
     x = np.asarray(x, dtype=float)
-    if k_max is None:
-        k_max = default_k_max(eps, L)
+    k_max = _resolve_k_max(k_max, eps, L)
+    if eps <= 0:
+        return np.zeros_like(x)
     m = _mode_numbers(k_max)
     k = 2 * np.pi * m / L
     coeff = k * np.exp(-eps * k**2) / (1 + k**2 / 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polaron1d import action as A
+from polaron1d.geometry import OrderedDomain, SpinSector, uniform_ordered_points
 from polaron1d.kernels import (
     ModelParams,
     default_k_max,
@@ -247,6 +248,24 @@ class TestHorizonRows:
         k_max = default_k_max(2 * eps, params.L)
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 2)
         self.assert_rows_equal_prefix_calls(path, eps, params, (40, 27), self.POT)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.125, 0.0625, 0.025])
+    @pytest.mark.parametrize("N, p, beta, horizons", [
+        (1, 1, 2.5, (320, 256)), (2, 1, 0.9375, (120, 96)), (2, 2, 0.9375, (120, 96))])
+    def test_default_mode_count_is_invisible(self, eps, N, p, beta, horizons):
+        # the modes default_k_max drops are damped below e^{-37}: S_eff
+        # agrees with k_max = 8 path by path, and so do its parts at the
+        # scale of S_eff (Y, which has no m = 0 term, is far smaller)
+        domain = OrderedDomain(SpinSector(N, p))
+        x0 = uniform_ordered_points(np.random.default_rng([SEED, p]), 200, domain)
+        path = sample_brownian(x0, TimeGrid(beta, horizons[0]), RngStream(SEED, 40 + p))
+        params = ModelParams(alpha=1.0, N=N, beta=beta)
+        rows = A.s_eff_decomposed(path, eps, params, horizons=horizons)
+        padded = A.s_eff_decomposed(path, eps, params, k_max=8, horizons=horizons)
+        scale = 2e-15 * np.abs(padded.s_eff)
+        for name in ("X", "Y", "Z", "s_eff", "s_total"):
+            diff = np.abs(getattr(rows, name) - getattr(padded, name))
+            assert np.all(diff <= scale), name
 
     def test_alpha_zero_rows(self):
         path = make_paths(4, 2, beta=2.5, n_steps=40, stream_index=22)

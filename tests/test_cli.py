@@ -75,7 +75,7 @@ class TestEnergyCommand:
         assert row["n_paths"] == "2048"
 
     def test_cutoff_k_max_sets_the_mode_count(self, tmp_path, monkeypatch):
-        # default_k_max(2 * 0.005) = 14 modes; 3 must reach the action
+        # default_k_max(2 * 0.005) = 9 modes; 3 must reach the action
         estimates = []
 
         def recording(cfg):

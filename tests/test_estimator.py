@@ -8,6 +8,7 @@ oracles.py and were cross-checked against finite-difference heat kernels.
 
 import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from polaron1d.estimator import (
 )
 from polaron1d.exact_diag import InvariantViolation
 from polaron1d.geometry import SpinSector
-from polaron1d.kernels import ModelParams
+from polaron1d.kernels import ModelParams, default_k_max
 from polaron1d.paths import TimeGrid
 
 from oracles import (
@@ -354,7 +355,6 @@ class TestSweepAlpha:
         # direct run exactly: same paths, same action, same arithmetic
         cfg = self.coupled_config(variant="ratio", n_paths=8192)
         report = sweep_alpha(cfg, [0.0, 1.0])
-        from dataclasses import replace
         direct = energy_estimate(
             replace(cfg, params=replace(cfg.params, alpha=alpha)))
         swept = report["estimates"][alpha_idx]
@@ -497,6 +497,17 @@ class TestLogging:
             sweep_alpha(coupled_config(eps=0.3), [0.0, 0.5, 1.0])
         msgs = [r.getMessage() for r in self.records(caplog)]
         assert [m.split("alpha=")[1].split()[0] for m in msgs] == ["0", "0.5", "1"]
+
+    @pytest.mark.parametrize("eps, k_max, want", [
+        (0.0, None, None), (0.3, None, default_k_max(0.6)), (0.3, 3, 3)])
+    def test_mode_count_reaches_diagnostics_and_record(self, caplog, eps, k_max, want):
+        # the count the action's series ran at (damping 2 eps); none at eps = 0
+        cfg = replace(coupled_config(eps=eps, n_paths=64), k_max=k_max)
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            res = energy_estimate(cfg)
+        assert res.diagnostics["k_max"] == want
+        (rec,) = self.records(caplog)
+        assert f"k_max={want}:" in rec.getMessage()
 
     def test_zero_survivors_are_logged(self, caplog):
         cfg = free_config(N=2, p=2, beta=2.0, n_steps=32, n_paths=32)

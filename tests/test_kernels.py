@@ -230,6 +230,8 @@ class TestParamValidation:
                 K.eval_phi(x, 0.0, eps, PARAMS, k_max)
             with pytest.raises(ValueError, match="k_max"):
                 K.eval_dphi(x, 0.0, eps, PARAMS, k_max)
+            with pytest.raises(ValueError, match="k_max"):
+                K.eval_delta_eps(x, eps, 1.0, k_max)
         with pytest.raises(ValueError, match="k_max"):
             K.eval_w_series(x, 0.1, PARAMS, k_max)
 
@@ -240,5 +242,14 @@ class TestParamValidation:
                               K.eval_phi(x, 0.3, 0.1, PARAMS))
         assert np.array_equal(K.eval_w_series(x, 0.05, PARAMS, km),
                               K.eval_w_series(x, 0.05, PARAMS))
-        assert K.default_k_max(0.5) >= 8
+        # the last kept mode is damped no further than e^{-37} (unless it
+        # is the floor m = 1), the first dropped one is damped below it
+        for eps in (2.0, 1.0, 0.5, 0.3, 0.125, 0.05, 0.01, 1e-3, 1e-4):
+            for L in (0.5, 1.0, 3.0):
+                m = K.default_k_max(eps, L)
+                assert m >= 1
+                assert eps * (2 * np.pi * (m + 1) / L) ** 2 > 37.0, (eps, L, m)
+                assert m == 1 or eps * (2 * np.pi * m / L) ** 2 <= 37.0, (eps, L, m)
+        assert K.default_k_max(1.0) == 1
+        assert K.default_k_max(0.125) == 2
         assert K.default_k_max(1e-4) > K.default_k_max(0.1)
