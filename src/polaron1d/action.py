@@ -109,7 +109,7 @@ import numpy as np
 from .kernels import (
     SQRT2,
     ModelParams,
-    _resolve_k_max,
+    default_k_max,
     eval_dphi,
     eval_phi,
     reduce_to_cell,
@@ -437,7 +437,7 @@ def s_eff_decomposed(
     path: PathSample,
     eps: float,
     params: ModelParams,
-    k_max: int | None = None,
+    *,
     pot: PotentialSpec | None = None,
     horizons: tuple | None = None,
 ) -> ActionBreakdown:
@@ -456,10 +456,9 @@ def s_eff_decomposed(
     reads the mode table at the horizon node; at eps = 0 it pairs the
     horizon node with the left endpoints before it.
 
-    k_max truncates the eps > 0 mode series (default: default_k_max at
-    damping 2 eps); it must be >= 1 at every eps, also at alpha = 0.
-    At eps = 0 and alpha != 0 the drift needs L <= _DRIFT_L_MAX (400)
-    and raises ValueError above it.
+    The eps > 0 mode series runs default_k_max(2 eps, L) modes; every
+    dropped mode is damped below e^{-37}.  At eps = 0 and alpha != 0 the
+    drift needs L <= _DRIFT_L_MAX (400) and raises ValueError above it.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -476,12 +475,12 @@ def s_eff_decomposed(
     Y = np.zeros_like(X)
     Z = np.zeros_like(X)
     phi00 = np.zeros(len(steps))
-    k_max = _resolve_k_max(k_max, 2 * eps, params.L)
     if params.alpha != 0.0:
-        phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, k_max))
+        phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params))
         for r, h in enumerate(steps):
             phi00[r] = 2 * (beta - (n - h) * dt) * N * phi_diag
         if eps > 0.0:
+            k_max = default_k_max(2 * eps, params.L)
             drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
         else:
             X, Z = _pair_terms_closed_form(path, params, steps, phi_diag)
@@ -503,7 +502,6 @@ def uv_convergence_study(
     path: PathSample,
     eps_ladder,
     params: ModelParams,
-    k_max: int | None = None,
 ) -> dict:
     """Per-path |S_eff,eps - S_eff,0| along a decreasing eps ladder.
 
@@ -516,10 +514,10 @@ def uv_convergence_study(
         raise ValueError("uv ladder entries must be > 0")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("uv ladder must decrease")
-    s0 = s_eff_decomposed(path, 0.0, params, k_max).s_eff
+    s0 = s_eff_decomposed(path, 0.0, params).s_eff
     diffs = np.empty((len(eps_ladder), path.n_paths))
     for row, eps in enumerate(eps_ladder):
-        s_eps = s_eff_decomposed(path, eps, params, k_max).s_eff
+        s_eps = s_eff_decomposed(path, eps, params).s_eff
         diffs[row] = np.abs(s_eps - s0)
     return {
         "eps": np.array(eps_ladder),

@@ -74,7 +74,6 @@ SCHEMA = {
     "n_el_basis": (int, "10"),
     "k_max": (int, "3"),
     "n_ph_max": (int, "3"),
-    "cutoff_k_max": (int, "0"),
     "v_quadratic": (float, "0.0"),
     "w_quadratic": (float, "0.0"),
     "mc_csv": (str, ""),
@@ -144,18 +143,26 @@ class ExperimentConfig:
             V=(lambda x, c=v2: c * x**2) if v2 != 0.0 else None,
             W=(lambda r, c=w2: c * r**2) if w2 != 0.0 else None)
 
-    def run_config(self) -> RunConfig:
+    def model(self) -> tuple[ModelParams, SpinSector]:
+        """The physical parameters and the spin sector of the run."""
         v = self.values
         try:
+            return (ModelParams(alpha=v["alpha"], N=v["N"], L=v["L"],
+                                beta=v["beta"]),
+                    SpinSector(v["N"], v["p"]))
+        except ValueError as err:
+            raise ConfigError(str(err))
+
+    def run_config(self) -> RunConfig:
+        v = self.values
+        params, sector = self.model()
+        try:
             return RunConfig(
-                params=ModelParams(alpha=v["alpha"], N=v["N"], L=v["L"],
-                                   beta=v["beta"]),
-                sector=SpinSector(v["N"], v["p"]),
+                params=params, sector=sector,
                 grid=TimeGrid(v["beta"], v["n_steps"]),
                 eps=v["epsilon"], n_paths=v["n_paths"], seed=v["seed"],
                 n_workers=v["workers"], variant=v["variant"],
-                delta=v["delta"], pot=self.potential(),
-                k_max=v["cutoff_k_max"] or None)
+                delta=v["delta"], pot=self.potential())
         except ValueError as err:
             raise ConfigError(str(err))
 
@@ -282,10 +289,9 @@ def cmd_diag(config: ExperimentConfig, t0: float) -> int:
         symmetry = "symmetric" if v["p"] == 1 else "antisymmetric"
     else:
         raise ConfigError(f"diag supports N in 1..2, got N = {v['N']}")
-    params = ModelParams(alpha=v["alpha"], N=v["N"], L=v["L"], beta=v["beta"])
+    params, sector = config.model()
     res = sector_ground(v["N"], symmetry, config.potential(), params,
                         config.disc_spec())
-    sector = SpinSector(v["N"], v["p"])
     m = float(sector.M)
     row = [_fmt(v["alpha"]), _fmt(v["beta"]), _fmt(v["epsilon"]),
            str(v["N"]), str(v["p"]), _fmt(m), _fmt(abs(m)), "exact-diag",
@@ -334,10 +340,8 @@ def cmd_compare(config: ExperimentConfig, t0: float) -> int:
     return 0
 
 
-def cmd_validate(config: ExperimentConfig, t0: float,
-                 series_scale: float = 1.0) -> int:
-    report = run_validation(n_workers=config.values["workers"],
-                            series_scale=series_scale)
+def cmd_validate(config: ExperimentConfig, t0: float) -> int:
+    report = run_validation(n_workers=config.values["workers"])
     print(json.dumps(report, indent=2))
     _write_manifest(config.out_dir / "manifest.json", "validate", config, t0,
                     {"passed": report["passed"], "suites": report["suites"]})
@@ -376,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default .)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
-    # scales the g series the validate check compares: a planted fault
-    sub.choices["validate"].add_argument("--inject-fault", type=float,
-                                         default=1.0, help=argparse.SUPPRESS)
     return parser
 
 
@@ -395,8 +396,6 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise OSError(f"cannot create output directory {out_dir}: {err}")
-        if args.subcommand == "validate":
-            return cmd_validate(config, t0, series_scale=args.inject_fault)
         return COMMANDS[args.subcommand](config, t0)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -71,7 +71,7 @@ from .action import _DRIFT_L_MAX, PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
-from .kernels import ModelParams, _resolve_k_max
+from .kernels import ModelParams, default_k_max
 from .paths import PathSample, RngStream, TimeGrid, sample_brownian
 
 N_BATCHES = 32
@@ -94,7 +94,6 @@ class RunConfig:
     variant: str = "ratio"
     delta: float | None = None
     pot: PotentialSpec | None = None
-    k_max: int | None = None
     path_block: int = PATH_BLOCK
 
     def __post_init__(self):
@@ -104,8 +103,6 @@ class RunConfig:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.eps == 0.0 and self.params.alpha != 0.0 and self.params.L > _DRIFT_L_MAX:
             raise ValueError(f"the eps = 0 drift needs L <= {_DRIFT_L_MAX}, got {self.params.L}")
         if self.path_block < 1:
@@ -186,8 +183,7 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
     # alive at any horizon means alive at the shortest one, beta
     alive = (logs > -np.inf).any(axis=0)
     bd = s_eff_decomposed(PathSample(path.states[alive], grid), config.eps,
-                          config.params, k_max=config.k_max, pot=config.pot,
-                          horizons=steps)
+                          config.params, pot=config.pot, horizons=steps)
     s_eff = np.zeros_like(logs)
     sel = np.zeros_like(logs)
     s_eff[:, alive] = bd.s_eff
@@ -297,8 +293,7 @@ def _partition(config: RunConfig, est: LogMeanEstimate,
 def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
     """Energy estimate and diagnostics of one config from its log-weight rows."""
     est = log_mean_estimate(log_w, _coefficients(config))
-    k_max = (_resolve_k_max(config.k_max, 2 * config.eps, config.params.L)
-             if config.eps > 0 else None)
+    k_max = default_k_max(2 * config.eps, config.params.L) if config.eps > 0 else None
     diagnostics = {"k_max": k_max,
                    "survival_fraction": est.survival[-1],
                    "zero_survivors": est.zero_survivors,

@@ -174,20 +174,20 @@ def _sine_values(x: np.ndarray, n_el_basis: int, L: float) -> np.ndarray:
     return np.sin(n[:, None] * np.pi * (x[None, :] + L) / (2 * L)) / np.sqrt(L)
 
 
-def one_body_matrix(V, n_el_basis: int, L: float = 1.0, n_quad: int = 400):
-    """Gauss-Legendre quadrature of <m| V |n>; exact for sane V at this order."""
-    x, w = _legendre_nodes(n_quad, L)
+def one_body_matrix(V, n_el_basis: int, L: float = 1.0):
+    """Gauss-Legendre quadrature of <m| V |n>; exact for sane V at 400 nodes."""
+    x, w = _legendre_nodes(400, L)
     psi = _sine_values(x, n_el_basis, L)
     return (psi * (V(x) * w)[None, :]) @ psi.T
 
 
-def pair_matrix(W, n_el_basis: int, L: float = 1.0, n_quad: int = 200):
-    """<(m,n)| W(x - y) |(m',n')> on the full product basis, index (mn, m'n')."""
-    x, w = _legendre_nodes(n_quad, L)
+def pair_matrix(W, n_el_basis: int, L: float = 1.0):
+    """<(m,n)| W(x - y) |(m',n')>, index (mn, m'n'); 200 Gauss-Legendre nodes."""
+    x, w = _legendre_nodes(200, L)
     psi = _sine_values(x, n_el_basis, L)
     wmat = W(x[:, None] - x[None, :]) * w[:, None] * w[None, :]
     # T[(m,m'), q] = psi_m(x_q) psi_m'(x_q); result ((mm'), (nn')) then reorder
-    T = np.einsum("mq,nq->mnq", psi, psi).reshape(n_el_basis**2, n_quad)
+    T = np.einsum("mq,nq->mnq", psi, psi).reshape(n_el_basis**2, x.size)
     block = T @ wmat @ T.T
     # block[(m,m'),(n,n')] = int int psi_m psi_m'(x) W psi_n psi_n'(y);
     # want rows (m,n) columns (m',n')
@@ -577,48 +577,6 @@ def sector_sweep(alphas, sectors, pot, params: ModelParams,
                         f"alpha {row_s['alpha']}: E(0) = {row_s['e_eps']} "
                         f"not below E(1) = {row_a['e_eps']}")
     return rows
-
-
-def truncation_budget(N: int, symmetry: str, pot, params: ModelParams,
-                      spec_small: DiscretizationSpec,
-                      spec_large: DiscretizationSpec) -> dict:
-    """Ground-energy shift under a truncation upgrade, as a relative budget."""
-    e_small = sector_ground(N, symmetry, pot, params, spec_small).ground_energy
-    e_large = sector_ground(N, symmetry, pot, params, spec_large).ground_energy
-    rel = abs(e_large - e_small) / max(abs(e_large), 1e-300)
-    return {"e_small": e_small, "e_large": e_large, "rel_change": rel}
-
-
-def richardson_extrapolate(eps_values, energies) -> dict:
-    """Geometric-ladder Richardson extrapolation of E(eps) to eps = 0.
-
-    Assumes E(eps) = E0 + c eps^q on a ladder with fixed ratio rho < 1;
-    q is estimated from successive differences.  The result is labeled:
-    it is an extrapolation, not a diagonalization at eps = 0.
-    """
-    eps_values = np.asarray(list(eps_values), dtype=float)
-    energies = np.asarray(list(energies), dtype=float)
-    if eps_values.size < 3:
-        raise ValueError("need at least 3 ladder points")
-    if np.any(np.diff(eps_values) >= 0) or np.any(eps_values <= 0):
-        raise ValueError("eps ladder must be positive and strictly decreasing")
-    ratios = eps_values[1:] / eps_values[:-1]
-    if not np.allclose(ratios, ratios[0], rtol=1e-8):
-        raise ValueError("eps ladder must be geometric for Richardson")
-    rho = ratios[0]
-    d1 = energies[-2] - energies[-3]
-    d2 = energies[-1] - energies[-2]
-    if d2 == 0 or d1 == 0 or np.sign(d1) != np.sign(d2):
-        raise ValueError("differences do not look like a power law")
-    q = np.log(d2 / d1) / np.log(rho)
-    if q <= 0:
-        raise ValueError(
-            "differences grow along the ladder (estimated order <= 0); "
-            "the ladder is not in the asymptotic regime, refine eps")
-    value = energies[-1] + d2 * (rho**q) / (1 - rho**q)
-    return {"value": float(value), "order": float(q),
-            "label": "richardson-extrapolation",
-            "eps": eps_values.tolist(), "energies": energies.tolist()}
 
 
 def uniform_vacuum_vector(spec: DiscretizationSpec, boson_dim: int,

@@ -59,7 +59,6 @@ class PathSample:
 
     states: np.ndarray  # (n_paths, n_steps+1, N)
     grid: TimeGrid
-    stream: RngStream | None = None
 
     def __post_init__(self):
         if self.states.ndim != 3:
@@ -90,7 +89,7 @@ def sample_brownian(x0, grid: TimeGrid, stream: RngStream) -> PathSample:
     states[:, 0] = x0
     np.cumsum(dw, axis=1, out=states[:, 1:])
     states[:, 1:] += x0[:, None, :]
-    return PathSample(states=states, grid=grid, stream=stream)
+    return PathSample(states=states, grid=grid)
 
 
 def refine_midpoint(path: PathSample, stream: RngStream) -> PathSample:
@@ -110,7 +109,7 @@ def refine_midpoint(path: PathSample, stream: RngStream) -> PathSample:
     out[:, 0::2] = states
     out[:, 1::2] = mid
     grid = TimeGrid(path.grid.beta, 2 * n_steps)
-    return PathSample(states=out, grid=grid, stream=path.stream)
+    return PathSample(states=out, grid=grid)
 
 
 def ito_integral(integrand, path: PathSample):

@@ -180,7 +180,7 @@ def s3_apply(v: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def representative_part(phi: np.ndarray, sector: SpinSector, tol: float = 1e-10) -> np.ndarray:
+def representative_part(phi: np.ndarray, sector: SpinSector) -> np.ndarray:
     """Spin slice at the reference pattern sigma_M, for phi in the M subspace."""
     N = sector.N
     if phi.ndim != 2 * N:
@@ -188,18 +188,18 @@ def representative_part(phi: np.ndarray, sector: SpinSector, tol: float = 1e-10)
     m_val = float(sector.M)
     resid = np.linalg.norm(s3_apply(phi, N) - m_val * phi)
     norm = np.linalg.norm(phi)
-    if norm > 0 and resid > tol * max(1.0, norm):
+    if norm > 0 and resid > 1e-10 * max(1.0, norm):
         raise ValueError(f"phi is not an S^3 = {m_val} eigenvector (residual {resid:.2e})")
     return phi[(Ellipsis,) + sigma_m_pattern(sector)].copy()
 
 
-def reconstruct_from_representative(psi: np.ndarray, sector: SpinSector, tol: float = 1e-10) -> np.ndarray:
+def reconstruct_from_representative(psi: np.ndarray, sector: SpinSector) -> np.ndarray:
     """Assemble the antisymmetric M-sector vector with representative psi."""
     N, p = sector.N, sector.p
     if psi.ndim != N:
         raise ValueError("expected a spatial array with N site axes")
     resid = np.linalg.norm(antisymmetrize(psi, N, block=p, spins=False) - psi)
-    if resid > tol * max(1.0, np.linalg.norm(psi)):
+    if resid > 1e-10 * max(1.0, np.linalg.norm(psi)):
         raise ValueError("psi is not block-antisymmetric")
     n = psi.shape[0]
     phi = np.zeros(psi.shape + (2,) * N, dtype=psi.dtype)
@@ -210,7 +210,7 @@ def reconstruct_from_representative(psi: np.ndarray, sector: SpinSector, tol: fl
     return out
 
 
-def extend_iota_p(psi: np.ndarray, sector: SpinSector, grid: GridSpace, tol: float = 1e-12) -> np.ndarray:
+def extend_iota_p(psi: np.ndarray, sector: SpinSector, grid: GridSpace) -> np.ndarray:
     """Signed block-symmetrization of a vector supported on ordered tuples.
 
     ||iota_p psi||^2 = p! (N-p)! ||psi||^2 since the block orbits of the
@@ -221,7 +221,7 @@ def extend_iota_p(psi: np.ndarray, sector: SpinSector, grid: GridSpace, tol: flo
         raise ValueError("expected a spatial array with N site axes")
     mask = ordered_support_mask(N, p, grid.n_sites)
     off = np.linalg.norm(psi[~mask])
-    if off > tol * max(1.0, np.linalg.norm(psi)):
+    if off > 1e-12 * max(1.0, np.linalg.norm(psi)):
         raise ValueError("psi has support off the ordered tuples")
     out = np.zeros_like(np.asarray(psi, dtype=np.result_type(psi, float)))
     for tau in _block_permutations(N, p):
@@ -356,11 +356,11 @@ def _spatial_perm_indices(pi, N: int, n: int) -> np.ndarray:
     return apply_permutation(pi, src, N, target="spatial").reshape(-1)
 
 
-def check_permutation_invariant(K: np.ndarray, N: int, n: int, tol: float = 1e-10):
+def check_permutation_invariant(K: np.ndarray, N: int, n: int):
     """Raise unless the dense spatial operator commutes with every S_pi."""
     for pi in permutations(range(N)):
         idx = _spatial_perm_indices(pi, N, n)
-        if not np.allclose(K[np.ix_(idx, idx)], K, atol=tol * max(1.0, np.abs(K).max())):
+        if not np.allclose(K[np.ix_(idx, idx)], K, atol=1e-10 * max(1.0, np.abs(K).max())):
             raise ValueError(f"operator is not invariant under permutation {pi}")
 
 

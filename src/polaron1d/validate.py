@@ -9,7 +9,6 @@ frozen inequalities, the width only guards the initial calibration.
 
 from __future__ import annotations
 
-import inspect
 import time
 
 import numpy as np
@@ -39,18 +38,25 @@ def _fail(name: str, detail: str):
     raise InvariantViolation(name, detail)
 
 
-def check_kernels_g_series(series_scale=1.0):
-    """Lattice g series against the closed hyperbolic form.
-
-    series_scale multiplies the series before the comparison; a value
-    other than 1 plants a fault the check must detect.
-    """
+def check_kernels_g_series():
+    """Lattice g series against the closed hyperbolic form."""
     x = np.linspace(-0.47, 0.47, 9)
-    series = series_scale * kernels.g_series(x, k_max=20000)
+    series = kernels.g_series(x, k_max=20000)
     gap = float(np.abs(kernels.eval_g(x) - series).max())
     if gap > 1e-4:
         _fail("kernels-g-series",
               f"series and closed form differ by {gap:.3e} (tol 1e-4)")
+
+
+def _box_survival_series(beta: float) -> float:
+    """<1|e^{-beta H}|1> for the Dirichlet box (-1, 1), summed to n = 199.
+
+    sum_n <1|psi_n>^2 e^{-beta E_n} with E_n = (n pi / 2)^2 / 2: the volume
+    2 times the survival probability of a Brownian start drawn uniformly.
+    """
+    n = np.arange(1, 200)
+    return float(np.sum((2 * (1 - (-1.0) ** n) / (n * np.pi)) ** 2
+                        * np.exp(-beta * (n * np.pi / 2) ** 2 / 2)))
 
 
 def check_geometry_survival():
@@ -63,9 +69,7 @@ def check_geometry_survival():
     w = np.exp(survival_log_weights(path.states, domain, beta / n_steps))
     value = 2.0 * w.mean()
     stderr = 2.0 * w.std(ddof=1) / np.sqrt(n_paths)
-    n = np.arange(1, 200)
-    series = float(np.sum((2 * (1 - (-1.0) ** n) / (n * np.pi)) ** 2
-                          * np.exp(-beta * (n * np.pi / 2) ** 2 / 2)))
+    series = _box_survival_series(beta)
     if abs(value - series) > 4 * stderr:
         _fail("geometry-survival-oracle",
               f"survival {value:.5f} +- {stderr:.5f} vs series {series:.5f}")
@@ -189,11 +193,9 @@ def check_estimator_partition(n_workers=1):
     """Partition estimate against the Dirichlet series, and determinism."""
     base = dict(params=ModelParams(alpha=0.0, N=1, L=1.0, beta=1.0),
                 sector=SpinSector(1, 1), grid=TimeGrid(1.0, 64),
-                eps=0.0, n_paths=16384, seed=SEED, path_block=4096)
+                eps=0.0, n_paths=16384, seed=SEED)
     value, stderr = partition_estimate(RunConfig(**base, n_workers=n_workers))
-    n = np.arange(1, 200)
-    series = float(np.sum((2 * (1 - (-1.0) ** n) / (n * np.pi)) ** 2
-                          * np.exp(-(n * np.pi / 2) ** 2 / 2)))
+    series = _box_survival_series(1.0)
     if abs(value - series) > 4 * stderr:
         _fail("estimator-partition-series",
               f"{value:.5f} +- {stderr:.5f} vs series {series:.5f}")
@@ -212,36 +214,34 @@ def check_estimator_sector_ordering(n_workers=1):
     ordering_check(cfg)  # raises InvariantViolation on failure
 
 
+# (suite, check, whether the check takes n_workers)
 CHECKS = (
-    ("kernels-g-series", check_kernels_g_series),
-    ("geometry-survival-oracle", check_geometry_survival),
-    ("spin-sector-ordering-grid", check_spin_sector_ordering),
-    ("paths-girsanov-mean", check_paths_girsanov),
-    ("action-alpha-linearity", check_action_alpha_linearity),
-    ("fock-number-occupation", check_fock_number_operator),
-    ("exact-diag-free-pins", check_exact_diag_free_pins),
-    ("exact-diag-coupling-lowers", check_exact_diag_coupling_lowers),
-    ("exact-diag-kronecker-matvec", check_exact_diag_kronecker_matvec),
-    ("estimator-partition-series", check_estimator_partition),
-    ("estimator-free-energy", check_estimator_free_energy),
-    ("estimator-sector-ordering", check_estimator_sector_ordering),
+    ("kernels-g-series", check_kernels_g_series, False),
+    ("geometry-survival-oracle", check_geometry_survival, False),
+    ("spin-sector-ordering-grid", check_spin_sector_ordering, False),
+    ("paths-girsanov-mean", check_paths_girsanov, False),
+    ("action-alpha-linearity", check_action_alpha_linearity, False),
+    ("fock-number-occupation", check_fock_number_operator, False),
+    ("exact-diag-free-pins", check_exact_diag_free_pins, False),
+    ("exact-diag-coupling-lowers", check_exact_diag_coupling_lowers, False),
+    ("exact-diag-kronecker-matvec", check_exact_diag_kronecker_matvec, False),
+    ("estimator-partition-series", check_estimator_partition, True),
+    ("estimator-free-energy", check_estimator_free_energy, True),
+    ("estimator-sector-ordering", check_estimator_sector_ordering, True),
 )
 
 
-def run_validation(n_workers: int = 1, series_scale: float = 1.0) -> dict:
-    """Run every suite; report {"passed": bool, "suites": [...]}.
-
-    Each suite receives the options among n_workers and series_scale
-    that its signature names.
-    """
-    options = {"n_workers": n_workers, "series_scale": series_scale}
+def run_validation(n_workers: int = 1) -> dict:
+    """Run every suite; report {"passed": bool, "suites": [...]}."""
     suites = []
-    for name, fn in CHECKS:
+    for name, fn, threaded in CHECKS:
         t0 = time.monotonic()
         status, detail = "pass", ""
         try:
-            accepted = inspect.signature(fn).parameters
-            fn(**{k: v for k, v in options.items() if k in accepted})
+            if threaded:
+                fn(n_workers=n_workers)
+            else:
+                fn()
         except InvariantViolation as err:
             status, detail = "fail", str(err)
             name = err.name

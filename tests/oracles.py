@@ -334,8 +334,8 @@ def full_batch_block(config, block_idx, n_block):
         grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
     path = sample_brownian(x0, grid, RngStream(config.seed, 2 * block_idx + 1))
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
-    bd = s_eff_decomposed(path, config.eps, config.params, k_max=config.k_max,
-                          pot=config.pot, horizons=steps)
+    bd = s_eff_decomposed(path, config.eps, config.params, pot=config.pot,
+                          horizons=steps)
     return logs, bd.s_eff, bd.s_el
 
 

@@ -9,12 +9,14 @@ from polaron1d.kernels import (
     ModelParams,
     default_k_max,
     eval_g,
+    eval_phi,
     phi_sup_bound,
 )
 from polaron1d.paths import (
     PathSample,
     RngStream,
     TimeGrid,
+    ito_integral,
     refine_midpoint,
     sample_brownian,
 )
@@ -41,8 +43,7 @@ def make_paths(n_paths, N, beta=2.0, n_steps=128, stream_index=0, L=1.0):
 def static_path(xs, beta=2.0, n_steps=32):
     xs = np.asarray(xs, dtype=float)
     states = np.tile(xs[None, None, :], (1, n_steps + 1, 1))
-    return PathSample(states=states, grid=TimeGrid(beta, n_steps),
-                      stream=RngStream(SEED, 999))
+    return PathSample(states=states, grid=TimeGrid(beta, n_steps))
 
 
 class TestPotentialSpec:
@@ -166,23 +167,6 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             A.s_eff_decomposed(path, -0.2, ModelParams(alpha=1.0, N=1, beta=2.0))
 
-    @pytest.mark.parametrize("eps", [0.0, 0.2])
-    @pytest.mark.parametrize("k_max", [0, -1])
-    def test_mode_count_below_one_rejected(self, eps, k_max):
-        path = make_paths(2, 2, n_steps=8)
-        params = ModelParams(alpha=1.0, N=2, beta=2.0)
-        with pytest.raises(ValueError, match="k_max"):
-            A.s_eff_decomposed(path, eps, params, k_max=k_max)
-
-    @pytest.mark.parametrize("eps", [0.0, 0.2])
-    @pytest.mark.parametrize("k_max", [0, -5])
-    def test_mode_count_below_one_rejected_at_alpha_zero(self, eps, k_max):
-        # alpha = 0 skips every mode series, but k_max is checked all the same
-        path = make_paths(2, 2, n_steps=8)
-        params = ModelParams(alpha=0.0, N=2, beta=2.0)
-        with pytest.raises(ValueError, match="k_max"):
-            A.s_eff_decomposed(path, eps, params, k_max=k_max)
-
     def test_time_blocking_does_not_change_values(self, monkeypatch):
         # every reduction of the mode table runs along one path, so path
         # chunks of 3 (and a ragged one of 2) change no bit
@@ -211,7 +195,7 @@ class TestDecomposition:
 def prefix_path(path, m):
     """The first m steps of path, with its horizon m steps after the start."""
     n, dt = path.grid.n_steps, path.grid.dt
-    return PathSample(states=path.states[:, :m + 1], stream=path.stream,
+    return PathSample(states=path.states[:, :m + 1],
                       grid=TimeGrid(path.grid.beta - (n - m) * dt, m))
 
 
@@ -254,17 +238,24 @@ class TestHorizonRows:
         (1, 1, 2.5, (320, 256)), (2, 1, 0.9375, (120, 96)), (2, 2, 0.9375, (120, 96))])
     def test_default_mode_count_is_invisible(self, eps, N, p, beta, horizons):
         # the modes default_k_max drops are damped below e^{-37}: S_eff
-        # agrees with k_max = 8 path by path, and so do its parts at the
-        # scale of S_eff (Y, which has no m = 0 term, is far smaller)
+        # agrees with the mode table and phi(0,0) at k_max = 8 path by
+        # path, and so do its parts at the scale of S_eff (Y, which has no
+        # m = 0 term, is far smaller)
         domain = OrderedDomain(SpinSector(N, p))
         x0 = uniform_ordered_points(np.random.default_rng([SEED, p]), 200, domain)
         path = sample_brownian(x0, TimeGrid(beta, horizons[0]), RngStream(SEED, 40 + p))
         params = ModelParams(alpha=1.0, N=N, beta=beta)
         rows = A.s_eff_decomposed(path, eps, params, horizons=horizons)
-        padded = A.s_eff_decomposed(path, eps, params, k_max=8, horizons=horizons)
-        scale = 2e-15 * np.abs(padded.s_eff)
-        for name in ("X", "Y", "Z", "s_eff", "s_total"):
-            diff = np.abs(getattr(rows, name) - getattr(padded, name))
+        drift, X, Z = A._mode_table_terms(path, eps, params, 8, horizons)
+        Y = np.stack([ito_integral(drift[:, :h], path) for h in horizons])
+        phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params, 8))
+        n, dt = path.grid.n_steps, path.grid.dt
+        phi00 = [2 * (beta - (n - h) * dt) * N * phi_diag for h in horizons]
+        s_eff = np.array(phi00)[:, None] + X + Y + Z
+        padded = {"X": X, "Y": Y, "Z": Z, "s_eff": s_eff, "s_total": s_eff}
+        scale = 2e-15 * np.abs(s_eff)
+        for name, want in padded.items():
+            diff = np.abs(getattr(rows, name) - want)
             assert np.all(diff <= scale), name
 
     def test_alpha_zero_rows(self):

@@ -6,13 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from polaron1d import cli, validate
+from polaron1d import cli, kernels
 from polaron1d.cli import CSV_COLUMNS, main
-from polaron1d.estimator import RunConfig, energy_estimate
-from polaron1d.exact_diag import InvariantViolation
-from polaron1d.geometry import SpinSector
-from polaron1d.kernels import ModelParams
-from polaron1d.paths import TimeGrid
 
 SEED = 90121
 
@@ -74,30 +69,6 @@ class TestEnergyCommand:
         assert row["n_steps"] == "64"
         assert row["n_paths"] == "2048"
 
-    def test_cutoff_k_max_sets_the_mode_count(self, tmp_path, monkeypatch):
-        # default_k_max(2 * 0.005) = 9 modes; 3 must reach the action
-        estimates = []
-
-        def recording(cfg):
-            estimates.append(energy_estimate(cfg))
-            return estimates[-1]
-
-        monkeypatch.setattr(cli, "energy_estimate", recording)
-        settings = {"alpha": 1.0, "epsilon": 0.005, "n_paths": 1024}
-        for i, key in enumerate(({"cutoff_k_max": 3}, {"cutoff_k_max": 0}, {})):
-            assert run_cli(*small_energy_args(tmp_path / str(i), **settings, **key)) == 0
-        direct = energy_estimate(RunConfig(
-            params=ModelParams(alpha=1.0, N=1, L=1.0, beta=1.0),
-            sector=SpinSector(1, 1), grid=TimeGrid(1.0, 64), eps=0.005,
-            n_paths=1024, seed=SEED, k_max=3))
-        three, zero, absent = estimates
-        assert three.config == direct.config
-        assert (three.value, three.stderr) == (direct.value, direct.stderr)
-        # 0 means the default mode count, as without the key
-        assert zero.config == absent.config and absent.config.k_max is None
-        assert (zero.value, zero.stderr) == (absent.value, absent.stderr)
-        assert three.value != absent.value
-
     def test_set_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = 1.0\nn_steps = 64\nn_paths = 2048\n")
@@ -128,11 +99,6 @@ class TestConfigErrors:
         # ratio delta off the time grid is a configuration error
         code = run_cli("energy", "--out", tmp_path, "--set", "delta=0.013")
         assert code == 2
-
-    def test_negative_cutoff_k_max_exits_2(self, tmp_path, capsys):
-        code = run_cli("energy", "--out", tmp_path, "--set", "cutoff_k_max=-1")
-        assert code == 2
-        assert "k_max" in capsys.readouterr().err
 
     def test_missing_input_file_exits_3(self, tmp_path):
         code = run_cli("compare", "--out", tmp_path,
@@ -167,6 +133,16 @@ class TestDiagCommand:
                        "--set", "p=1")
         assert code == 2
         assert "N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings", [("alpha=-1",), ("N=2", "p=3")])
+    def test_invalid_model_exits_2_before_solving(self, tmp_path, capsys,
+                                                  monkeypatch, settings):
+        calls = []
+        monkeypatch.setattr(cli, "sector_ground", lambda *args: calls.append(args))
+        args = [word for item in settings for word in ("--set", item)]
+        assert run_cli("diag", "--out", tmp_path, *args) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestCompareCommand:
@@ -242,9 +218,12 @@ class TestValidateCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["passed"]
 
-    def test_fault_injection_names_g_series(self, tmp_path, capsys):
-        code = run_cli("validate", "--out", tmp_path, "--workers", 4,
-                       "--inject-fault", 1.001)
+    def test_fault_injection_names_g_series(self, tmp_path, capsys, monkeypatch):
+        # a planted fault: the g series off by 0.1 % against its closed form
+        g_series = kernels.g_series
+        monkeypatch.setattr(kernels, "g_series",
+                            lambda *args, **kw: 1.001 * g_series(*args, **kw))
+        code = run_cli("validate", "--out", tmp_path, "--workers", 4)
         assert code == 1
         captured = capsys.readouterr()
         report = json.loads(captured.out)
@@ -252,9 +231,3 @@ class TestValidateCommand:
                   if s["status"] == "fail"]
         assert failed == ["kernels-g-series"]
         assert "kernels-g-series" in captured.err
-
-    def test_series_scale_is_a_parameter_not_state(self):
-        with pytest.raises(InvariantViolation) as err:
-            validate.check_kernels_g_series(series_scale=1.001)
-        assert err.value.name == "kernels-g-series"
-        validate.check_kernels_g_series()  # an earlier fault leaves nothing behind

@@ -58,8 +58,7 @@ class TestRunConfig:
             free_config(variant="jackknife")
 
     @pytest.mark.parametrize("field, value", [
-        ("n_paths", 0), ("n_workers", 0), ("path_block", 0), ("k_max", 0),
-        ("k_max", -1)])
+        ("n_paths", 0), ("n_workers", 0), ("path_block", 0)])
     def test_positive_counts_required(self, field, value):
         with pytest.raises(ValueError):
             free_config(**{field: value})
@@ -498,11 +497,10 @@ class TestLogging:
         msgs = [r.getMessage() for r in self.records(caplog)]
         assert [m.split("alpha=")[1].split()[0] for m in msgs] == ["0", "0.5", "1"]
 
-    @pytest.mark.parametrize("eps, k_max, want", [
-        (0.0, None, None), (0.3, None, default_k_max(0.6)), (0.3, 3, 3)])
-    def test_mode_count_reaches_diagnostics_and_record(self, caplog, eps, k_max, want):
+    @pytest.mark.parametrize("eps, want", [(0.0, None), (0.3, default_k_max(0.6))])
+    def test_mode_count_reaches_diagnostics_and_record(self, caplog, eps, want):
         # the count the action's series ran at (damping 2 eps); none at eps = 0
-        cfg = replace(coupled_config(eps=eps, n_paths=64), k_max=k_max)
+        cfg = coupled_config(eps=eps, n_paths=64)
         with caplog.at_level(logging.INFO, logger="polaron1d"):
             res = energy_estimate(cfg)
         assert res.diagnostics["k_max"] == want
