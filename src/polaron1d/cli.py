@@ -341,7 +341,10 @@ def cmd_compare(config: ExperimentConfig, t0: float) -> int:
 
 
 def cmd_validate(config: ExperimentConfig, t0: float) -> int:
-    report = run_validation(n_workers=config.values["workers"])
+    n_workers = config.values["workers"]
+    if n_workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {n_workers}")
+    report = run_validation(n_workers=n_workers)
     print(json.dumps(report, indent=2))
     _write_manifest(config.out_dir / "manifest.json", "validate", config, t0,
                     {"passed": report["passed"], "suites": report["suites"]})

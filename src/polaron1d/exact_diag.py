@@ -92,8 +92,6 @@ from scipy.linalg.blas import dgemm
 from .fock import FockSpace, annihilator
 from .kernels import ModelParams
 
-SECTOR_LABELS = ("none", "symmetric", "antisymmetric")
-
 logger = logging.getLogger("polaron1d")
 
 

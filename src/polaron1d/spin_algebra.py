@@ -30,13 +30,18 @@ Conventions fixed here and used by every consumer:
 
       Phi = Psi (x) eta_{sigma_M}
             + sum_{nu in S_NT} sgn(nu) (S_nu (x) s_nu)(Psi (x) eta_{sigma_M}).
+
+* Every identity is one signed sum sum_pi sgn(pi) S_pi v, computed by
+  _signed_sum over a named permutation set: S_N for A_N, S_T for
+  A_p (x) A_{N-p}, iota_p and the compression K^{(p)}, {id} union S_NT
+  for the reconstruction, and {id} union the cross-block transpositions
+  for the S^(+-) recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import factorial
 
 import numpy as np
 
@@ -125,20 +130,19 @@ def antisymmetrize(v: np.ndarray, N: int, block: str = "all", spins: bool | None
     """
     if spins is None:
         spins = v.ndim == 2 * N
-    target = "both" if spins else "spatial"
     if block == "all":
         perms = list(permutations(range(N)))
-        out = np.zeros_like(np.asarray(v, dtype=np.result_type(v, float)))
-        for pi in perms:
-            out += perm_sign(pi) * apply_permutation(pi, v, N, target)
-        return out / factorial(N)
-    p = int(block)
+    else:
+        perms = list(_block_permutations(N, int(block)))
+    return _signed_sum(perms, v, N, "both" if spins else "spatial") / len(perms)
+
+
+def _signed_sum(perms, v: np.ndarray, N: int, target: str) -> np.ndarray:
+    """sum_{pi in perms} sgn(pi) S_pi v, with target as in apply_permutation."""
     out = np.zeros_like(np.asarray(v, dtype=np.result_type(v, float)))
-    count = 0
-    for tau in _block_permutations(N, p):
-        out += perm_sign(tau) * apply_permutation(tau, v, N, target)
-        count += 1
-    return out / count
+    for pi in perms:
+        out += perm_sign(pi) * apply_permutation(pi, v, N, target)
+    return out
 
 
 def _block_permutations(N: int, p: int):
@@ -171,13 +175,14 @@ def sigma_m_pattern(sector: SpinSector) -> tuple:
     return (DOWN,) * sector.p + (UP,) * (sector.N - sector.p)
 
 
+def _pattern_m(N: int) -> np.ndarray:
+    """S^3 eigenvalue N/2 - #downs of each spin pattern, shape (2,)*N."""
+    return N / 2 - np.indices((2,) * N).sum(axis=0)
+
+
 def s3_apply(v: np.ndarray, N: int) -> np.ndarray:
     """Total S^3 on a full vector: eigenbasis is the spin patterns."""
-    out = np.zeros_like(np.asarray(v, dtype=np.result_type(v, float)))
-    for idx in np.ndindex(*(2,) * N):
-        m = sum(0.5 if s == UP else -0.5 for s in idx)
-        out[(Ellipsis,) + idx] = m * v[(Ellipsis,) + idx]
-    return out
+    return _pattern_m(N) * v
 
 
 def representative_part(phi: np.ndarray, sector: SpinSector) -> np.ndarray:
@@ -201,13 +206,10 @@ def reconstruct_from_representative(psi: np.ndarray, sector: SpinSector) -> np.n
     resid = np.linalg.norm(antisymmetrize(psi, N, block=p, spins=False) - psi)
     if resid > 1e-10 * max(1.0, np.linalg.norm(psi)):
         raise ValueError("psi is not block-antisymmetric")
-    n = psi.shape[0]
     phi = np.zeros(psi.shape + (2,) * N, dtype=psi.dtype)
     phi[(Ellipsis,) + sigma_m_pattern(sector)] = psi
-    out = phi.copy()
-    for nu, sign in nontransposition_set(N, p):
-        out += sign * apply_permutation(nu, phi, N, target="both")
-    return out
+    perms = [tuple(range(N))] + [nu for nu, _ in nontransposition_set(N, p)]
+    return _signed_sum(perms, phi, N, "both")
 
 
 def extend_iota_p(psi: np.ndarray, sector: SpinSector, grid: GridSpace) -> np.ndarray:
@@ -223,10 +225,7 @@ def extend_iota_p(psi: np.ndarray, sector: SpinSector, grid: GridSpace) -> np.nd
     off = np.linalg.norm(psi[~mask])
     if off > 1e-12 * max(1.0, np.linalg.norm(psi)):
         raise ValueError("psi has support off the ordered tuples")
-    out = np.zeros_like(np.asarray(psi, dtype=np.result_type(psi, float)))
-    for tau in _block_permutations(N, p):
-        out += perm_sign(tau) * apply_permutation(tau, psi, N, target="spatial")
-    return out
+    return _signed_sum(_block_permutations(N, p), psi, N, "spatial")
 
 
 def ordered_support_mask(N: int, p: int, n_sites: int) -> np.ndarray:
@@ -300,25 +299,19 @@ def raising_lowering_on_representative(phi: np.ndarray, sector: SpinSector, dire
             raise ValueError("no sector above M = N/2")
         target = SpinSector(N, p - 1)
         op = spin_operator("S+", N)
+        swaps = [_transposition(N, p - 1, j) for j in range(p, N)]
     elif direction == "-":
         if p == N:
             raise ValueError("no sector below M = -N/2")
         target = SpinSector(N, p + 1)
         op = spin_operator("S-", N)
+        swaps = [_transposition(N, j, p) for j in range(p)]
     else:
         raise ValueError("direction must be '+' or '-'")
 
     lhs = representative_part(apply_spin_operator(op, phi, N), target)
-
     rep = representative_part(phi, sector)
-    if direction == "+":
-        rhs = rep.copy()
-        swaps = [_transposition(N, p - 1, j) for j in range(p, N)]
-    else:
-        rhs = rep.copy()
-        swaps = [_transposition(N, j, p) for j in range(p)]
-    for tau in swaps:
-        rhs = rhs - apply_permutation(tau, rep, N, target="spatial")
+    rhs = _signed_sum([tuple(range(N))] + swaps, rep, N, "spatial")
     return lhs, rhs
 
 
@@ -350,23 +343,13 @@ def vandermonde_state(sector: SpinSector, grid: GridSpace) -> np.ndarray:
     return reconstruct_from_representative(psi, sector)
 
 
-def _spatial_perm_indices(pi, N: int, n: int) -> np.ndarray:
-    """Flattened index map realizing S_pi on vectorized spatial arrays."""
-    src = np.arange(n**N).reshape((n,) * N)
-    return apply_permutation(pi, src, N, target="spatial").reshape(-1)
-
-
 def check_permutation_invariant(K: np.ndarray, N: int, n: int):
     """Raise unless the dense spatial operator commutes with every S_pi."""
+    K_sites = K.reshape((n,) * (2 * N))
     for pi in permutations(range(N)):
-        idx = _spatial_perm_indices(pi, N, n)
-        if not np.allclose(K[np.ix_(idx, idx)], K, atol=1e-10 * max(1.0, np.abs(K).max())):
+        K_pi = apply_permutation(pi, K_sites, N).reshape(K.shape)
+        if not np.allclose(K_pi, K, atol=1e-10 * max(1.0, np.abs(K).max())):
             raise ValueError(f"operator is not invariant under permutation {pi}")
-
-
-def _ordered_tuple_indices(N: int, p: int, n: int) -> np.ndarray:
-    mask = ordered_support_mask(N, p, n)
-    return np.flatnonzero(mask.reshape(-1))
 
 
 def _min_eig_on_subspace(K_full: np.ndarray, basis: np.ndarray) -> float:
@@ -389,45 +372,31 @@ def sector_ground_energy(K: np.ndarray, sector: SpinSector, grid: GridSpace) -> 
     """
     N, p = sector.N, sector.p
     n = grid.n_sites
-    if K.shape != (n**N, n**N):
+    dim = n**N
+    if K.shape != (dim, dim):
         raise ValueError("K must be dense on the flattened site tensor")
     check_permutation_invariant(K, N, n)
+    sites = (n,) * N
 
-    # (b) block-antisymmetric spatial subspace
-    dim = n**N
-    proj_b = np.zeros((dim, dim))
-    count = 0
-    for tau in _block_permutations(N, p):
-        idx = _spatial_perm_indices(tau, N, n)
-        proj_b[np.arange(dim), idx] += perm_sign(tau)
-        count += 1
-    proj_b /= count
-    e_blocks = _min_eig_on_subspace(K, proj_b)
+    # (b) block-antisymmetric spatial subspace: A_p applied to identity batches
+    proj_b = antisymmetrize(np.eye(dim).reshape(sites + (dim,)), N, block=p, spins=False)
+    e_blocks = _min_eig_on_subspace(K, proj_b.reshape(dim, dim))
 
     # (c) ordered-tuple compression K^{(p)}[a, b] = sum_tau sgn(tau) K[a, tau b]
-    ordered = _ordered_tuple_indices(N, p, n)
-    comp = np.zeros((ordered.size, ordered.size))
-    for tau in _block_permutations(N, p):
-        idx = _spatial_perm_indices(tau, N, n)
-        comp += perm_sign(tau) * K[np.ix_(ordered, idx[ordered])]
+    k_tau = _signed_sum(_block_permutations(N, p), K.T.reshape(sites + (dim,)), N, "spatial")
+    ordered = np.flatnonzero(ordered_support_mask(N, p, n))
+    comp = k_tau.reshape(dim, dim).T[np.ix_(ordered, ordered)]
     e_ordered = float(np.linalg.eigvalsh(0.5 * (comp + comp.T))[0])
 
-    # (a) full M subspace with explicit spins: project spin-pattern blocks
+    # (a) full M subspace with explicit spins: A_N applied to identity batches;
+    # the batch axis sits between the site and spin axes, which
+    # apply_permutation shuffles as the first N and the last N axes
     full_dim = dim * 2**N
-    K_full = np.kron(K, np.eye(2**N))
-    proj = np.zeros((full_dim, full_dim))
-    for pi in permutations(range(N)):
-        s_idx = _spatial_perm_indices(pi, N, n)
-        p_idx = _spatial_perm_indices(pi, N, 2)  # same shuffle on spin tensor
-        joint = (s_idx[:, None] * 2**N + p_idx[None, :]).reshape(-1)
-        proj[np.arange(full_dim), joint] += perm_sign(pi)
-    proj /= factorial(N)
+    batch = np.eye(full_dim).reshape(sites + (2,) * N + (full_dim,))
+    proj = antisymmetrize(np.moveaxis(batch, -1, N), N, block="all", spins=True)
+    proj = np.moveaxis(proj, N, -1).reshape(full_dim, full_dim)
     # restrict to the S^3 = M spin patterns
-    patt_m = np.array(
-        [sum(0.5 if s == UP else -0.5 for s in idx) for idx in np.ndindex(*(2,) * N)]
-    )
-    sel = np.isclose(np.tile(patt_m, dim), float(sector.M))
-    basis = proj[:, sel]
-    e_full = _min_eig_on_subspace(K_full, basis)
+    sel = np.isclose(np.tile(_pattern_m(N).reshape(-1), dim), float(sector.M))
+    e_full = _min_eig_on_subspace(np.kron(K, np.eye(2**N)), proj[:, sel])
 
     return {"full_M": e_full, "block_antisym": e_blocks, "ordered": e_ordered}

@@ -231,3 +231,12 @@ class TestValidateCommand:
                   if s["status"] == "fail"]
         assert failed == ["kernels-g-series"]
         assert "kernels-g-series" in captured.err
+
+    def test_zero_workers_exits_2_before_any_suite(self, tmp_path, capsys,
+                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_validation",
+                            lambda **kw: calls.append(kw))
+        assert run_cli("validate", "--out", tmp_path, "--workers", 0) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert calls == []

@@ -250,6 +250,25 @@ class TestIotaExtension:
 
 
 class TestSpinOperators:
+    # S^3 eigenvalue of every spin pattern, 0 = up, 1 = down
+    PATTERN_M = {
+        1: {(0,): 0.5, (1,): -0.5},
+        2: {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): -1.0},
+        3: {(0, 0, 0): 1.5, (0, 0, 1): 0.5, (0, 1, 0): 0.5, (1, 0, 0): 0.5,
+            (0, 1, 1): -0.5, (1, 0, 1): -0.5, (1, 1, 0): -0.5, (1, 1, 1): -1.5},
+    }
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_s3_scales_each_pattern_of_a_random_vector(self, N):
+        rng = np.random.default_rng(SEED + 30 + N)
+        v = random_full_vector(rng, N, 3)
+        out = SA.s3_apply(v, N)
+        assert out.shape == v.shape
+        assert len(self.PATTERN_M[N]) == 2**N
+        for pattern, m in self.PATTERN_M[N].items():
+            idx = (Ellipsis,) + pattern
+            assert np.array_equal(out[idx], m * v[idx])
+
     def test_singlet_triplet(self):
         s2 = SA.spin_operator("S2_total", 2)
         up, down = np.array([1.0, 0.0]), np.array([0.0, 1.0])
