@@ -29,6 +29,18 @@ real symmetric.  The phonon space carries a total-occupation cap
 assembled sparsely here because the quadrature dimensions outgrow dense
 storage.
 
+Every mode m <= k_max is in the Fock space, but only the modes
+m <= kernels.default_k_max(2 eps, L) couple: the rule the Monte Carlo
+action's mode series already follows.  A dropped mode has
+e^{-2 eps k^2} < e^{-37}, so it moves an energy by at most about
+g_L e^{-37} ~ 1e-16.  Its coupling would be worse than useless: at
+eps = 0.5 the couplings of m = 2, 3, 4 are 8.6e-35, 1.2e-77 and
+1.2e-137, and a few products leave subnormal entries in the state (353
+of 8580 at (12,4,4) after 30 power steps), on which one product took
+1.36 ms against 0.144 ms on a normal vector (2 cores).  The dropped
+modes stay free oscillators, so the dimension, the degenerate copies
+and the gaps do not change.
+
 For N = 2 the spin sector enters through the spatial exchange symmetry:
 S = 0 pairs with symmetric orbitals, S = 1 with antisymmetric ones.
 Lifting one- and two-body operators to the (anti)symmetrized pair basis
@@ -56,24 +68,30 @@ boson-diagonal positions, and each E_k (x) Q_k only positions one mode-k
 quantum apart, so the terms never share a position and every row sum
 splits into per-term sums.  `KroneckerHamiltonian.tocsr` renders the
 same factors in the kron/sum order, bit for bit the matrix the CSR
-assembly always gave; it serves the dense solver (dim <= 1500) and
-`expm_multiply`.
+assembly always gave; it serves the dense solver (dim <= 1500).
 
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
 a symmetric matrix).  Each solve records its basis dimension, nnz,
-operator (kronecker or matrix), solver (dense or eigsh), ncv, tol, the
-products eigsh took, residuals and seconds in the result's provenance
-and sends one INFO record to the "polaron1d" logger; the library adds
-no handler.  eps = 0 is never diagonalized.
+coupled quadrature modes, operator (kronecker or matrix), solver (dense
+or eigsh), ncv, tol, the products eigsh took, residuals and seconds in
+the result's provenance and sends one INFO record to the "polaron1d"
+logger; the library adds no handler.  eps = 0 is never diagonalized.
 
 `ratio_energy_oracle` evaluates -(1/delta) log of the semigroup ratio
 <u| e^{-(beta+delta) H} |u> / <u| e^{-beta H} |u> with u = (uniform
 function) x (vacuum), i.e. the same finite-horizon functional the ratio
 Monte Carlo estimator targets, so the two can be compared without any
-beta -> infinity argument.  H is symmetric, so <u| e^{-tH} |u> =
-||e^{-tH/2} u||^2: w = e^{-beta H/2} u is propagated once and then
-e^{-delta H/2} w, both over half the horizon.
+beta -> infinity argument.  Both horizons come from one Gauss quadrature
+(Golub & Meurant, Matrices, Moments and Quadrature with Applications,
+2010): a Lanczos recurrence from u on the KroneckerHamiltonian, with
+full reorthogonalization in two passes, gives the Jacobi matrix T whose
+Ritz values theta_j and weights tau_j (first eigenvector components,
+squared) give <u| e^{-tH} |u> ~ ||u||^2 sum_j tau_j e^{-t theta_j}.
+The recurrence stops when the energy has changed by at most
+1e-15 max(1, |E|) on two consecutive steps, or at breakdown (an
+invariant Krylov space, where the quadrature is exact).  It draws no
+random numbers.
 """
 
 from __future__ import annotations
@@ -90,9 +108,13 @@ import scipy.sparse.linalg
 from scipy.linalg.blas import dgemm
 
 from .fock import FockSpace, annihilator
-from .kernels import ModelParams
+from .kernels import ModelParams, default_k_max
 
 logger = logging.getLogger("polaron1d")
+
+# Lanczos steps ratio_energy_oracle may take before it refuses to answer;
+# the (12, 4, 4) oracle at eps = 0.5 settles in 48.
+_LANCZOS_MAX_STEPS = 400
 
 
 class InvariantViolation(RuntimeError):
@@ -250,11 +272,11 @@ def build_H_el(N: int, symmetry: str, pot, spec: DiscretizationSpec,
 
 
 def _interaction_blocks(N: int, symmetry: str, spec: DiscretizationSpec,
-                        params: ModelParams):
-    """(mode label, coupling, electronic matrix) per quadrature mode.
+                        params: ModelParams, n_modes: int):
+    """(coupling, electronic matrix) per quadrature mode up to m = n_modes.
 
-    Labels: 0.0 for the k = 0 mode, +k for cosines, -k for sines, with
-    k = 2 pi m / L, m = 1..k_max.
+    In mode order: the k = 0 mode, then the cosine and the sine of
+    k = 2 pi m / L for m = 1..n_modes.
     """
     n = spec.n_el_basis
     L = params.L
@@ -267,15 +289,15 @@ def _interaction_blocks(N: int, symmetry: str, spec: DiscretizationSpec,
             return A
         return T.T @ (np.kron(A, eye) + np.kron(eye, A)) @ T
 
-    blocks = [(0.0, root_g, lift(eye))]
-    for m in range(1, spec.k_max + 1):
+    blocks = [(root_g, lift(eye))]
+    for m in range(1, n_modes + 1):
         k = 2 * np.pi * m / L
         damp = np.exp(-spec.epsilon * k**2)
         ek = sine_exp_elements(k, n, L)
         cos_m = np.ascontiguousarray(ek.real)
         sin_m = np.ascontiguousarray(ek.imag)
-        blocks.append((k, np.sqrt(2) * root_g * damp, lift(cos_m)))
-        blocks.append((-k, -np.sqrt(2) * root_g * damp, lift(sin_m)))
+        blocks.append((np.sqrt(2) * root_g * damp, lift(cos_m)))
+        blocks.append((-np.sqrt(2) * root_g * damp, lift(sin_m)))
     return blocks
 
 
@@ -405,12 +427,20 @@ class KroneckerHamiltonian:
 
 def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
                 spec: DiscretizationSpec) -> KroneckerHamiltonian:
-    """Full cutoff Hamiltonian H_el + N_ph + interaction, as its factors."""
+    """Full cutoff Hamiltonian H_el + N_ph + interaction, as its factors.
+
+    Every mode m <= spec.k_max is in the Fock space; only the modes
+    m <= default_k_max(2 eps, L) couple, the rest stay free oscillators.
+    """
     _check_sector(N, symmetry)
-    blocks = _interaction_blocks(N, symmetry, spec, params)
-    labels = tuple(label for label, _, _ in blocks)
-    space = FockSpace(modes=labels, cap=spec.n_ph_max)
-    terms = blocks if params.alpha > 0 else ()
+    k = 2 * np.pi * np.arange(1, spec.k_max + 1) / params.L
+    space = FockSpace(modes=(0.0, *np.column_stack([k, -k]).ravel()),
+                      cap=spec.n_ph_max)
+    terms = ()
+    if params.alpha > 0:
+        terms = _interaction_blocks(
+            N, symmetry, spec, params,
+            min(spec.k_max, default_k_max(2 * spec.epsilon, params.L)))
     quads = []
     for pos in range(len(terms)):
         low = annihilator(space, pos)
@@ -418,8 +448,8 @@ def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
     return KroneckerHamiltonian(
         h_el=build_H_el(N, symmetry, pot, spec, params.L),
         occupation=space.total_occupation,
-        couplings=tuple(c for _, c, _ in terms),
-        el_mats=tuple(E for _, _, E in terms), quads=tuple(quads))
+        couplings=tuple(c for c, _ in terms),
+        el_mats=tuple(E for _, E in terms), quads=tuple(quads))
 
 
 def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
@@ -434,18 +464,19 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
     KroneckerHamiltonian is never assembled on that branch.
 
     The provenance of the result is the caller's dict plus dim, nnz,
-    operator ("kronecker" or "matrix"), solver ("dense" or "eigsh"), ncv
-    and tol (None for dense; tol 0.0 is ARPACK's machine precision),
-    matvecs (the products eigsh took; 0 for dense), residuals and
-    solve_s, the seconds from the symmetry check to the certificate.
+    coupled_modes (the quadrature modes with an interaction term; None for
+    a matrix), operator ("kronecker" or "matrix"), solver ("dense" or
+    "eigsh"), ncv and tol (None for dense; tol 0.0 is ARPACK's machine
+    precision), matvecs (the products eigsh took; 0 for dense), residuals
+    and solve_s, the seconds from the symmetry check to the certificate.
     """
     start = perf_counter()
     dim = H.shape[0]
     if isinstance(H, KroneckerHamiltonian):
-        operator = "kronecker"
+        operator, coupled = "kronecker", len(H.couplings)
         scale, asym, nnz = H.inf_norm(), H.asymmetry(), H.nnz
     else:
-        operator = "matrix"
+        operator, coupled = "matrix", None
         sparse = scipy.sparse.issparse(H)
         H = H if sparse else np.asarray(H)
         scale, asym = float(abs(H).sum(axis=1).max()), float(abs(H - H.T).max())
@@ -496,13 +527,14 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
             f"residuals {residuals[bad]} exceed 1e-8 * ||H|| = {1e-8 * scale:.3e}")
     gap = float(vals[1] - vals[0]) if m >= 2 else 0.0
     prov = dict(provenance or {})
-    prov.update(dim=dim, nnz=nnz, operator=operator, solver=solver, ncv=ncv,
-                tol=tol, matvecs=matvecs, residuals=residuals.tolist(),
-                solve_s=perf_counter() - start)
-    logger.info("ground dim=%d nnz=%d operator=%s solver=%s ncv=%s tol=%s "
-                "matvecs=%d m=%d E0=%r residual_max=%.3e solve_s=%.3f",
-                dim, nnz, operator, solver, ncv, tol, matvecs, m,
-                float(vals[0]), float(residuals.max()), prov["solve_s"])
+    prov.update(dim=dim, nnz=nnz, coupled_modes=coupled, operator=operator,
+                solver=solver, ncv=ncv, tol=tol, matvecs=matvecs,
+                residuals=residuals.tolist(), solve_s=perf_counter() - start)
+    logger.info("ground dim=%d nnz=%d coupled_modes=%s operator=%s solver=%s "
+                "ncv=%s tol=%s matvecs=%d m=%d E0=%r residual_max=%.3e "
+                "solve_s=%.3f", dim, nnz, coupled, operator, solver, ncv, tol,
+                matvecs, m, float(vals[0]), float(residuals.max()),
+                prov["solve_s"])
     return SpectrumResult(
         eigenvalues=vals, ground_vector=vecs[:, 0], residuals=residuals,
         gap=gap, norm_scale=scale, provenance=prov)
@@ -587,23 +619,79 @@ def uniform_vacuum_vector(spec: DiscretizationSpec, boson_dim: int,
     return vec
 
 
+def _quadrature_energy(diag: np.ndarray, off: np.ndarray, beta: float,
+                       delta: float) -> float:
+    """-(1/delta) log of the Gauss-quadrature ratio of the Jacobi matrix T.
+
+    With T = Q diag(theta) Q^T, <u| e^{-tH} |u> ~ ||u||^2 sum_j tau_j
+    e^{-t theta_j}, tau_j = Q[0, j]^2; the ||u||^2 cancels in the ratio.
+    The solver's Ritz values err by about eps ||T||; one Rayleigh-quotient
+    step leaves the low ones an error of about eps |q|^T |T| |q|, smaller
+    where the low Ritz vectors sit on small entries of T.  At (12,4,4),
+    eps = 0.5, ||T|| ~ 180, it takes the oracle from 1.0e-12 to 1.7e-13
+    relative of the expm_multiply value.
+    """
+    theta, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+    t_vecs = diag[:, None] * vecs
+    t_vecs[:-1] += off[:, None] * vecs[1:]
+    t_vecs[1:] += off[:, None] * vecs[:-1]
+    theta += np.einsum("ij,ij->j", vecs, t_vecs - theta * vecs)
+    weights = vecs[0] ** 2
+    low = theta.min()
+    return float(low - np.log(
+        (weights @ np.exp(-(beta + delta) * (theta - low)))
+        / (weights @ np.exp(-beta * (theta - low)))) / delta)
+
+
 def ratio_energy_oracle(params: ModelParams, spec: DiscretizationSpec,
                         beta: float, delta: float, pot=None) -> float:
     """-(1/delta) log of the semigroup ratio the ratio estimator targets.
 
     N = 1 only: the electronic part of the reference vector is the
-    uniform function, matching Monte Carlo paths started uniformly.
-    expm_multiply runs on the CSR rendering: on an operator it would
-    estimate the 1-norm with onenormest, which draws from numpy's global
-    unseeded RNG, and the oracle's bits would vary from run to run.
+    uniform function, matching Monte Carlo paths started uniformly.  Both
+    horizons come from one Lanczos quadrature (see the module docstring),
+    which raises InvariantViolation("oracle-convergence") rather than
+    return an energy that has not settled within _LANCZOS_MAX_STEPS steps.
+    Sends one INFO record to the "polaron1d" logger: dim, coupled
+    quadrature modes, Lanczos steps, the last energy change and seconds.
     """
     if params.N != 1:
         raise ValueError("the matched semigroup oracle is implemented for N = 1")
     if delta <= 0 or beta <= 0:
         raise ValueError("beta and delta must be > 0")
-    H = build_H_eps(1, "none", pot, params, spec).tocsr()
-    boson_dim = H.shape[0] // spec.n_el_basis
-    u = uniform_vacuum_vector(spec, boson_dim, params.L)
-    w = scipy.sparse.linalg.expm_multiply(-(beta / 2) * H, u)
-    w_more = scipy.sparse.linalg.expm_multiply(-(delta / 2) * H, w)
-    return float(-np.log((w_more @ w_more) / (w @ w)) / delta)
+    start = perf_counter()
+    H = build_H_eps(1, "none", pot, params, spec)
+    dim = H.shape[0]
+    u = uniform_vacuum_vector(spec, H.occupation.size, params.L)
+    basis = np.empty((min(dim, 32), dim))
+    basis[0] = u / np.linalg.norm(u)
+    diag, off = [], []
+    energy, settled = np.inf, 0
+    for step in range(_LANCZOS_MAX_STEPS):
+        w = H @ basis[step]
+        hv_norm = np.linalg.norm(w)
+        diag.append(basis[step] @ w)
+        done = basis[:step + 1]
+        for _ in range(2):
+            w -= (done @ w) @ done
+        new = _quadrature_energy(np.array(diag), np.array(off), beta, delta)
+        change, energy = abs(new - energy), new
+        settled = settled + 1 if change <= 1e-15 * max(1.0, abs(energy)) else 0
+        norm_w = np.linalg.norm(w)
+        # at breakdown the Krylov space is invariant and the quadrature exact
+        if settled == 2 or norm_w <= 1e-12 * hv_norm or step + 1 == dim:
+            break
+        if step + 1 == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[step + 1] = w / norm_w
+        off.append(norm_w)
+    else:
+        raise InvariantViolation(
+            "oracle-convergence",
+            f"energy still moved by {change:.3e} after {_LANCZOS_MAX_STEPS} "
+            "Lanczos steps")
+    seconds = perf_counter() - start
+    logger.info("ratio_energy_oracle dim=%d coupled_modes=%d lanczos_steps=%d "
+                "last_change=%.3e E=%r oracle_s=%.3f", dim, len(H.couplings),
+                step + 1, change, energy, seconds)
+    return energy

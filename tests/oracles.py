@@ -10,13 +10,19 @@ on every path, and the action references `s_eff_direct`,
 which evaluate the package's kernels on pair differences or one time
 step at a time.  `theta_two_pass` evaluates theta and theta_tilde in two
 passes, one on the path and one on its time reversal, with one complex
-exponential per mode.
+exponential per mode.  `full_coupling_hamiltonian` assembles the ED
+Hamiltonian from the package's blocks with every mode coupled, however
+damped, and `expm_ratio_energy` propagates the ratio oracle's reference
+vector with `expm_multiply` on the CSR rendering.
 """
 
 import numpy as np
+import scipy.sparse.linalg
 
+from polaron1d import exact_diag as ed
 from polaron1d.action import s_eff_decomposed
 from polaron1d.estimator import _horizons
+from polaron1d.fock import FockSpace, annihilator
 from polaron1d.geometry import survival_log_weights, uniform_ordered_points
 from polaron1d.kernels import eval_dphi, eval_phi, eval_w_series
 from polaron1d.paths import RngStream, TimeGrid, sample_brownian
@@ -473,3 +479,35 @@ def theta_two_pass(path, eps, params, mode_count=64):
     fwd = _theta_one_direction(path.states, times, modes, eps, params.g_L)
     rev = _theta_one_direction(path.states[:, ::-1], times, modes, eps, params.g_L)
     return fwd + tuple(a[:, ::-1] for a in rev)
+
+
+def full_coupling_hamiltonian(N, symmetry, pot, params, spec):
+    """build_H_eps with every mode m <= spec.k_max coupled, however damped."""
+    terms = ()
+    if params.alpha > 0:
+        terms = ed._interaction_blocks(N, symmetry, spec, params, spec.k_max)
+    space = FockSpace(modes=range(1 + 2 * spec.k_max), cap=spec.n_ph_max)
+    quads = []
+    for pos in range(len(terms)):
+        low = annihilator(space, pos)
+        quads.append(low + low.T)
+    return ed.KroneckerHamiltonian(
+        h_el=ed.build_H_el(N, symmetry, pot, spec, params.L),
+        occupation=space.total_occupation,
+        couplings=tuple(c for c, _ in terms),
+        el_mats=tuple(E for _, E in terms), quads=tuple(quads))
+
+
+def expm_ratio_energy(params, spec, beta, delta, pot=None):
+    """ratio_energy_oracle by expm_multiply: w = e^{-beta H/2} u, then
+    e^{-delta H/2} w, on the CSR rendering of build_H_eps.
+
+    <u| e^{-tH} |u> = ||e^{-tH/2} u||^2 for symmetric H.  On the CSR,
+    not the operator: on an operator expm_multiply estimates the 1-norm
+    with onenormest, which draws from numpy's global unseeded RNG.
+    """
+    H = ed.build_H_eps(1, "none", pot, params, spec).tocsr()
+    u = ed.uniform_vacuum_vector(spec, H.shape[0] // spec.n_el_basis, params.L)
+    w = scipy.sparse.linalg.expm_multiply(-(beta / 2) * H, u)
+    w_more = scipy.sparse.linalg.expm_multiply(-(delta / 2) * H, w)
+    return float(-np.log((w_more @ w_more) / (w @ w)) / delta)

@@ -9,6 +9,7 @@ electron) x (single displaced oscillator), both exactly solvable.
 import dataclasses
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+import oracles
 from polaron1d import exact_diag as ed
 from polaron1d.action import PotentialSpec
 from polaron1d.fock import FockSpace
-from polaron1d.kernels import ModelParams
+from polaron1d.kernels import ModelParams, default_k_max
 
 SEED = 71003
 
@@ -250,9 +252,12 @@ class TestKroneckerHamiltonian:
         assert H.shape == C.shape
 
     def test_interaction_terms_only_at_positive_alpha(self):
+        # the k = 0 mode, then a cosine and a sine per mode the damping keeps
         assert self.build("n1-alpha0").couplings == ()
-        assert len(self.build("n1-kmax0").couplings) == 1
-        assert len(self.build("n2-sym").couplings) == 5
+        for case in ("n1-kmax0", "n2-sym"):
+            k_max = self.CASES[case][2][1]
+            kept = min(k_max, default_k_max(2 * 0.3))
+            assert len(self.build(case).couplings) == 1 + 2 * kept
 
     @pytest.mark.parametrize("target", ["h_el", "el_mats"])
     def test_asymmetric_factor_rejected(self, target):
@@ -297,6 +302,51 @@ class TestKroneckerHamiltonian:
         np.testing.assert_allclose(res.eigenvalues[1:], 0.929464, atol=1e-6)
 
 
+class TestModeRule:
+    """Only the modes m <= default_k_max(2 eps) couple; the rest stay free."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.3])
+    @pytest.mark.parametrize("N,symmetry,sizes", [
+        (1, "none", (6, 3, 3)), (1, "none", (8, 3, 4)), (2, "symmetric", (5, 2, 2))])
+    def test_dropped_modes_leave_ground_energies(self, eps, N, symmetry, sizes):
+        params = params_for(1.0, N=N)
+        spec = ed.DiscretizationSpec(*sizes, eps)
+        H = ed.build_H_eps(N, symmetry, None, params, spec)
+        full = oracles.full_coupling_hamiltonian(N, symmetry, None, params, spec)
+        assert len(H.couplings) < len(full.couplings)
+        assert H.shape == full.shape
+        got, want = ed.ground(H, m=3), ed.ground(full, m=3)
+        # relative to ||H||: the scale at which the dense solver resolves
+        # eigenvalues, far above the dropped couplings' e^{-37} g_L
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0,
+                                   atol=1e-14 * want.norm_scale)
+
+    def test_nothing_dropped_at_small_eps(self):
+        params = params_for(1.0, N=2)
+        spec = ed.DiscretizationSpec(5, 3, 2, 0.02)
+        H = ed.build_H_eps(2, "antisymmetric", None, params, spec)
+        full = oracles.full_coupling_hamiltonian(2, "antisymmetric", None, params, spec)
+        assert len(H.couplings) == 1 + 2 * 3
+        assert H.couplings == full.couplings
+        np.testing.assert_array_equal(H.h_el, full.h_el)
+        np.testing.assert_array_equal(H.occupation, full.occupation)
+        for E, E_full, Q, Q_full in zip(H.el_mats, full.el_mats, H.quads, full.quads):
+            np.testing.assert_array_equal(E, E_full)
+            assert (Q != Q_full).nnz == 0
+
+    def test_products_hold_no_subnormals(self):
+        # at eps = 0.5 the couplings of m = 2, 3, 4 would be 8.6e-35 and
+        # below; a few products would leave subnormal entries in the state,
+        # and every product that touches them runs several times slower
+        spec = ed.DiscretizationSpec(12, 4, 4, 0.5)
+        H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
+        v = ed.uniform_vacuum_vector(spec, H.occupation.size)
+        for _ in range(30):
+            v = H @ v
+            v /= np.linalg.norm(v)
+            assert np.count_nonzero((v != 0) & (np.abs(v) < np.finfo(float).tiny)) == 0
+
+
 class TestProvenance:
     """What each solve did, in the result and on the "polaron1d" logger."""
 
@@ -310,12 +360,14 @@ class TestProvenance:
         assert (prov["dim"], prov["nnz"]) == (H.shape[0], H.nnz)
         assert (prov["solver"], prov["ncv"], prov["tol"]) == ("dense", None, None)
         assert (prov["operator"], prov["matvecs"]) == ("kronecker", 0)
+        assert prov["coupled_modes"] == len(H.couplings) == 1 + 2 * 1
         assert prov["residuals"] == res.residuals.tolist()
         assert prov["assemble_s"] >= 0.0 and prov["solve_s"] >= 0.0
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert rec.levelno == logging.INFO
         assert "operator=kronecker solver=dense" in rec.getMessage()
+        assert " nnz=%d coupled_modes=3 " % H.nnz in rec.getMessage()
         assert "matvecs=0" in rec.getMessage()
         assert logging.getLogger("polaron1d").handlers == []
 
@@ -344,11 +396,13 @@ class TestProvenance:
         assert (prov["dim"], prov["nnz"]) == (dim, H.nnz)
         assert prov["solver"] == "eigsh" and prov["ncv"] == 60 and prov["tol"] == 0.0
         assert prov["operator"] == "matrix"
+        assert prov["coupled_modes"] is None
         assert prov["matvecs"] == len(calls) > 0
         assert len(prov["residuals"]) == 2 and "assemble_s" not in prov
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert "operator=matrix solver=eigsh" in rec.getMessage()
+        assert " coupled_modes=None " in rec.getMessage()
         assert f"matvecs={len(calls)} " in rec.getMessage()
 
     def test_matvec_count_is_per_call(self):
@@ -475,3 +529,44 @@ class TestRatioOracle:
         expected = (-np.log(z_el(2.5) / z_el(2.0)) / 0.5
                     - np.log(z_b(2.5) / z_b(2.0)) / 0.5)
         assert abs(got - expected) < 1e-9
+
+    V_ONLY = PotentialSpec(V=lambda x: 0.4 * x**2 - 0.3)
+
+    @pytest.mark.parametrize("sizes,eps,alpha,beta,delta,pot", [
+        ((12, 4, 4), 0.5, 1.0, 2.0, 0.5, None),
+        ((8, 3, 3), 0.1, 1.0, 2.0, 0.5, None),
+        ((8, 3, 3), 0.05, 0.7, 1.0, 0.25, None),
+        ((10, 2, 4), 0.3, 1.5, 3.0, 1.0, V_ONLY),
+        ((6, 5, 3), 0.02, 1.0, 0.5, 0.5, None),
+    ])
+    def test_quadrature_matches_expm(self, sizes, eps, alpha, beta, delta, pot):
+        params, spec = params_for(alpha), ed.DiscretizationSpec(*sizes, eps)
+        got = ed.ratio_energy_oracle(params, spec, beta, delta, pot)
+        want = oracles.expm_ratio_energy(params, spec, beta, delta, pot)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_pinned_criterion_3_oracle(self):
+        pinned = -0.022781198768949535
+        got = ed.ratio_energy_oracle(params_for(1.0), ed.DiscretizationSpec(12, 4, 4, 0.5),
+                                     2.0, 0.5)
+        assert abs(got - pinned) <= 1e-11 * abs(pinned)
+
+    def test_unsettled_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(ed, "_LANCZOS_MAX_STEPS", 5)
+        with pytest.raises(ed.InvariantViolation) as exc:
+            ed.ratio_energy_oracle(params_for(1.0), ed.DiscretizationSpec(8, 3, 3, 0.1),
+                                   2.0, 0.5)
+        assert exc.value.name == "oracle-convergence"
+
+    def test_one_info_record(self, caplog):
+        with caplog.at_level(logging.INFO, logger="polaron1d"):
+            ed.ratio_energy_oracle(params_for(1.0), ed.DiscretizationSpec(8, 3, 3, 0.1),
+                                   2.0, 0.5)
+        [rec] = [r for r in caplog.records if r.name == "polaron1d"]
+        assert rec.levelno == logging.INFO
+        msg = rec.getMessage()
+        # eps = 0.1 keeps m = 1, 2 of k_max = 3
+        assert msg.startswith("ratio_energy_oracle dim=960 coupled_modes=5 ")
+        steps = int(re.search(r"lanczos_steps=(\d+) ", msg).group(1))
+        assert 0 < steps < ed._LANCZOS_MAX_STEPS
+        assert re.search(r"last_change=\S+ .*oracle_s=\S+$", msg)
