@@ -11,7 +11,7 @@ from .estimator import EnergyEstimate, RunConfig, energy_estimate
 from .exact_diag import DiscretizationSpec, InvariantViolation, sector_ground
 from .geometry import OrderedDomain, SpinSector
 from .kernels import ModelParams
-from .paths import RngStream, TimeGrid
+from .paths import TimeGrid
 
 __all__ = [
     "DiscretizationSpec",
@@ -19,7 +19,6 @@ __all__ = [
     "InvariantViolation",
     "ModelParams",
     "OrderedDomain",
-    "RngStream",
     "RunConfig",
     "SpinSector",
     "TimeGrid",

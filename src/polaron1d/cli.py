@@ -313,7 +313,6 @@ def _join_key(row) -> tuple:
 
 
 def cmd_compare(config: ExperimentConfig, t0: float) -> int:
-    config.require("compare")
     mc_rows = _read_rows(config.values["mc_csv"])
     diag_rows = {_join_key(r): r for r in _read_rows(config.values["diag_csv"])}
     out_rows = []

@@ -72,7 +72,7 @@ from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
 from .kernels import ModelParams, default_k_max
-from .paths import PathSample, RngStream, TimeGrid, sample_brownian
+from .paths import PathSample, TimeGrid, sample_brownian
 
 N_BATCHES = 32
 PATH_BLOCK = 4096
@@ -178,7 +178,8 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
     grid = config.grid
     if config.variant == "ratio":
         grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
-    path = sample_brownian(x0, grid, RngStream(config.seed, 2 * block_idx + 1))
+    path = sample_brownian(
+        x0, grid, np.random.default_rng([config.seed, 2 * block_idx + 1]))
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
     # alive at any horizon means alive at the shortest one, beta
     alive = (logs > -np.inf).any(axis=0)

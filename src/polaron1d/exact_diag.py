@@ -73,10 +73,10 @@ assembly always gave; it serves the dense solver (dim <= 1500).
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
 a symmetric matrix).  Each solve records its basis dimension, nnz,
-coupled quadrature modes, operator (kronecker or matrix), solver (dense
-or eigsh), ncv, tol, the products eigsh took, residuals and seconds in
-the result's provenance and sends one INFO record to the "polaron1d"
-logger; the library adds no handler.  eps = 0 is never diagonalized.
+coupled quadrature modes, solver (dense or eigsh), ncv, tol, the
+products eigsh took, residuals and seconds in the result's provenance
+and sends one INFO record to the "polaron1d" logger; the library adds
+no handler.  eps = 0 is never diagonalized.
 
 `ratio_energy_oracle` evaluates -(1/delta) log of the semigroup ratio
 <u| e^{-(beta+delta) H} |u> / <u| e^{-beta H} |u> with u = (uniform
@@ -97,7 +97,7 @@ random numbers.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from time import perf_counter
 
@@ -151,7 +151,6 @@ class SpectrumResult:
     """Certified lowest eigenpairs of a truncated Hamiltonian."""
 
     eigenvalues: np.ndarray
-    ground_vector: np.ndarray
     residuals: np.ndarray
     gap: float
     norm_scale: float
@@ -368,19 +367,17 @@ class KroneckerHamiltonian:
 
         The three kinds of term fill disjoint positions (boson-diagonal,
         and one mode-k quantum apart for each k), so the count is theirs
-        summed; a position counts when its value, computed as tocsr()
-        computes it, is nonzero.
+        summed.  A coupling term counts its positions structurally,
+        nnz(E_k) nnz(Q_k): no product c_k E_k,ij Q_k,bb' underflows to 0,
+        as build_H_eps couples only the modes the damping keeps.
         """
         n_b = self.occupation.size
         off = self.h_el != 0
         np.fill_diagonal(off, False)
         count = int(off.sum()) * n_b + int(np.count_nonzero(
             np.diag(self.h_el)[:, None] + self.occupation[None, :]))
-        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
-            e = E[E != 0]
-            q_vals, q_counts = np.unique(Q.data, return_counts=True)
-            count += sum(int(qc) * int(np.count_nonzero(c * (e * qv)))
-                         for qv, qc in zip(q_vals, q_counts))
+        for E, Q in zip(self.el_mats, self.quads):
+            count += int(np.count_nonzero(E)) * Q.nnz
         return count
 
     def inf_norm(self) -> float:
@@ -452,36 +449,25 @@ def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
         el_mats=tuple(E for _, E in terms), quads=tuple(quads))
 
 
-def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
+def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
     """Lowest-m eigenpairs with explicit residual certificates.
 
-    H is a KroneckerHamiltonian or a plain dense or sparse matrix.
     Rejects non-symmetric input; residuals must sit below 1e-8 times the
     infinity norm of H or the result is refused rather than returned.
     The gate certifies that each returned pair is an eigenpair, not that
     the pairs are the lowest m: a Lanczos solve that skips a degenerate
-    copy can pass it.  eigsh applies H through its product, so a
-    KroneckerHamiltonian is never assembled on that branch.
+    copy can pass it.  eigsh applies H through its product, so H is never
+    assembled on that branch.
 
-    The provenance of the result is the caller's dict plus dim, nnz,
-    coupled_modes (the quadrature modes with an interaction term; None for
-    a matrix), operator ("kronecker" or "matrix"), solver ("dense" or
+    The provenance of the result holds dim, nnz, coupled_modes (the
+    quadrature modes with an interaction term), solver ("dense" or
     "eigsh"), ncv and tol (None for dense; tol 0.0 is ARPACK's machine
     precision), matvecs (the products eigsh took; 0 for dense), residuals
     and solve_s, the seconds from the symmetry check to the certificate.
     """
     start = perf_counter()
-    dim = H.shape[0]
-    if isinstance(H, KroneckerHamiltonian):
-        operator, coupled = "kronecker", len(H.couplings)
-        scale, asym, nnz = H.inf_norm(), H.asymmetry(), H.nnz
-    else:
-        operator, coupled = "matrix", None
-        sparse = scipy.sparse.issparse(H)
-        H = H if sparse else np.asarray(H)
-        scale, asym = float(abs(H).sum(axis=1).max()), float(abs(H - H.T).max())
-        nnz = int(H.nnz) if sparse else int(np.count_nonzero(H))
-    scale = max(scale, 1e-300)
+    dim, coupled, nnz = H.shape[0], len(H.couplings), H.nnz
+    scale, asym = max(H.inf_norm(), 1e-300), H.asymmetry()
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: defect {asym:.3e} "
                          f"against scale {scale:.3e}")
@@ -489,9 +475,7 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
     matvecs = 0
     if dim <= 1500 or m >= dim - 1:
         solver, ncv, tol = "dense", None, None
-        matrix = H.tocsr() if operator == "kronecker" else H
-        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else matrix
-        vals, vecs = scipy.linalg.eigh(dense)
+        vals, vecs = scipy.linalg.eigh(H.tocsr().toarray())
         vals, vecs = vals[:m], vecs[:, :m]
     else:
         def apply(x):
@@ -526,18 +510,15 @@ def ground(H, m: int = 2, provenance: dict | None = None) -> SpectrumResult:
             "spectrum-residual",
             f"residuals {residuals[bad]} exceed 1e-8 * ||H|| = {1e-8 * scale:.3e}")
     gap = float(vals[1] - vals[0]) if m >= 2 else 0.0
-    prov = dict(provenance or {})
-    prov.update(dim=dim, nnz=nnz, coupled_modes=coupled, operator=operator,
-                solver=solver, ncv=ncv, tol=tol, matvecs=matvecs,
+    prov = dict(dim=dim, nnz=nnz, coupled_modes=coupled, solver=solver,
+                ncv=ncv, tol=tol, matvecs=matvecs,
                 residuals=residuals.tolist(), solve_s=perf_counter() - start)
-    logger.info("ground dim=%d nnz=%d coupled_modes=%s operator=%s solver=%s "
-                "ncv=%s tol=%s matvecs=%d m=%d E0=%r residual_max=%.3e "
-                "solve_s=%.3f", dim, nnz, coupled, operator, solver, ncv, tol,
-                matvecs, m, float(vals[0]), float(residuals.max()),
-                prov["solve_s"])
-    return SpectrumResult(
-        eigenvalues=vals, ground_vector=vecs[:, 0], residuals=residuals,
-        gap=gap, norm_scale=scale, provenance=prov)
+    logger.info("ground dim=%d nnz=%d coupled_modes=%d solver=%s ncv=%s "
+                "tol=%s matvecs=%d m=%d E0=%r residual_max=%.3e solve_s=%.3f",
+                dim, nnz, coupled, solver, ncv, tol, matvecs, m,
+                float(vals[0]), float(residuals.max()), prov["solve_s"])
+    return SpectrumResult(eigenvalues=vals, residuals=residuals, gap=gap,
+                          norm_scale=scale, provenance=prov)
 
 
 def sector_ground(N: int, symmetry: str, pot, params: ModelParams,
@@ -546,11 +527,13 @@ def sector_ground(N: int, symmetry: str, pot, params: ModelParams,
     truncation and assemble_s, the seconds spent in build_H_eps."""
     start = perf_counter()
     H = build_H_eps(N, symmetry, pot, params, spec)
-    prov = {"N": N, "symmetry": symmetry, "alpha": params.alpha,
-            "epsilon": spec.epsilon, "n_el_basis": spec.n_el_basis,
-            "k_max": spec.k_max, "n_ph_max": spec.n_ph_max, "L": params.L,
-            "assemble_s": perf_counter() - start}
-    return ground(H, m=m, provenance=prov)
+    assemble_s = perf_counter() - start
+    res = ground(H, m=m)
+    res.provenance.update(
+        N=N, symmetry=symmetry, alpha=params.alpha, epsilon=spec.epsilon,
+        n_el_basis=spec.n_el_basis, k_max=spec.k_max, n_ph_max=spec.n_ph_max,
+        L=params.L, assemble_s=assemble_s)
+    return res
 
 
 def electronic_ground(N: int, symmetry: str, pot, spec: DiscretizationSpec,
@@ -564,17 +547,18 @@ def sector_sweep(alphas, sectors, pot, params: ModelParams,
                  spec: DiscretizationSpec) -> list:
     """E_eps(alpha, S) and E_el(S) rows; enforces the theorem-level orderings.
 
+    N is params.N, and a sector that does not fit it is a ValueError.
     Raises InvariantViolation when, within the table, a sector energy
     increases with alpha (beyond solver noise), an interacting energy
     fails to sit strictly below the electronic one at alpha > 0, or the
     N = 2 symmetric sector fails to undercut the antisymmetric one.
     """
-    N = 1 if sectors == ("none",) or list(sectors) == ["none"] else 2
+    N = params.N
     rows = []
     for symmetry in sectors:
         e_el = electronic_ground(N, symmetry, pot, spec, params.L)
         for alpha in alphas:
-            p = ModelParams(alpha=float(alpha), N=N, L=params.L, beta=params.beta)
+            p = replace(params, alpha=float(alpha))
             res = sector_ground(N, symmetry, pot, p, spec)
             rows.append({"alpha": float(alpha), "sector": symmetry,
                          "e_eps": res.ground_energy, "e_el": e_el,

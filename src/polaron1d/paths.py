@@ -11,10 +11,10 @@ Stochastic integrals use the left-endpoint (Ito) convention throughout;
 the retarded action's stochastic term is an Ito integral and no other
 convention appears.
 
-Reproducibility: every sampler takes an RngStream (master seed plus
-stream index) and spawns numpy's PCG64 via default_rng([seed, index]),
-so a path batch depends only on (seed, index, grid, x0) and never on
-worker scheduling.
+Reproducibility: every sampler takes a numpy Generator; the estimator
+keys block b with [seed, 2b] (start points) and [seed, 2b + 1]
+(increments), default_rng(key) each, so a path batch depends only on its
+key, grid and x0 and never on worker scheduling.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class RngStream:
-    master_seed: int
-    stream_index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng([self.master_seed, self.stream_index])
-
-
-@dataclass(frozen=True)
 class PathSample:
     """A batch of discretized Brownian paths on a common time grid."""
 
@@ -79,11 +70,10 @@ class PathSample:
         return np.diff(self.states, axis=1)
 
 
-def sample_brownian(x0, grid: TimeGrid, stream: RngStream) -> PathSample:
+def sample_brownian(x0, grid: TimeGrid, rng: np.random.Generator) -> PathSample:
     """Paths started at x0 (shape (n_paths, N) or (N,) broadcast to one path)."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     n_paths, N = x0.shape
-    rng = stream.generator()
     dw = rng.normal(0.0, np.sqrt(grid.dt), size=(n_paths, grid.n_steps, N))
     states = np.empty((n_paths, grid.n_steps + 1, N))
     states[:, 0] = x0
@@ -92,7 +82,7 @@ def sample_brownian(x0, grid: TimeGrid, stream: RngStream) -> PathSample:
     return PathSample(states=states, grid=grid)
 
 
-def refine_midpoint(path: PathSample, stream: RngStream) -> PathSample:
+def refine_midpoint(path: PathSample, rng: np.random.Generator) -> PathSample:
     """Coupled dt/2 refinement: Brownian-bridge midpoints between grid points.
 
     Endpoint values are reused unchanged, so x_beta is identical and
@@ -102,7 +92,6 @@ def refine_midpoint(path: PathSample, stream: RngStream) -> PathSample:
     n_paths, n_nodes, N = states.shape
     n_steps = n_nodes - 1
     half_dt = path.grid.dt / 2
-    rng = stream.generator()
     mid = 0.5 * (states[:, :-1] + states[:, 1:])
     mid = mid + rng.normal(0.0, np.sqrt(half_dt / 2), size=(n_paths, n_steps, N))
     out = np.empty((n_paths, 2 * n_steps + 1, N))

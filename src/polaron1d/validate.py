@@ -28,7 +28,7 @@ from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
     uniform_ordered_points
 from .fock import FockSpace, annihilator
 from .kernels import ModelParams
-from .paths import RngStream, TimeGrid, girsanov_weight, sample_brownian
+from .paths import TimeGrid, girsanov_weight, sample_brownian
 from .spin_algebra import GridSpace, sector_ground_energy
 
 SEED = 60601
@@ -65,7 +65,8 @@ def check_geometry_survival():
     domain = OrderedDomain(SpinSector(1, 1), 1.0)
     rng = np.random.default_rng([SEED, 0])
     x0 = uniform_ordered_points(rng, n_paths, domain)
-    path = sample_brownian(x0, TimeGrid(beta, n_steps), RngStream(SEED, 1))
+    path = sample_brownian(x0, TimeGrid(beta, n_steps),
+                           np.random.default_rng([SEED, 1]))
     w = np.exp(survival_log_weights(path.states, domain, beta / n_steps))
     value = 2.0 * w.mean()
     stderr = 2.0 * w.std(ddof=1) / np.sqrt(n_paths)
@@ -99,7 +100,7 @@ def check_spin_sector_ordering():
 def check_paths_girsanov():
     """Girsanov weights for a constant drift average to one."""
     x0 = np.zeros((20000, 1))
-    path = sample_brownian(x0, TimeGrid(1.0, 64), RngStream(SEED, 2))
+    path = sample_brownian(x0, TimeGrid(1.0, 64), np.random.default_rng([SEED, 2]))
     drift = np.full(path.increments.shape, 0.7)
     w = girsanov_weight(drift, path)
     stderr = w.std(ddof=1) / np.sqrt(w.size)
@@ -112,7 +113,7 @@ def check_action_alpha_linearity():
     """S_eff is exactly linear in alpha; the eps = 0 action is >= 0."""
     x0 = uniform_ordered_points(np.random.default_rng([SEED, 3]), 256,
                                 OrderedDomain(SpinSector(2, 1), 1.0))
-    path = sample_brownian(x0, TimeGrid(1.0, 64), RngStream(SEED, 4))
+    path = sample_brownian(x0, TimeGrid(1.0, 64), np.random.default_rng([SEED, 4]))
     s_half = s_eff_decomposed(path, 0.0, ModelParams(0.5, 2, 1.0, 1.0)).s_eff
     s_unit = s_eff_decomposed(path, 0.0, ModelParams(1.0, 2, 1.0, 1.0)).s_eff
     gap = float(np.abs(s_half - 0.5 * s_unit).max())

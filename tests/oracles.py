@@ -25,7 +25,7 @@ from polaron1d.estimator import _horizons
 from polaron1d.fock import FockSpace, annihilator
 from polaron1d.geometry import survival_log_weights, uniform_ordered_points
 from polaron1d.kernels import eval_dphi, eval_phi, eval_w_series
-from polaron1d.paths import RngStream, TimeGrid, sample_brownian
+from polaron1d.paths import TimeGrid, sample_brownian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -338,7 +338,8 @@ def full_batch_block(config, block_idx, n_block):
     grid = config.grid
     if config.variant == "ratio":
         grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
-    path = sample_brownian(x0, grid, RngStream(config.seed, 2 * block_idx + 1))
+    path = sample_brownian(
+        x0, grid, np.random.default_rng([config.seed, 2 * block_idx + 1]))
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
     bd = s_eff_decomposed(path, config.eps, config.params, pot=config.pot,
                           horizons=steps)

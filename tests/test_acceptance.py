@@ -37,7 +37,6 @@ from polaron1d.geometry import (
 )
 from polaron1d.kernels import ModelParams
 from polaron1d.paths import (
-    RngStream,
     TimeGrid,
     girsanov_weight,
     refine_midpoint,
@@ -59,7 +58,7 @@ def uniform_paths(n_paths, N, beta, n_steps, stream_index, p=1):
     rng = np.random.default_rng([SEED, stream_index])
     x0 = uniform_ordered_points(rng, n_paths, domain)
     return sample_brownian(x0, TimeGrid(beta, n_steps),
-                           RngStream(SEED, stream_index + 1))
+                           np.random.default_rng([SEED, stream_index + 1]))
 
 
 def test_criterion_1_free_particle_energy():
@@ -195,7 +194,7 @@ def test_criterion_6_action_properties():
         bd = A.s_eff_decomposed(sub, 0.2, params)
         gaps.append(float(np.mean(np.abs(sd - bd.s_eff))))
         if level < 3:
-            sub = refine_midpoint(sub, RngStream(SEED, 70 + level))
+            sub = refine_midpoint(sub, np.random.default_rng([SEED, 70 + level]))
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
     assert np.all(orders >= 0.4)
 
@@ -353,7 +352,7 @@ def test_criterion_8_fock_suite():
 
 def test_criterion_9_statistical_sanity():
     path = sample_brownian(np.zeros((100000, 1)), TimeGrid(1.0, 128),
-                           RngStream(SEED, 90))
+                           np.random.default_rng([SEED, 90]))
     drift = np.full(path.increments.shape, 0.7)
     w = girsanov_weight(drift, path)
     stderr = float(w.std(ddof=1) / np.sqrt(w.size))
@@ -365,7 +364,7 @@ def test_criterion_9_statistical_sanity():
     rng = np.random.default_rng([SEED, 92])
     x0 = uniform_ordered_points(rng, n_paths, domain)
     states = sample_brownian(x0, TimeGrid(beta, n_steps),
-                             RngStream(SEED, 93)).states
+                             np.random.default_rng([SEED, 93])).states
     surv = np.exp(survival_log_weights(states, domain, beta / n_steps))
     value = domain.volume * float(surv.mean())
     stderr_s = domain.volume * float(surv.std(ddof=1) / np.sqrt(n_paths))

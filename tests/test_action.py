@@ -14,7 +14,6 @@ from polaron1d.kernels import (
 )
 from polaron1d.paths import (
     PathSample,
-    RngStream,
     TimeGrid,
     ito_integral,
     refine_midpoint,
@@ -35,9 +34,12 @@ SEED = 52901
 
 
 def make_paths(n_paths, N, beta=2.0, n_steps=128, stream_index=0, L=1.0):
-    stream = RngStream(SEED, stream_index)
-    x0 = stream.generator().uniform(-L, L, size=(n_paths, N))
-    return sample_brownian(x0, TimeGrid(beta, n_steps), stream)
+    # the start points and the increments both come from the start of
+    # the key's stream
+    x0 = np.random.default_rng([SEED, stream_index]).uniform(
+        -L, L, size=(n_paths, N))
+    return sample_brownian(x0, TimeGrid(beta, n_steps),
+                           np.random.default_rng([SEED, stream_index]))
 
 
 def static_path(xs, beta=2.0, n_steps=32):
@@ -75,7 +77,7 @@ class TestSEl:
             u = pot.total(path.states)
             trap = -np.trapezoid(u, dx=path.grid.dt, axis=1)
             errs.append(np.max(np.abs(A.s_el(path, pot) - trap)))
-            path = refine_midpoint(path, RngStream(SEED, 100 + level))
+            path = refine_midpoint(path, np.random.default_rng([SEED, 100 + level]))
         # left-endpoint vs trapezoid gap is O(dt)
         assert errs[2] < errs[0]
 
@@ -243,7 +245,8 @@ class TestHorizonRows:
         # m = 0 term, is far smaller)
         domain = OrderedDomain(SpinSector(N, p))
         x0 = uniform_ordered_points(np.random.default_rng([SEED, p]), 200, domain)
-        path = sample_brownian(x0, TimeGrid(beta, horizons[0]), RngStream(SEED, 40 + p))
+        path = sample_brownian(x0, TimeGrid(beta, horizons[0]),
+                               np.random.default_rng([SEED, 40 + p]))
         params = ModelParams(alpha=1.0, N=N, beta=beta)
         rows = A.s_eff_decomposed(path, eps, params, horizons=horizons)
         drift, X, Z = A._mode_table_terms(path, eps, params, 8, horizons)
@@ -470,7 +473,7 @@ class TestDirectVsDecomposed:
             bd = A.s_eff_decomposed(path, 0.2, params)
             gaps.append(np.mean(np.abs(sd - bd.s_eff)))
             if level < 3:
-                path = refine_midpoint(path, RngStream(SEED, 200 + level))
+                path = refine_midpoint(path, np.random.default_rng([SEED, 200 + level]))
         orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
         assert np.all(orders >= 0.4)
         assert gaps[-1] < gaps[0]
@@ -611,7 +614,7 @@ class TestThetaIntegrals:
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         path = make_paths(200, 2, n_steps=64, stream_index=15)
         th = A.theta_integrals(path, 0.0, params, mode_count=16)
-        fine = refine_midpoint(path, RngStream(SEED, 300))
+        fine = refine_midpoint(path, np.random.default_rng([SEED, 300]))
         th_fine = A.theta_integrals(fine, 0.0, params, mode_count=16)
         coarse_gap = np.mean(np.abs(th.discrepancy))
         fine_gap = np.mean(np.abs(th_fine.discrepancy))

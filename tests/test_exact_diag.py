@@ -30,6 +30,12 @@ def params_for(alpha, N=1, beta=2.0):
     return ModelParams(alpha=alpha, N=N, L=1.0, beta=beta)
 
 
+def one_boson_state(M):
+    """M as a KroneckerHamiltonian: electronic factor M, one boson state."""
+    return ed.KroneckerHamiltonian(h_el=np.asarray(M, dtype=float),
+                                   occupation=np.zeros(1))
+
+
 def count_eigsh_products(monkeypatch):
     """Route scipy's eigsh through an operator that records each product."""
     calls = []
@@ -182,7 +188,7 @@ class TestBuildHeps:
 
 class TestGround:
     def test_rejects_asymmetric(self):
-        H = np.array([[1.0, 2.0], [0.0, 3.0]])
+        H = one_boson_state([[1.0, 2.0], [0.0, 3.0]])
         with pytest.raises(ValueError, match="symmetric"):
             ed.ground(H)
 
@@ -193,17 +199,8 @@ class TestGround:
         assert np.all(res.residuals <= 1e-8 * res.norm_scale)
         assert np.all(np.diff(res.eigenvalues) >= -1e-12)
 
-    def test_sparse_path_matches_dense(self):
-        # dim 2640 forces the Lanczos branch; dense eigh is the oracle
-        spec = ed.DiscretizationSpec(8, 3, 4, 0.5)
-        H = ed.build_H_eps(1, "none", None, params_for(1.0), spec).tocsr()
-        assert H.shape[0] > 1500
-        res_sparse = ed.ground(H, m=3)
-        dense = scipy.linalg.eigh(H.toarray(), eigvals_only=True)[:3]
-        np.testing.assert_allclose(res_sparse.eigenvalues, dense, atol=1e-9)
-
     def test_m_clamped_to_dimension(self):
-        H = np.diag([1.0, 2.0])
+        H = one_boson_state(np.diag([1.0, 2.0]))
         res = ed.ground(H, m=5)
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], atol=1e-14)
 
@@ -213,23 +210,28 @@ class TestKroneckerHamiltonian:
 
     V_AND_W = PotentialSpec(V=lambda x: 0.4 * x**2 - 0.3,
                             W=lambda r: 0.2 * np.cos(np.pi * r))
+    # (N, symmetry, sizes, eps, alpha, pot); the two eps = 0.5 shapes are
+    # benchmark shapes whose E_k hold parity and sinc zeros as rounding
+    # residue, which the structural nnz must count as tocsr() stores them
     CASES = {
-        "n1": (1, "none", (6, 2, 3), 1.0, None),
-        "n1-alpha0": (1, "none", (5, 2, 3), 0.0, None),
-        "n1-kmax0": (1, "none", (6, 0, 4), 1.0, None),
-        "n1-V": (1, "none", (6, 2, 3), 0.6, V_AND_W),
-        "n2-sym": (2, "symmetric", (5, 2, 2), 0.8, None),
-        "n2-sym-kmax0": (2, "symmetric", (4, 0, 3), 1.0, None),
-        "n2-anti": (2, "antisymmetric", (5, 2, 2), 0.8, None),
-        "n2-anti-alpha0": (2, "antisymmetric", (5, 1, 2), 0.0, V_AND_W),
-        "n2-anti-VW": (2, "antisymmetric", (5, 1, 2), 0.7, V_AND_W),
+        "n1": (1, "none", (6, 2, 3), 0.3, 1.0, None),
+        "n1-alpha0": (1, "none", (5, 2, 3), 0.3, 0.0, None),
+        "n1-kmax0": (1, "none", (6, 0, 4), 0.3, 1.0, None),
+        "n1-V": (1, "none", (6, 2, 3), 0.3, 0.6, V_AND_W),
+        "n1-eps0.5": (1, "none", (6, 5, 3), 0.5, 1.0, None),
+        "n2-sym": (2, "symmetric", (5, 2, 2), 0.3, 0.8, None),
+        "n2-sym-kmax0": (2, "symmetric", (4, 0, 3), 0.3, 1.0, None),
+        "n2-sym-eps0.5": (2, "symmetric", (10, 4, 4), 0.5, 1.0, None),
+        "n2-anti": (2, "antisymmetric", (5, 2, 2), 0.3, 0.8, None),
+        "n2-anti-alpha0": (2, "antisymmetric", (5, 1, 2), 0.3, 0.0, V_AND_W),
+        "n2-anti-VW": (2, "antisymmetric", (5, 1, 2), 0.3, 0.7, V_AND_W),
     }
 
     @staticmethod
     def build(case):
-        N, symmetry, sizes, alpha, pot = TestKroneckerHamiltonian.CASES[case]
+        N, symmetry, sizes, eps, alpha, pot = TestKroneckerHamiltonian.CASES[case]
         return ed.build_H_eps(N, symmetry, pot, params_for(alpha, N=N),
-                              ed.DiscretizationSpec(*sizes, 0.3))
+                              ed.DiscretizationSpec(*sizes, eps))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_product_matches_csr(self, case):
@@ -255,8 +257,8 @@ class TestKroneckerHamiltonian:
         # the k = 0 mode, then a cosine and a sine per mode the damping keeps
         assert self.build("n1-alpha0").couplings == ()
         for case in ("n1-kmax0", "n2-sym"):
-            k_max = self.CASES[case][2][1]
-            kept = min(k_max, default_k_max(2 * 0.3))
+            _, _, sizes, eps, *_ = self.CASES[case]
+            kept = min(sizes[1], default_k_max(2 * eps))
             assert len(self.build(case).couplings) == 1 + 2 * kept
 
     @pytest.mark.parametrize("target", ["h_el", "el_mats"])
@@ -287,7 +289,7 @@ class TestKroneckerHamiltonian:
         res = ed.sector_ground(2, "antisymmetric", None, params_for(1.0, N=2), spec)
         prov = res.provenance
         assert prov["dim"] > 1500
-        assert (prov["operator"], prov["solver"]) == ("kronecker", "eigsh")
+        assert prov["solver"] == "eigsh"
         assert np.all(res.residuals <= 1e-8 * res.norm_scale)
 
     def test_operator_lanczos_matches_dense(self):
@@ -296,7 +298,6 @@ class TestKroneckerHamiltonian:
         H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
         assert H.shape[0] > 1500
         res = ed.ground(H, m=3)
-        assert res.provenance["operator"] == "kronecker"
         dense = scipy.linalg.eigh(H.tocsr().toarray(), eigvals_only=True)[:3]
         np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-9)
         np.testing.assert_allclose(res.eigenvalues[1:], 0.929464, atol=1e-6)
@@ -359,14 +360,14 @@ class TestProvenance:
         assert prov["N"] == 1 and prov["k_max"] == 2
         assert (prov["dim"], prov["nnz"]) == (H.shape[0], H.nnz)
         assert (prov["solver"], prov["ncv"], prov["tol"]) == ("dense", None, None)
-        assert (prov["operator"], prov["matvecs"]) == ("kronecker", 0)
+        assert prov["matvecs"] == 0
         assert prov["coupled_modes"] == len(H.couplings) == 1 + 2 * 1
         assert prov["residuals"] == res.residuals.tolist()
         assert prov["assemble_s"] >= 0.0 and prov["solve_s"] >= 0.0
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert rec.levelno == logging.INFO
-        assert "operator=kronecker solver=dense" in rec.getMessage()
+        assert " solver=dense " in rec.getMessage()
         assert " nnz=%d coupled_modes=3 " % H.nnz in rec.getMessage()
         assert "matvecs=0" in rec.getMessage()
         assert logging.getLogger("polaron1d").handlers == []
@@ -377,37 +378,39 @@ class TestProvenance:
         with caplog.at_level(logging.INFO, logger="polaron1d"):
             res = ed.sector_ground(1, "none", None, params_for(1.0), spec, m=3)
         prov = res.provenance
-        assert (prov["operator"], prov["solver"]) == ("kronecker", "eigsh")
+        assert prov["solver"] == "eigsh"
         assert prov["matvecs"] == len(calls) > 0
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
-        assert "operator=kronecker solver=eigsh" in rec.getMessage()
+        assert " solver=eigsh " in rec.getMessage()
         assert f"matvecs={len(calls)} " in rec.getMessage()
 
     def test_lanczos_solve(self, monkeypatch, caplog):
+        # tridiagonal: diagonal sqrt(j), off-diagonal 0.01, as one coupling
+        # of a single electronic state to a chain of boson states
         calls = count_eigsh_products(monkeypatch)
         dim = 2000
-        H = scipy.sparse.diags(
-            [np.full(dim - 1, 0.01), np.sqrt(np.arange(dim, dtype=float)),
-             np.full(dim - 1, 0.01)], [-1, 0, 1], format="csr")
+        ones = np.ones(dim - 1)
+        H = ed.KroneckerHamiltonian(
+            h_el=np.zeros((1, 1)), occupation=np.sqrt(np.arange(dim, dtype=float)),
+            couplings=(0.01,), el_mats=(np.ones((1, 1)),),
+            quads=(scipy.sparse.diags([ones, ones], [-1, 1], format="csr"),))
         with caplog.at_level(logging.INFO, logger="polaron1d"):
-            res = ed.ground(H, m=2, provenance={"label": "tridiagonal"})
+            res = ed.ground(H, m=2)
         prov = res.provenance
-        assert prov["label"] == "tridiagonal"
-        assert (prov["dim"], prov["nnz"]) == (dim, H.nnz)
+        assert (prov["dim"], prov["nnz"]) == (dim, 3 * dim - 3)
         assert prov["solver"] == "eigsh" and prov["ncv"] == 60 and prov["tol"] == 0.0
-        assert prov["operator"] == "matrix"
-        assert prov["coupled_modes"] is None
+        assert prov["coupled_modes"] == 1
         assert prov["matvecs"] == len(calls) > 0
         assert len(prov["residuals"]) == 2 and "assemble_s" not in prov
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
-        assert "operator=matrix solver=eigsh" in rec.getMessage()
-        assert " coupled_modes=None " in rec.getMessage()
+        assert " coupled_modes=1 solver=eigsh " in rec.getMessage()
         assert f"matvecs={len(calls)} " in rec.getMessage()
 
     def test_matvec_count_is_per_call(self):
         dim = 2000
-        H = scipy.sparse.diags(np.arange(dim, dtype=float), format="csr")
+        H = ed.KroneckerHamiltonian(h_el=np.zeros((1, 1)),
+                                    occupation=np.arange(dim, dtype=float))
         first = ed.ground(H, m=2).provenance["matvecs"]
         assert ed.ground(H, m=2).provenance["matvecs"] == first > 0
 
@@ -436,8 +439,7 @@ class TestSectorSweep:
             calls["n"] += 1
             fake = 1.0 + params.alpha  # energy rising with coupling
             return ed.SpectrumResult(
-                eigenvalues=np.array([fake, fake + 1]),
-                ground_vector=np.zeros(2), residuals=np.zeros(2),
+                eigenvalues=np.array([fake, fake + 1]), residuals=np.zeros(2),
                 gap=1.0, norm_scale=1.0)
 
         monkeypatch.setattr(ed, "sector_ground", rigged)
@@ -447,6 +449,15 @@ class TestSectorSweep:
             ed.sector_sweep([0.0, 1.0], ("none",), None, params_for(1.0),
                             ed.DiscretizationSpec(4, 1, 1, 0.5))
         assert exc.value.name == "alpha-monotonicity"
+
+    def test_sector_must_fit_params_n(self):
+        # N comes from params.N: the N = 1 label at N = 2 is refused, not
+        # solved as N = 1
+        spec = ed.DiscretizationSpec(4, 1, 1, 0.5)
+        with pytest.raises(ValueError, match="N = 2"):
+            ed.sector_sweep([0.0, 1.0], ("none",), None, params_for(1.0, N=2), spec)
+        with pytest.raises(ValueError, match="N = 1"):
+            ed.sector_sweep([1.0], ("symmetric",), None, params_for(1.0), spec)
 
 
 class TestTruncationBudget:

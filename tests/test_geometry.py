@@ -12,6 +12,11 @@ from oracles import full_survival_log_weights
 SEED = 31901
 
 
+def generator(index):
+    """A fresh numpy Generator on the key [SEED, index]."""
+    return np.random.default_rng([SEED, index])
+
+
 def dirichlet_survival(beta, L=1.0, n_terms=40):
     """Interval Dirichlet heat content over box volume, eigenfunction series."""
     n = np.arange(1, 2 * n_terms, 2)
@@ -105,7 +110,7 @@ class TestSurvivalWeight:
         rng = np.random.default_rng(SEED + 2)
         d = G.OrderedDomain(G.SpinSector(2, 1), 1.0)
         grid = P.TimeGrid(1.0, 30)
-        path = P.sample_brownian(rng.uniform(-0.5, 0.5, (200, 2)), grid, P.RngStream(SEED, 3))
+        path = P.sample_brownian(rng.uniform(-0.5, 0.5, (200, 2)), grid, generator(3))
         logw = G.survival_log_weights(path.states, d, grid.dt)
         assert np.all(logw <= 0.0)
 
@@ -120,7 +125,7 @@ class TestSurvivalWeight:
         survived = 0
         for b in range(n_blocks):
             x0 = G.uniform_ordered_points(rng, n_paths // n_blocks, d)
-            path = P.sample_brownian(x0, grid, P.RngStream(SEED, 5 + b))
+            path = P.sample_brownian(x0, grid, generator(5 + b))
             survived += int(np.sum(np.all(G.contains(d, path.states), axis=1)))
         crude = survived / n_paths
         sigma = np.sqrt(exact * (1 - exact) / n_paths)
@@ -135,7 +140,7 @@ class TestSurvivalWeight:
         grid = P.TimeGrid(1.0, n_steps)
         rng = np.random.default_rng([SEED, 6])
         x0 = G.uniform_ordered_points(rng, n_paths, d)
-        path = P.sample_brownian(x0, grid, P.RngStream(SEED, 7))
+        path = P.sample_brownian(x0, grid, generator(7))
         crude = float(np.mean(np.all(G.contains(d, path.states), axis=1)))
         logw = G.survival_log_weights(path.states, d, grid.dt)
         bridge = float(np.mean(np.exp(logw)))
@@ -150,7 +155,7 @@ class TestSurvivalHorizonRows:
         grid = P.TimeGrid(1.0, 40)
         rng = np.random.default_rng([SEED, 8])
         x0 = G.uniform_ordered_points(rng, 400, d)
-        states = P.sample_brownian(x0, grid, P.RngStream(SEED, 9)).states
+        states = P.sample_brownian(x0, grid, generator(9)).states
         horizons = (40, 27, 1)
         rows = G.survival_log_weights(states, d, grid.dt, horizons=horizons)
         assert rows.shape == (3, 400)
@@ -186,7 +191,7 @@ def mixed_block(N, p, n_paths=200, n_steps=32, key=12):
     rng = np.random.default_rng([SEED, key, N, p])
     x0 = np.concatenate([G.uniform_ordered_points(rng, n_paths // 2, d),
                          rng.uniform(-1.05, 1.05, size=(n_paths - n_paths // 2, N))])
-    return d, grid, P.sample_brownian(x0, grid, P.RngStream(SEED, key + 1)).states
+    return d, grid, P.sample_brownian(x0, grid, generator(key + 1)).states
 
 
 class TestSurvivalAgreesWithContains:
