@@ -11,7 +11,12 @@ e^{ikx} have the closed form (u = (x+L)/(2L), c = 2kL)
     I(a, c) = (J(c + a pi) + J(c - a pi)) / 2,
     J(b) = int_0^1 e^{ibu} du = e^{ib/2} sinc(b / (2 pi)),
 
-numerically clean at b = 0 through sinc.
+numerically clean at b = 0 through sinc.  On the interaction lattice
+k = 2 pi m / L below, c = 4 pi m and e^{-ikL} = 1, so the elements obey
+selection rules: <a| cos kx |b> vanishes unless |a - b| = 4m or
+a + b = 4m, and <a| sin kx |b> unless a + b is odd.  The closed form
+leaves rounding residue of up to about 1e-15 where they vanish;
+`_interaction_blocks` stores exact zeros there.
 
 Phonons: the interaction lattice is k = 2 pi m / L (the lattice on which
 the pair kernel's mode series lives), one vertex factor sqrt(g_L)
@@ -29,17 +34,21 @@ real symmetric.  The phonon space carries a total-occupation cap
 assembled sparsely here because the quadrature dimensions outgrow dense
 storage.
 
-Every mode m <= k_max is in the Fock space, but only the modes
-m <= kernels.default_k_max(2 eps, L) couple: the rule the Monte Carlo
-action's mode series already follows.  A dropped mode has
-e^{-2 eps k^2} < e^{-37}, so it moves an energy by at most about
-g_L e^{-37} ~ 1e-16.  Its coupling would be worse than useless: at
-eps = 0.5 the couplings of m = 2, 3, 4 are 8.6e-35, 1.2e-77 and
-1.2e-137, and a few products leave subnormal entries in the state (353
-of 8580 at (12,4,4) after 30 power steps), on which one product took
-1.36 ms against 0.144 ms on a normal vector (2 cores).  The dropped
-modes stay free oscillators, so the dimension, the degenerate copies
-and the gaps do not change.
+The Fock space holds the k = 0 mode and the cosine and sine of
+m = 1..K, K = min(k_max, kernels.damped_mode_count(2 eps, L)): the modes
+with e^{-2 eps k^2} >= e^{-37}, the rule the Monte Carlo action's mode
+series follows without its floor of one mode.  k_max is a ceiling.  A
+dropped mode would move an energy by at most about g_L e^{-37} ~ 1e-16
+through its coupling, and uncoupled it is a free oscillator: H is then
+block-diagonal in the dropped modes' occupations, the block with them
+empty is the H built here, and a block with j dropped quanta has lowest
+level E_0(cap - j) + j > E_0.  So the ground energy and the ratio
+oracle (whose reference vector lies in the empty block) are those of
+the space with every mode m <= k_max.  The dimension and the levels
+past the first are not: this space lacks the copies E_i(cap - j) + j,
+so its gap is larger wherever one of them would be the lowest
+excitation.  At eps = 0.5, L = 1 only k = 0 is left: the (10,4,4)
+N = 2 symmetric sector has dim 275.
 
 For N = 2 the spin sector enters through the spatial exchange symmetry:
 S = 0 pairs with symmetric orbitals, S = 1 with antisymmetric ones.
@@ -60,8 +69,9 @@ sparse product with the interleaved Q_k.  The dense products call
 scipy's dgemm rather than numpy's `@`: numpy and scipy each bundle their
 own OpenBLAS with its own thread pool, and scipy's is the one ARPACK
 already drives.  With numpy's products inside the Lanczos loop the two
-pools contend for the cores: a (10,4,4) N = 2 symmetric solve took
-6.3-6.9 s that way on 2 cores, against 1.4-2.0 s with dgemm.
+pools contend for the cores: a (10,4,4) N = 2 symmetric solve with
+every mode m <= 4 in the space (dim 39 325) took 6.3-6.9 s that way on
+2 cores, against 1.4-2.0 s with dgemm.
 ||H||_inf and the symmetry defect come from the factors and are exact
 up to summation order: h_el (x) 1 and 1 (x) diag(n) fill only
 boson-diagonal positions, and each E_k (x) Q_k only positions one mode-k
@@ -108,12 +118,13 @@ import scipy.sparse.linalg
 from scipy.linalg.blas import dgemm
 
 from .fock import FockSpace, annihilator
-from .kernels import ModelParams, default_k_max
+from .kernels import ModelParams, damped_mode_count
 
 logger = logging.getLogger("polaron1d")
 
 # Lanczos steps ratio_energy_oracle may take before it refuses to answer;
-# the (12, 4, 4) oracle at eps = 0.5 settles in 48.
+# the (12, 4, 4) oracle at eps = 0.5 reaches breakdown, an invariant
+# Krylov space, after 30.
 _LANCZOS_MAX_STEPS = 400
 
 
@@ -127,7 +138,12 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    """Truncation sizes: sine modes, phonon momentum index cap, occupation cap."""
+    """Truncation sizes: sine modes, phonon momentum index cap, occupation cap.
+
+    k_max is a ceiling: build_H_eps keeps the modes m <= k_max whose
+    damping e^{-2 eps k^2} is at least e^{-37}, so past
+    kernels.damped_mode_count(2 eps, L) a larger k_max changes nothing.
+    """
 
     n_el_basis: int
     k_max: int
@@ -275,13 +291,16 @@ def _interaction_blocks(N: int, symmetry: str, spec: DiscretizationSpec,
     """(coupling, electronic matrix) per quadrature mode up to m = n_modes.
 
     In mode order: the k = 0 mode, then the cosine and the sine of
-    k = 2 pi m / L for m = 1..n_modes.
+    k = 2 pi m / L for m = 1..n_modes.  Entries the selection rules zero
+    (module docstring) are exact zeros.
     """
     n = spec.n_el_basis
     L = params.L
     root_g = np.sqrt(params.g_L)
     T = pair_basis_isometry(n, symmetry) if N == 2 else None
     eye = np.eye(n)
+    a = np.arange(1, n + 1)
+    summ, diff = a[:, None] + a[None, :], np.abs(a[:, None] - a[None, :])
 
     def lift(A):
         if N == 1:
@@ -293,8 +312,8 @@ def _interaction_blocks(N: int, symmetry: str, spec: DiscretizationSpec,
         k = 2 * np.pi * m / L
         damp = np.exp(-spec.epsilon * k**2)
         ek = sine_exp_elements(k, n, L)
-        cos_m = np.ascontiguousarray(ek.real)
-        sin_m = np.ascontiguousarray(ek.imag)
+        cos_m = np.where((diff == 4 * m) | (summ == 4 * m), ek.real, 0.0)
+        sin_m = np.where(summ % 2 == 1, ek.imag, 0.0)
         blocks.append((np.sqrt(2) * root_g * damp, lift(cos_m)))
         blocks.append((-np.sqrt(2) * root_g * damp, lift(sin_m)))
     return blocks
@@ -369,7 +388,8 @@ class KroneckerHamiltonian:
         and one mode-k quantum apart for each k), so the count is theirs
         summed.  A coupling term counts its positions structurally,
         nnz(E_k) nnz(Q_k): no product c_k E_k,ij Q_k,bb' underflows to 0,
-        as build_H_eps couples only the modes the damping keeps.
+        as build_H_eps keeps only the modes the damping keeps, and the
+        selection-rule zeros of E_k are exact.
         """
         n_b = self.occupation.size
         off = self.h_el != 0
@@ -422,22 +442,28 @@ class KroneckerHamiltonian:
         return H.tocsr()
 
 
+def kept_modes(params: ModelParams, spec: DiscretizationSpec) -> int:
+    """Positive modes m in the Fock space: min(k_max, damped_mode_count(2 eps, L))."""
+    return min(spec.k_max, damped_mode_count(2 * spec.epsilon, params.L))
+
+
 def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
                 spec: DiscretizationSpec) -> KroneckerHamiltonian:
     """Full cutoff Hamiltonian H_el + N_ph + interaction, as its factors.
 
-    Every mode m <= spec.k_max is in the Fock space; only the modes
-    m <= default_k_max(2 eps, L) couple, the rest stay free oscillators.
+    The Fock space holds the k = 0 mode and the cosine and sine of the
+    modes m <= kept_modes(params, spec), all coupled at alpha > 0; the
+    modes up to spec.k_max past those are damped below e^{-37} and left
+    out (module docstring).
     """
     _check_sector(N, symmetry)
-    k = 2 * np.pi * np.arange(1, spec.k_max + 1) / params.L
+    n_modes = kept_modes(params, spec)
+    k = 2 * np.pi * np.arange(1, n_modes + 1) / params.L
     space = FockSpace(modes=(0.0, *np.column_stack([k, -k]).ravel()),
                       cap=spec.n_ph_max)
     terms = ()
     if params.alpha > 0:
-        terms = _interaction_blocks(
-            N, symmetry, spec, params,
-            min(spec.k_max, default_k_max(2 * spec.epsilon, params.L)))
+        terms = _interaction_blocks(N, symmetry, spec, params, n_modes)
     quads = []
     for pos in range(len(terms)):
         low = annihilator(space, pos)
@@ -524,7 +550,8 @@ def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
 def sector_ground(N: int, symmetry: str, pot, params: ModelParams,
                   spec: DiscretizationSpec, m: int = 2) -> SpectrumResult:
     """ground of the sector Hamiltonian; provenance adds the model, the
-    truncation and assemble_s, the seconds spent in build_H_eps."""
+    truncation, boson_modes (the quadrature modes in the Fock space,
+    1 + 2 kept_modes) and assemble_s, the seconds spent in build_H_eps."""
     start = perf_counter()
     H = build_H_eps(N, symmetry, pot, params, spec)
     assemble_s = perf_counter() - start
@@ -532,7 +559,8 @@ def sector_ground(N: int, symmetry: str, pot, params: ModelParams,
     res.provenance.update(
         N=N, symmetry=symmetry, alpha=params.alpha, epsilon=spec.epsilon,
         n_el_basis=spec.n_el_basis, k_max=spec.k_max, n_ph_max=spec.n_ph_max,
-        L=params.L, assemble_s=assemble_s)
+        L=params.L, boson_modes=1 + 2 * kept_modes(params, spec),
+        assemble_s=assemble_s)
     return res
 
 

@@ -89,20 +89,31 @@ class ModelParams:
         return SQRT2 * self.alpha / self.L
 
 
+def damped_mode_count(eps: float, L: float = 1.0) -> int:
+    """Positive modes of the 2*pi/L lattice whose damping is >= e^{-37}.
+
+    The largest m >= 0 with exp(-eps (2*pi*m/L)^2) >= e^{-37} (~8.5e-17),
+    floor(L sqrt(37/eps) / 2 pi), so every mode past it is damped below
+    e^{-37} relative to the m = 0 term.  0 when the damping leaves only
+    m = 0, e.g. at eps = 1, L = 1.  Needs eps > 0.
+    """
+    if eps <= 0:
+        raise ValueError(f"damped_mode_count needs eps > 0, got {eps}")
+    return int(L * np.sqrt(37.0 / eps) / (2 * np.pi))
+
+
 def default_k_max(eps: float, L: float = 1.0) -> int:
     """Mode count at which the Gaussian damping leaves no tail above ~1e-16.
 
     k_max counts retained positive modes of the 2*pi/L lattice; the
-    retained set is {2*pi*m/L : |m| <= k_max}.  For eps > 0 this is the
-    largest m >= 1 with exp(-eps (2*pi*m/L)^2) >= e^{-37} (~8.5e-17), so
-    every dropped mode is damped below e^{-37} relative to the m = 0 term:
-    max(1, floor(L sqrt(37/eps) / 2 pi)).  The floor of 1 keeps the
-    series non-empty at strong damping.  eps = 0 paths use closed forms,
-    not the series.
+    retained set is {2*pi*m/L : |m| <= k_max}.  For eps > 0 this is
+    max(1, damped_mode_count(eps, L)): the floor of 1 keeps the series
+    non-empty at strong damping.  eps = 0 paths use closed forms, not
+    the series.
     """
     if eps <= 0:
         return 64
-    return max(1, int(L * np.sqrt(37.0 / eps) / (2 * np.pi)))
+    return max(1, damped_mode_count(eps, L))
 
 
 def _resolve_k_max(k_max: int | None, eps: float, L: float) -> int:

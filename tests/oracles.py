@@ -11,9 +11,10 @@ which evaluate the package's kernels on pair differences or one time
 step at a time.  `theta_two_pass` evaluates theta and theta_tilde in two
 passes, one on the path and one on its time reversal, with one complex
 exponential per mode.  `full_coupling_hamiltonian` assembles the ED
-Hamiltonian from the package's blocks with every mode coupled, however
-damped, and `expm_ratio_energy` propagates the ratio oracle's reference
-vector with `expm_multiply` on the CSR rendering.
+Hamiltonian from the package's blocks with every mode m <= k_max in the
+Fock space and coupled, however damped, and `expm_ratio_energy`
+propagates the ratio oracle's reference vector with `expm_multiply` on
+the CSR rendering of a given Hamiltonian.
 """
 
 import numpy as np
@@ -483,7 +484,7 @@ def theta_two_pass(path, eps, params, mode_count=64):
 
 
 def full_coupling_hamiltonian(N, symmetry, pot, params, spec):
-    """build_H_eps with every mode m <= spec.k_max coupled, however damped."""
+    """build_H_eps with every mode m <= spec.k_max in the space and coupled."""
     terms = ()
     if params.alpha > 0:
         terms = ed._interaction_blocks(N, symmetry, spec, params, spec.k_max)
@@ -499,16 +500,16 @@ def full_coupling_hamiltonian(N, symmetry, pot, params, spec):
         el_mats=tuple(E for _, E in terms), quads=tuple(quads))
 
 
-def expm_ratio_energy(params, spec, beta, delta, pot=None):
+def expm_ratio_energy(H, spec, beta, delta, L=1.0):
     """ratio_energy_oracle by expm_multiply: w = e^{-beta H/2} u, then
-    e^{-delta H/2} w, on the CSR rendering of build_H_eps.
+    e^{-delta H/2} w, on the CSR rendering of the N = 1 KroneckerHamiltonian H.
 
     <u| e^{-tH} |u> = ||e^{-tH/2} u||^2 for symmetric H.  On the CSR,
     not the operator: on an operator expm_multiply estimates the 1-norm
     with onenormest, which draws from numpy's global unseeded RNG.
     """
-    H = ed.build_H_eps(1, "none", pot, params, spec).tocsr()
-    u = ed.uniform_vacuum_vector(spec, H.shape[0] // spec.n_el_basis, params.L)
+    u = ed.uniform_vacuum_vector(spec, H.occupation.size, L)
+    H = H.tocsr()
     w = scipy.sparse.linalg.expm_multiply(-(beta / 2) * H, u)
     w_more = scipy.sparse.linalg.expm_multiply(-(delta / 2) * H, w)
     return float(-np.log((w_more @ w_more) / (w @ w)) / delta)

@@ -2,8 +2,12 @@
 
 The strongest checks exploit that at eps = 0.5, L = 1 the interaction
 lattice k = 2 pi m / L is damped to e^{-eps k^2} ~ 3e-9 per vertex for
-every nonzero mode, so the model separates numerically into (Dirichlet
-electron) x (single displaced oscillator), both exactly solvable.
+every nonzero mode, so the Fock space keeps only the k = 0 mode and the
+model is (Dirichlet electron) x (single displaced oscillator), both
+exactly solvable.  Shapes that must reach the eigsh branch (dim > 1500)
+run at eps = 0.05, where m = 1..3 stay in the space.  The ground energy
+and the ratio oracle are held against `oracles.full_coupling_hamiltonian`,
+the space with every mode m <= k_max in it and coupled.
 """
 
 import dataclasses
@@ -136,10 +140,13 @@ class TestBuildHel:
 
 class TestBuildHeps:
     def test_dimension_formula(self):
-        spec = ed.DiscretizationSpec(12, 4, 4, 0.5)
-        H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
+        # 1 + 2 K quadrature modes, K = min(k_max, damped_mode_count(2 eps)):
+        # K = 0 at eps = 0.5, K = 3 of k_max = 4 at eps = 0.05
         from math import comb
-        assert H.shape[0] == 12 * comb(4 + 9, 9) == 8580
+        for eps, modes, dim in [(0.5, 1, 60), (0.05, 7, 3960)]:
+            spec = ed.DiscretizationSpec(12, 4, 4, eps)
+            H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
+            assert H.shape[0] == 12 * comb(4 + modes, modes) == dim
 
     @pytest.mark.parametrize("N,symmetry", [(1, "none"), (2, "symmetric"),
                                             (2, "antisymmetric")])
@@ -154,7 +161,8 @@ class TestBuildHeps:
         spec = ed.DiscretizationSpec(6, 2, 3, 0.5)
         H = ed.build_H_eps(1, "none", None, params_for(0.0), spec)
         res = ed.ground(H, m=8)
-        space = FockSpace(modes=(0.0, 1.0, -1.0, 2.0, -2.0), cap=3)
+        # eps = 0.5 keeps only the k = 0 mode of k_max = 2
+        space = FockSpace(modes=(0.0,), cap=3)
         el = ed.single_particle_energies(6)
         expected = np.sort(np.add.outer(el, space.total_occupation).ravel())[:8]
         np.testing.assert_allclose(res.eigenvalues, expected, atol=1e-10)
@@ -285,7 +293,7 @@ class TestKroneckerHamiltonian:
 
         monkeypatch.setattr(scipy.sparse, "kron", refuse)
         monkeypatch.setattr(ed.KroneckerHamiltonian, "tocsr", refuse)
-        spec = ed.DiscretizationSpec(6, 2, 4, 0.5)
+        spec = ed.DiscretizationSpec(6, 2, 4, 0.05)
         res = ed.sector_ground(2, "antisymmetric", None, params_for(1.0, N=2), spec)
         prov = res.provenance
         assert prov["dim"] > 1500
@@ -293,34 +301,62 @@ class TestKroneckerHamiltonian:
         assert np.all(res.residuals <= 1e-8 * res.norm_scale)
 
     def test_operator_lanczos_matches_dense(self):
-        # the degenerate pair 0.929464... must come back twice, as for the CSR
-        spec = ed.DiscretizationSpec(8, 3, 4, 0.5)
+        # eps = 0.05 keeps m = 1..3 of k_max = 3: dim 2640.  At alpha = 0
+        # the level e_1 + 1 is seven-fold, one quantum in any of the seven
+        # modes, and must come back twice
+        spec = ed.DiscretizationSpec(8, 3, 4, 0.05)
+        e1 = ed.single_particle_energies(1)[0]
+        free = ed.ground(ed.build_H_eps(1, "none", None, params_for(0.0), spec), m=3)
+        assert free.provenance["solver"] == "eigsh"
+        np.testing.assert_allclose(free.eigenvalues, [e1, e1 + 1, e1 + 1], atol=1e-9)
         H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
         assert H.shape[0] > 1500
         res = ed.ground(H, m=3)
         dense = scipy.linalg.eigh(H.tocsr().toarray(), eigvals_only=True)[:3]
         np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-9)
-        np.testing.assert_allclose(res.eigenvalues[1:], 0.929464, atol=1e-6)
+
+    def test_selection_rule_zeros_are_exact(self):
+        # <a|cos kx|b> lives on |a - b| = 4m or a + b = 4m, <a|sin kx|b> on
+        # odd a + b; elsewhere the closed form leaves residue, stored as 0
+        n = 12
+        H = ed.build_H_eps(1, "none", None, params_for(1.0),
+                           ed.DiscretizationSpec(n, 3, 2, 0.02))
+        a = np.arange(1, n + 1)
+        summ, diff = np.add.outer(a, a), np.abs(np.subtract.outer(a, a))
+        with_residue = [H.el_mats[0]]
+        for m in (1, 2, 3):
+            ek = ed.sine_exp_elements(2 * np.pi * m, n)
+            for E, closed, rule in [
+                    (H.el_mats[2 * m - 1], ek.real, (diff == 4 * m) | (summ == 4 * m)),
+                    (H.el_mats[2 * m], ek.imag, summ % 2 == 1)]:
+                assert np.count_nonzero(E) == np.count_nonzero(rule)
+                np.testing.assert_array_equal(E[rule], closed[rule])
+                assert np.abs(closed[~rule]).max() <= 1e-15
+                with_residue.append(closed)
+        # with the residue put back, the ground energy moves by <= 1e-14 ||H||
+        got = ed.ground(H)
+        want = ed.ground(dataclasses.replace(H, el_mats=tuple(with_residue)))
+        assert abs(got.ground_energy - want.ground_energy) <= 1e-14 * want.norm_scale
 
 
 class TestModeRule:
-    """Only the modes m <= default_k_max(2 eps) couple; the rest stay free."""
+    """Only the modes m <= damped_mode_count(2 eps) are in the Fock space."""
 
     @pytest.mark.parametrize("eps", [0.5, 0.3])
     @pytest.mark.parametrize("N,symmetry,sizes", [
         (1, "none", (6, 3, 3)), (1, "none", (8, 3, 4)), (2, "symmetric", (5, 2, 2))])
     def test_dropped_modes_leave_ground_energies(self, eps, N, symmetry, sizes):
+        # the dropped modes add only the copies E_i(cap - j) + j, so the
+        # ground energy is that of the space with every mode coupled
         params = params_for(1.0, N=N)
         spec = ed.DiscretizationSpec(*sizes, eps)
         H = ed.build_H_eps(N, symmetry, None, params, spec)
         full = oracles.full_coupling_hamiltonian(N, symmetry, None, params, spec)
         assert len(H.couplings) < len(full.couplings)
-        assert H.shape == full.shape
         got, want = ed.ground(H, m=3), ed.ground(full, m=3)
-        # relative to ||H||: the scale at which the dense solver resolves
+        # relative to ||H||: the scale at which the solvers resolve
         # eigenvalues, far above the dropped couplings' e^{-37} g_L
-        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0,
-                                   atol=1e-14 * want.norm_scale)
+        assert abs(got.ground_energy - want.ground_energy) <= 1e-14 * want.norm_scale
 
     def test_nothing_dropped_at_small_eps(self):
         params = params_for(1.0, N=2)
@@ -358,27 +394,30 @@ class TestProvenance:
             res = ed.sector_ground(1, "none", None, params_for(0.7), spec, m=3)
         prov = res.provenance
         assert prov["N"] == 1 and prov["k_max"] == 2
+        # eps = 0.5 leaves only the k = 0 mode in the space
+        assert prov["boson_modes"] == 1
         assert (prov["dim"], prov["nnz"]) == (H.shape[0], H.nnz)
         assert (prov["solver"], prov["ncv"], prov["tol"]) == ("dense", None, None)
         assert prov["matvecs"] == 0
-        assert prov["coupled_modes"] == len(H.couplings) == 1 + 2 * 1
+        assert prov["coupled_modes"] == len(H.couplings) == 1
         assert prov["residuals"] == res.residuals.tolist()
         assert prov["assemble_s"] >= 0.0 and prov["solve_s"] >= 0.0
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert rec.levelno == logging.INFO
         assert " solver=dense " in rec.getMessage()
-        assert " nnz=%d coupled_modes=3 " % H.nnz in rec.getMessage()
+        assert " nnz=%d coupled_modes=1 " % H.nnz in rec.getMessage()
         assert "matvecs=0" in rec.getMessage()
         assert logging.getLogger("polaron1d").handlers == []
 
     def test_lanczos_sector_solve(self, monkeypatch, caplog):
         calls = count_eigsh_products(monkeypatch)
-        spec = ed.DiscretizationSpec(8, 3, 4, 0.5)
+        spec = ed.DiscretizationSpec(8, 3, 4, 0.05)
         with caplog.at_level(logging.INFO, logger="polaron1d"):
             res = ed.sector_ground(1, "none", None, params_for(1.0), spec, m=3)
         prov = res.provenance
         assert prov["solver"] == "eigsh"
+        assert prov["boson_modes"] == prov["coupled_modes"] == 1 + 2 * 3
         assert prov["matvecs"] == len(calls) > 0
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert " solver=eigsh " in rec.getMessage()
@@ -553,7 +592,17 @@ class TestRatioOracle:
     def test_quadrature_matches_expm(self, sizes, eps, alpha, beta, delta, pot):
         params, spec = params_for(alpha), ed.DiscretizationSpec(*sizes, eps)
         got = ed.ratio_energy_oracle(params, spec, beta, delta, pot)
-        want = oracles.expm_ratio_energy(params, spec, beta, delta, pot)
+        H = ed.build_H_eps(1, "none", pot, params, spec)
+        want = oracles.expm_ratio_energy(H, spec, beta, delta, params.L)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("sizes,eps", [((12, 4, 4), 0.5), ((8, 3, 3), 0.1)])
+    def test_dropped_modes_leave_oracle(self, sizes, eps):
+        # the reference vector lies in the block with the dropped modes empty
+        params, spec = params_for(1.0), ed.DiscretizationSpec(*sizes, eps)
+        got = ed.ratio_energy_oracle(params, spec, 2.0, 0.5)
+        full = oracles.full_coupling_hamiltonian(1, "none", None, params, spec)
+        want = oracles.expm_ratio_energy(full, spec, 2.0, 0.5, params.L)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_pinned_criterion_3_oracle(self):
@@ -577,7 +626,7 @@ class TestRatioOracle:
         assert rec.levelno == logging.INFO
         msg = rec.getMessage()
         # eps = 0.1 keeps m = 1, 2 of k_max = 3
-        assert msg.startswith("ratio_energy_oracle dim=960 coupled_modes=5 ")
+        assert msg.startswith("ratio_energy_oracle dim=448 coupled_modes=5 ")
         steps = int(re.search(r"lanczos_steps=(\d+) ", msg).group(1))
         assert 0 < steps < ed._LANCZOS_MAX_STEPS
         assert re.search(r"last_change=\S+ .*oracle_s=\S+$", msg)

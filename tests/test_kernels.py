@@ -253,3 +253,17 @@ class TestParamValidation:
         assert K.default_k_max(1.0) == 1
         assert K.default_k_max(0.125) == 2
         assert K.default_k_max(1e-4) > K.default_k_max(0.1)
+
+    def test_damped_mode_count_is_default_without_floor(self):
+        # the count exact diagonalization keeps: no floor of 1, since the
+        # Fock space always holds k = 0
+        assert K.damped_mode_count(1.0) == 0
+        assert K.damped_mode_count(0.125) == 2
+        for eps in (2.0, 1.0, 0.5, 0.3, 0.125, 0.05, 0.01, 1e-3, 1e-4):
+            for L in (0.5, 1.0, 3.0):
+                m = K.damped_mode_count(eps, L)
+                assert K.default_k_max(eps, L) == max(1, m)
+                assert eps * (2 * np.pi * (m + 1) / L) ** 2 > 37.0
+                assert eps * (2 * np.pi * m / L) ** 2 <= 37.0
+        with pytest.raises(ValueError, match="eps > 0"):
+            K.damped_mode_count(0.0)
