@@ -78,7 +78,9 @@ boson-diagonal positions, and each E_k (x) Q_k only positions one mode-k
 quantum apart, so the terms never share a position and every row sum
 splits into per-term sums.  `KroneckerHamiltonian.tocsr` renders the
 same factors in the kron/sum order, bit for bit the matrix the CSR
-assembly always gave; it serves the dense solver (dim <= 1500).
+assembly always gave; it serves the dense solver (dim <= 1500), which
+densifies it in Fortran order, so LAPACK works on it in place, and
+computes only the m lowest pairs, on one BLAS thread.
 
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
@@ -106,7 +108,9 @@ random numbers.
 
 from __future__ import annotations
 
+import ctypes
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from time import perf_counter
@@ -126,6 +130,47 @@ logger = logging.getLogger("polaron1d")
 # the (12, 4, 4) oracle at eps = 0.5 reaches breakdown, an invariant
 # Krylov space, after 30.
 _LANCZOS_MAX_STEPS = 400
+
+
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS builds numpy and
+    scipy.linalg call; () under another BLAS."""
+    controls = []
+    for module in ("numpy.linalg._umath_linalg", "scipy.linalg._fblas"):
+        try:
+            lib = ctypes.CDLL(__import__(module, fromlist=["_"]).__file__)
+        except (ImportError, OSError, AttributeError):
+            continue
+        names = [(f"{p}_get_num_threads{s}", f"{p}_set_num_threads{s}")
+                 for p in ("scipy_openblas", "openblas") for s in ("", "64_")]
+        found = [(getattr(lib, g), getattr(lib, s)) for g, s in names
+                 if hasattr(lib, g) and hasattr(lib, s)]
+        controls += found[:1]
+    return tuple(controls)
+
+
+_BLAS_CONTROLS = _openblas_thread_controls()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's and scipy's OpenBLAS on one thread.
+
+    The dense work of ED (electronic matrices, dense solves up to
+    dim 1500) is too small to split: with a second BLAS thread on 2 cores
+    the (10,4,4) N = 2 sector solves were preempted 0.2-0.4 times each,
+    against 0.03 times on one thread, and no faster.  The counts are
+    process-wide, so the saved ones come back on exit; no two ED solves
+    run concurrently.
+    """
+    saved = [get() for get, _ in _BLAS_CONTROLS]
+    for _, put in _BLAS_CONTROLS:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(_BLAS_CONTROLS, saved):
+            put(n)
 
 
 class InvariantViolation(RuntimeError):
@@ -462,14 +507,16 @@ def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
     space = FockSpace(modes=(0.0, *np.column_stack([k, -k]).ravel()),
                       cap=spec.n_ph_max)
     terms = ()
-    if params.alpha > 0:
-        terms = _interaction_blocks(N, symmetry, spec, params, n_modes)
+    with _one_blas_thread():
+        h_el = build_H_el(N, symmetry, pot, spec, params.L)
+        if params.alpha > 0:
+            terms = _interaction_blocks(N, symmetry, spec, params, n_modes)
     quads = []
     for pos in range(len(terms)):
         low = annihilator(space, pos)
         quads.append(low + low.T)
     return KroneckerHamiltonian(
-        h_el=build_H_el(N, symmetry, pot, spec, params.L),
+        h_el=h_el,
         occupation=space.total_occupation,
         couplings=tuple(c for c, _ in terms),
         el_mats=tuple(E for _, E in terms), quads=tuple(quads))
@@ -501,8 +548,10 @@ def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
     matvecs = 0
     if dim <= 1500 or m >= dim - 1:
         solver, ncv, tol = "dense", None, None
-        vals, vecs = scipy.linalg.eigh(H.tocsr().toarray())
-        vals, vecs = vals[:m], vecs[:, :m]
+        with _one_blas_thread():
+            vals, vecs = scipy.linalg.eigh(
+                H.tocsr().toarray(order="F"), subset_by_index=(0, m - 1),
+                overwrite_a=True)
     else:
         def apply(x):
             nonlocal matvecs

@@ -212,6 +212,27 @@ class TestGround:
         res = ed.ground(H, m=5)
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], atol=1e-14)
 
+    def test_dense_levels_are_the_lowest_of_the_full_spectrum(self):
+        spec = ed.DiscretizationSpec(10, 4, 4, 0.5)
+        H = ed.build_H_eps(2, "symmetric", None, params_for(1.0, N=2), spec)
+        res = ed.ground(H, m=3)
+        assert res.provenance["solver"] == "dense"
+        full = scipy.linalg.eigh(H.tocsr().toarray(), eigvals_only=True)
+        np.testing.assert_allclose(res.eigenvalues, full[:3], rtol=0,
+                                   atol=1e-14 * res.norm_scale)
+
+    def test_one_blas_thread_restores_the_count(self):
+        if not ed._BLAS_CONTROLS:
+            pytest.skip("numpy and scipy do not call OpenBLAS here")
+        before = [get() for get, _ in ed._BLAS_CONTROLS]
+        with pytest.raises(RuntimeError):
+            with ed._one_blas_thread():
+                with ed._one_blas_thread():
+                    assert [get() for get, _ in ed._BLAS_CONTROLS] == [1] * len(before)
+                assert [get() for get, _ in ed._BLAS_CONTROLS] == [1] * len(before)
+                raise RuntimeError
+        assert [get() for get, _ in ed._BLAS_CONTROLS] == before
+
 
 class TestKroneckerHamiltonian:
     """The factor form against its own CSR rendering."""
