@@ -4,19 +4,17 @@ Electronic basis: Dirichlet sine modes on (-L, L),
 
     psi_n(x) = L^{-1/2} sin(n pi (x + L) / (2L)),   e_n = (n pi / (2L))^2 / 2,
 
-so the free N = 1 ground state is pi^2/(8 L^2).  Matrix elements of
-e^{ikx} have the closed form (u = (x+L)/(2L), c = 2kL)
+so the free N = 1 ground state is pi^2/(8 L^2).  On the interaction
+lattice k = 2 pi m / L below, kx = 4 pi m u - 2 pi m with
+u = (x+L)/(2L), and the elements of cos kx and sin kx have closed forms
+that do not depend on L (`lattice_elements`; m >= 1):
 
-    <m| e^{ikx} |n> = e^{-ikL} [ I(m-n, c) - I(m+n, c) ],
-    I(a, c) = (J(c + a pi) + J(c - a pi)) / 2,
-    J(b) = int_0^1 e^{ibu} du = e^{ib/2} sinc(b / (2 pi)),
+    <a| cos kx |b> = (delta_{|a-b|, 4m} - delta_{a+b, 4m}) / 2,
+    <a| sin kx |b> = (8m/pi) [1/(16m^2 - (a-b)^2) - 1/(16m^2 - (a+b)^2)]
+                     for a + b odd, and 0 for a + b even.
 
-numerically clean at b = 0 through sinc.  On the interaction lattice
-k = 2 pi m / L below, c = 4 pi m and e^{-ikL} = 1, so the elements obey
-selection rules: <a| cos kx |b> vanishes unless |a - b| = 4m or
-a + b = 4m, and <a| sin kx |b> unless a + b is odd.  The closed form
-leaves rounding residue of up to about 1e-15 where they vanish;
-`_interaction_blocks` stores exact zeros there.
+Their zeros are exact.  The k = 0 mode couples through N times the
+identity, stored as exactly that.
 
 Phonons: the interaction lattice is k = 2 pi m / L (the lattice on which
 the pair kernel's mode series lives), one vertex factor sqrt(g_L)
@@ -53,8 +51,9 @@ N = 2 symmetric sector has dim 275.
 For N = 2 the spin sector enters through the spatial exchange symmetry:
 S = 0 pairs with symmetric orbitals, S = 1 with antisymmetric ones.
 Lifting one- and two-body operators to the (anti)symmetrized pair basis
-goes through the explicit isometry into the tensor product, which keeps
-every matrix element manifestly correct at these tiny dimensions.
+goes through the explicit isometry into the tensor product, built once
+per Hamiltonian (`_Sector`), which keeps every matrix element manifestly
+correct at these tiny dimensions.
 
 `build_H_eps` returns the Hamiltonian as its Kronecker factors,
 
@@ -84,11 +83,12 @@ computes only the m lowest pairs, on one BLAS thread.
 
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
-a symmetric matrix).  Each solve records its basis dimension, nnz,
-coupled quadrature modes, solver (dense or eigsh), ncv, tol, the
-products eigsh took, residuals and seconds in the result's provenance
-and sends one INFO record to the "polaron1d" logger; the library adds
-no handler.  eps = 0 is never diagonalized.
+a symmetric matrix).  Above dim 1500 one eigsh call at tol 1e-11
+either converges or raises InvariantViolation.  Each solve records its
+basis dimension, nnz, coupled quadrature modes, solver (dense or
+eigsh), ncv, tol, the products eigsh took, residuals and seconds in the
+result's provenance and sends one INFO record to the "polaron1d"
+logger; the library adds no handler.  eps = 0 is never diagonalized.
 
 `ratio_energy_oracle` evaluates -(1/delta) log of the semigroup ratio
 <u| e^{-(beta+delta) H} |u> / <u| e^{-beta H} |u> with u = (uniform
@@ -227,21 +227,22 @@ def single_particle_energies(n_el_basis: int, L: float = 1.0) -> np.ndarray:
     return 0.5 * (n * np.pi / (2 * L)) ** 2
 
 
-def sine_exp_elements(k: float, n_el_basis: int, L: float = 1.0) -> np.ndarray:
-    """Closed-form <m| e^{ikx} |n> in the Dirichlet sine basis."""
+def lattice_elements(m: int, n_el_basis: int) -> tuple:
+    """(<a| cos kx |b>, <a| sin kx |b>) at k = 2 pi m / L, any integer m.
 
-    def J(b):
-        return np.exp(0.5j * b) * np.sinc(b / (2 * np.pi))
+    With u = (x+L)/(2L) and q = 4m, each is I(a - b) - I(a + b), where
+    I(p) = int_0^1 cos(p pi u) f(u) du is (delta_{p,q} + delta_{p,-q}) / 2
+    for f = cos(q pi u), and for f = sin(q pi u) 2q / (pi (q^2 - p^2)) at
+    odd p, 0 at even p.
+    """
+    a = np.arange(1, n_el_basis + 1)
+    diff, summ, q = np.subtract.outer(a, a), np.add.outer(a, a), 4 * m
 
-    m = np.arange(1, n_el_basis + 1)
-    c = 2 * k * L
-    diff = m[:, None] - m[None, :]
-    summ = m[:, None] + m[None, :]
-
-    def I(a):
-        return 0.5 * (J(c + a * np.pi) + J(c - a * np.pi))
-
-    return np.exp(-1j * k * L) * (I(diff) - I(summ))
+    cos = 0.5 * ((diff == q) * 1.0 + (diff == -q) - (summ == q) - (summ == -q))
+    odd = summ % 2 == 1
+    sin = np.zeros(summ.shape)
+    sin[odd] = 2 * q / np.pi * (1 / (q**2 - diff[odd]**2) - 1 / (q**2 - summ[odd]**2))
+    return cos, sin
 
 
 def _legendre_nodes(n_quad: int, L: float):
@@ -277,28 +278,17 @@ def pair_matrix(W, n_el_basis: int, L: float = 1.0):
 
 def pair_basis_isometry(n_el_basis: int, symmetry: str) -> np.ndarray:
     """Isometry from the (anti)symmetrized pair basis into the product basis."""
-    n = n_el_basis
-    cols = []
-    if symmetry == "symmetric":
-        for a in range(n):
-            for b in range(a, n):
-                v = np.zeros(n * n)
-                if a == b:
-                    v[a * n + a] = 1.0
-                else:
-                    v[a * n + b] = v[b * n + a] = 1 / np.sqrt(2)
-                cols.append(v)
-    elif symmetry == "antisymmetric":
-        for a in range(n):
-            for b in range(a + 1, n):
-                v = np.zeros(n * n)
-                v[a * n + b] = 1 / np.sqrt(2)
-                v[b * n + a] = -1 / np.sqrt(2)
-                cols.append(v)
-    else:
+    if symmetry not in ("symmetric", "antisymmetric"):
         raise ValueError(f"symmetry must be 'symmetric' or 'antisymmetric', "
                          f"got {symmetry!r}")
-    return np.array(cols).T
+    n = n_el_basis
+    a, b = np.triu_indices(n, k=0 if symmetry == "symmetric" else 1)
+    cols = np.arange(a.size)
+    T = np.zeros((n * n, a.size))
+    T[a * n + b, cols] = 1 / np.sqrt(2)
+    T[b * n + a, cols] = (1 if symmetry == "symmetric" else -1) / np.sqrt(2)
+    T[(a * n + b)[a == b], cols[a == b]] = 1.0
+    return T
 
 
 def _check_sector(N: int, symmetry: str):
@@ -312,55 +302,56 @@ def _check_sector(N: int, symmetry: str):
         raise ValueError(f"diagonalization supports N in {{1, 2}}, got {N}")
 
 
+class _Sector:
+    """The sector basis: sine modes at N = 1, at N = 2 the (anti)symmetrized
+    pairs of the isometry T = pair_basis_isometry, built once per sector."""
+
+    def __init__(self, N: int, symmetry: str, n_el_basis: int):
+        _check_sector(N, symmetry)
+        self.N, self.n = N, n_el_basis
+        self.T = pair_basis_isometry(n_el_basis, symmetry) if N == 2 else None
+        self.dim = n_el_basis if N == 1 else self.T.shape[1]
+
+    def lift(self, A: np.ndarray, W=0.0) -> np.ndarray:
+        """A on each electron plus the pair matrix W (N = 2 only): A at
+        N = 1, T^T (A (x) 1 + 1 (x) A + W) T at N = 2."""
+        if self.N == 1:
+            return A
+        eye = np.eye(self.n)
+        return self.T.T @ (np.kron(A, eye) + np.kron(eye, A) + W) @ self.T
+
+    def electronic(self, pot, L: float) -> np.ndarray:
+        """Kinetic energy and V on each electron, W between the two."""
+        h1 = np.diag(single_particle_energies(self.n, L))
+        if pot is not None and pot.V is not None:
+            h1 = h1 + one_body_matrix(pot.V, self.n, L)
+        if self.N == 2 and pot is not None and pot.W is not None:
+            return self.lift(h1, pair_matrix(pot.W, self.n, L))
+        return self.lift(h1)
+
+
 def build_H_el(N: int, symmetry: str, pot, spec: DiscretizationSpec,
                L: float = 1.0) -> np.ndarray:
     """Electronic Hamiltonian (dense, real symmetric) in the sector basis."""
-    _check_sector(N, symmetry)
-    n = spec.n_el_basis
-    e = single_particle_energies(n, L)
-    v1 = one_body_matrix(pot.V, n, L) if (pot is not None and pot.V is not None) \
-        else np.zeros((n, n))
-    h1 = np.diag(e) + v1
-    if N == 1:
-        return h1
-    T = pair_basis_isometry(n, symmetry)
-    eye = np.eye(n)
-    H2 = np.kron(h1, eye) + np.kron(eye, h1)
-    if pot is not None and pot.W is not None:
-        H2 = H2 + pair_matrix(pot.W, n, L)
-    return T.T @ H2 @ T
+    return _Sector(N, symmetry, spec.n_el_basis).electronic(pot, L)
 
 
-def _interaction_blocks(N: int, symmetry: str, spec: DiscretizationSpec,
+def _interaction_blocks(sector: _Sector, spec: DiscretizationSpec,
                         params: ModelParams, n_modes: int):
     """(coupling, electronic matrix) per quadrature mode up to m = n_modes.
 
-    In mode order: the k = 0 mode, then the cosine and the sine of
-    k = 2 pi m / L for m = 1..n_modes.  Entries the selection rules zero
-    (module docstring) are exact zeros.
+    In mode order: the k = 0 mode, whose matrix is N times the identity,
+    then the cosine and the sine of k = 2 pi m / L for m = 1..n_modes,
+    from `lattice_elements`.
     """
-    n = spec.n_el_basis
-    L = params.L
     root_g = np.sqrt(params.g_L)
-    T = pair_basis_isometry(n, symmetry) if N == 2 else None
-    eye = np.eye(n)
-    a = np.arange(1, n + 1)
-    summ, diff = a[:, None] + a[None, :], np.abs(a[:, None] - a[None, :])
-
-    def lift(A):
-        if N == 1:
-            return A
-        return T.T @ (np.kron(A, eye) + np.kron(eye, A)) @ T
-
-    blocks = [(root_g, lift(eye))]
+    blocks = [(root_g, sector.N * np.eye(sector.dim))]
     for m in range(1, n_modes + 1):
-        k = 2 * np.pi * m / L
+        k = 2 * np.pi * m / params.L
         damp = np.exp(-spec.epsilon * k**2)
-        ek = sine_exp_elements(k, n, L)
-        cos_m = np.where((diff == 4 * m) | (summ == 4 * m), ek.real, 0.0)
-        sin_m = np.where(summ % 2 == 1, ek.imag, 0.0)
-        blocks.append((np.sqrt(2) * root_g * damp, lift(cos_m)))
-        blocks.append((-np.sqrt(2) * root_g * damp, lift(sin_m)))
+        cos_m, sin_m = lattice_elements(m, spec.n_el_basis)
+        blocks.append((np.sqrt(2) * root_g * damp, sector.lift(cos_m)))
+        blocks.append((-np.sqrt(2) * root_g * damp, sector.lift(sin_m)))
     return blocks
 
 
@@ -434,7 +425,7 @@ class KroneckerHamiltonian:
         summed.  A coupling term counts its positions structurally,
         nnz(E_k) nnz(Q_k): no product c_k E_k,ij Q_k,bb' underflows to 0,
         as build_H_eps keeps only the modes the damping keeps, and the
-        selection-rule zeros of E_k are exact.
+        zeros of E_k are those of the closed forms (module docstring).
         """
         n_b = self.occupation.size
         off = self.h_el != 0
@@ -499,18 +490,19 @@ def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
     The Fock space holds the k = 0 mode and the cosine and sine of the
     modes m <= kept_modes(params, spec), all coupled at alpha > 0; the
     modes up to spec.k_max past those are damped below e^{-37} and left
-    out (module docstring).
+    out (module docstring).  The Fock modes are labelled by their
+    quadrature position.  N must equal params.N.
     """
-    _check_sector(N, symmetry)
+    if N != params.N:
+        raise ValueError(f"N = {N} does not match params.N = {params.N}")
+    sector = _Sector(N, symmetry, spec.n_el_basis)
     n_modes = kept_modes(params, spec)
-    k = 2 * np.pi * np.arange(1, n_modes + 1) / params.L
-    space = FockSpace(modes=(0.0, *np.column_stack([k, -k]).ravel()),
-                      cap=spec.n_ph_max)
+    space = FockSpace(modes=range(1 + 2 * n_modes), cap=spec.n_ph_max)
     terms = ()
     with _one_blas_thread():
-        h_el = build_H_el(N, symmetry, pot, spec, params.L)
+        h_el = sector.electronic(pot, params.L)
         if params.alpha > 0:
-            terms = _interaction_blocks(N, symmetry, spec, params, n_modes)
+            terms = _interaction_blocks(sector, spec, params, n_modes)
     quads = []
     for pos in range(len(terms)):
         low = annihilator(space, pos)
@@ -529,14 +521,17 @@ def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
     infinity norm of H or the result is refused rather than returned.
     The gate certifies that each returned pair is an eigenpair, not that
     the pairs are the lowest m: a Lanczos solve that skips a degenerate
-    copy can pass it.  eigsh applies H through its product, so H is never
-    assembled on that branch.
+    copy can pass it.  Above dim 1500 the solve is one eigsh call at
+    tol 1e-11 that applies H through its product, never assembling it;
+    if ARPACK does not converge within its default restarts, it raises
+    InvariantViolation("spectrum-convergence") with dim, m, ncv and the
+    products taken.
 
     The provenance of the result holds dim, nnz, coupled_modes (the
     quadrature modes with an interaction term), solver ("dense" or
-    "eigsh"), ncv and tol (None for dense; tol 0.0 is ARPACK's machine
-    precision), matvecs (the products eigsh took; 0 for dense), residuals
-    and solve_s, the seconds from the symmetry check to the certificate.
+    "eigsh"), ncv and tol (None for dense), matvecs (the products eigsh
+    took; 0 for dense), residuals and solve_s, the seconds from the
+    symmetry check to the certificate.
     """
     start = perf_counter()
     dim, coupled, nnz = H.shape[0], len(H.couplings), H.nnz
@@ -560,21 +555,19 @@ def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
 
         A = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply,
                                                dtype=H.dtype)
-        solver, tol = "eigsh", 0.0
+        solver, tol = "eigsh", 1e-11
         v0 = np.full(dim, 1 / np.sqrt(dim))
         ncv = min(dim, max(6 * m, 60))
         # ARPACK asks for a random vector when the Krylov space from v0
         # turns invariant; a pinned rng keeps that restart reproducible
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                A, k=m, which="SA", v0=v0, ncv=ncv, rng=0)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            # clustered spectra can stall at machine-precision tolerance;
-            # the residual gate below still certifies the relaxed solve
-            tol = 1e-11
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                A, k=m, which="SA", v0=v0, ncv=ncv, tol=tol,
-                maxiter=100 * dim, rng=0)
+                A, k=m, which="SA", v0=v0, ncv=ncv, tol=tol, rng=0)
+        except scipy.sparse.linalg.ArpackNoConvergence as err:
+            raise InvariantViolation(
+                "spectrum-convergence",
+                f"eigsh at tol {tol} did not converge: dim {dim}, m {m}, "
+                f"ncv {ncv}, {matvecs} products") from err
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.array([np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])

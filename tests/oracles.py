@@ -485,16 +485,17 @@ def theta_two_pass(path, eps, params, mode_count=64):
 
 def full_coupling_hamiltonian(N, symmetry, pot, params, spec):
     """build_H_eps with every mode m <= spec.k_max in the space and coupled."""
+    sector = ed._Sector(N, symmetry, spec.n_el_basis)
     terms = ()
     if params.alpha > 0:
-        terms = ed._interaction_blocks(N, symmetry, spec, params, spec.k_max)
+        terms = ed._interaction_blocks(sector, spec, params, spec.k_max)
     space = FockSpace(modes=range(1 + 2 * spec.k_max), cap=spec.n_ph_max)
     quads = []
     for pos in range(len(terms)):
         low = annihilator(space, pos)
         quads.append(low + low.T)
     return ed.KroneckerHamiltonian(
-        h_el=ed.build_H_el(N, symmetry, pot, spec, params.L),
+        h_el=sector.electronic(pot, params.L),
         occupation=space.total_occupation,
         couplings=tuple(c for c, _ in terms),
         el_mats=tuple(E for _, E in terms), quads=tuple(quads))

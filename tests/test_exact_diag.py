@@ -81,19 +81,25 @@ class TestSineBasis:
     def test_free_ground_energy(self):
         assert abs(ed.single_particle_energies(1)[0] - np.pi**2 / 8) < 1e-14
 
-    @pytest.mark.parametrize("k", [0.0, 2 * np.pi, -2 * np.pi, 3 * np.pi, 4 * np.pi])
+    @pytest.mark.parametrize("k", [0.0, 2 * np.pi, -2 * np.pi, 4 * np.pi, 6 * np.pi,
+                                   8 * np.pi])
     def test_exp_elements_match_quadrature(self, k):
-        C = ed.sine_exp_elements(k, 6)
+        # the lattice k = 2 pi m / L at L = 1
+        cos, sin = ed.lattice_elements(round(k / (2 * np.pi)), 14)
         x, w = np.polynomial.legendre.leggauss(400)
-        psi = ed._sine_values(x, 6, 1.0)
+        psi = ed._sine_values(x, 14, 1.0)
         quad = (psi * (np.exp(1j * k * x) * w)[None, :]) @ psi.T
-        np.testing.assert_allclose(C, quad, atol=1e-12)
+        np.testing.assert_allclose(cos + 1j * sin, quad, rtol=0, atol=1e-12)
 
     def test_exp_elements_symmetries(self):
-        C = ed.sine_exp_elements(2 * np.pi, 6)
-        np.testing.assert_allclose(C, C.T, atol=1e-14)
-        np.testing.assert_allclose(np.conj(C), ed.sine_exp_elements(-2 * np.pi, 6),
-                                   atol=1e-14)
+        # symmetric in (a, b); cos kx even and sin kx odd in k
+        for m in (1, 2, 3):
+            cos, sin = ed.lattice_elements(m, 14)
+            cos_neg, sin_neg = ed.lattice_elements(-m, 14)
+            np.testing.assert_array_equal(cos, cos.T)
+            np.testing.assert_array_equal(sin, sin.T)
+            np.testing.assert_array_equal(cos_neg, cos)
+            np.testing.assert_array_equal(sin_neg, -sin)
 
 
 class TestBuildHel:
@@ -188,6 +194,14 @@ class TestBuildHeps:
         res = ed.sector_ground(1, "none", None, params_for(1.0), spec)
         assert res.ground_energy < np.pi**2 / 8
 
+    def test_n_must_match_params(self):
+        # the positional N used to win silently over params.N
+        spec = ed.DiscretizationSpec(5, 1, 1, 0.5)
+        with pytest.raises(ValueError, match="params.N"):
+            ed.build_H_eps(2, "symmetric", None, params_for(1.0), spec)
+        with pytest.raises(ValueError, match="params.N"):
+            ed.sector_ground(1, "none", None, params_for(1.0, N=2), spec)
+
     def test_positive_gap_at_half_coupling(self):
         spec = ed.DiscretizationSpec(10, 2, 4, 0.5)
         res = ed.sector_ground(1, "none", None, params_for(0.5), spec)
@@ -220,6 +234,32 @@ class TestGround:
         full = scipy.linalg.eigh(H.tocsr().toarray(), eigvals_only=True)
         np.testing.assert_allclose(res.eigenvalues, full[:3], rtol=0,
                                    atol=1e-14 * res.norm_scale)
+
+    def test_degenerate_level_solves_in_one_call(self, monkeypatch):
+        # level 0.929464 of this Hamiltonian is degenerate; eigsh at tol 0
+        # stalled there for 1.5 million products before the retry
+        calls = count_eigsh_products(monkeypatch)
+        params = params_for(1.0)
+        spec = ed.DiscretizationSpec(8, 3, 4, 0.3)
+        H = oracles.full_coupling_hamiltonian(1, "none", None, params, spec)
+        res = ed.ground(H, m=2)
+        assert res.provenance["solver"] == "eigsh"
+        assert res.provenance["matvecs"] == len(calls) < 1000
+        assert np.all(res.residuals <= 1e-8 * res.norm_scale)
+
+    def test_no_convergence_is_named(self, monkeypatch):
+        def stalled(A, k, **kwargs):
+            A.matvec(np.ones(A.shape[0]))
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        H = ed.build_H_eps(1, "none", None, params_for(1.0),
+                           ed.DiscretizationSpec(8, 3, 4, 0.05))
+        with pytest.raises(ed.InvariantViolation) as exc:
+            ed.ground(H, m=2)
+        assert exc.value.name == "spectrum-convergence"
+        assert f"dim {H.shape[0]}, m 2, ncv 60, 1 products" in str(exc.value)
 
     def test_one_blas_thread_restores_the_count(self):
         if not ed._BLAS_CONTROLS:
@@ -338,26 +378,26 @@ class TestKroneckerHamiltonian:
 
     def test_selection_rule_zeros_are_exact(self):
         # <a|cos kx|b> lives on |a - b| = 4m or a + b = 4m, <a|sin kx|b> on
-        # odd a + b; elsewhere the closed form leaves residue, stored as 0
+        # odd a + b; everywhere else the stored entries are exact zeros
         n = 12
         H = ed.build_H_eps(1, "none", None, params_for(1.0),
                            ed.DiscretizationSpec(n, 3, 2, 0.02))
         a = np.arange(1, n + 1)
         summ, diff = np.add.outer(a, a), np.abs(np.subtract.outer(a, a))
-        with_residue = [H.el_mats[0]]
+        np.testing.assert_array_equal(H.el_mats[0], np.eye(n))
         for m in (1, 2, 3):
-            ek = ed.sine_exp_elements(2 * np.pi * m, n)
-            for E, closed, rule in [
-                    (H.el_mats[2 * m - 1], ek.real, (diff == 4 * m) | (summ == 4 * m)),
-                    (H.el_mats[2 * m], ek.imag, summ % 2 == 1)]:
+            for E, rule in [(H.el_mats[2 * m - 1], (diff == 4 * m) | (summ == 4 * m)),
+                            (H.el_mats[2 * m], summ % 2 == 1)]:
                 assert np.count_nonzero(E) == np.count_nonzero(rule)
-                np.testing.assert_array_equal(E[rule], closed[rule])
-                assert np.abs(closed[~rule]).max() <= 1e-15
-                with_residue.append(closed)
-        # with the residue put back, the ground energy moves by <= 1e-14 ||H||
-        got = ed.ground(H)
-        want = ed.ground(dataclasses.replace(H, el_mats=tuple(with_residue)))
-        assert abs(got.ground_energy - want.ground_energy) <= 1e-14 * want.norm_scale
+                assert np.all(E[~rule] == 0.0)
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "antisymmetric"])
+    def test_k0_block_is_exactly_n_identity(self, symmetry):
+        # (1/sqrt 2)^2 rounds below 1/2: lifting the identity would leave
+        # 1.9999999999999996 on the diagonal
+        H = ed.build_H_eps(2, symmetry, None, params_for(1.0, N=2),
+                           ed.DiscretizationSpec(5, 1, 1, 0.5))
+        np.testing.assert_array_equal(H.el_mats[0], 2 * np.eye(H.h_el.shape[0]))
 
 
 class TestModeRule:
@@ -458,7 +498,7 @@ class TestProvenance:
             res = ed.ground(H, m=2)
         prov = res.provenance
         assert (prov["dim"], prov["nnz"]) == (dim, 3 * dim - 3)
-        assert prov["solver"] == "eigsh" and prov["ncv"] == 60 and prov["tol"] == 0.0
+        assert prov["solver"] == "eigsh" and prov["ncv"] == 60 and prov["tol"] == 1e-11
         assert prov["coupled_modes"] == 1
         assert prov["matvecs"] == len(calls) > 0
         assert len(prov["residuals"]) == 2 and "assemble_s" not in prov
