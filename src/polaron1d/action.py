@@ -53,11 +53,14 @@ path instead of O(n_steps^2) or O(n_steps * N^2 * n_modes) pair sums.
 At eps = 0 the series has no usable truncation: X and Z are pair sums
 of the closed-form phi, over chunks of paths.  Phi splits at time blocks
 of _DRIFT_BLOCK steps: sources inside the block of step a go through g'
-pair by pair, and the earlier blocks through prefix and suffix sums of
-e^{+-sqrt2 y} over the sorted positions of one path (g' is separable on
-the four intervals between x - L, x and x + L); see _drift_near_far.
-That costs O(n_steps * B N^2) pair terms and O(n_steps^2 N / B) table
-entries per path instead of O(n_steps^2 N^2) pair terms.
+pair by pair, and the earlier blocks through one prefix and one suffix
+sum of e^{+-sqrt2 y} over the positions of one path sorted mod L (g is
+L-periodic; with x and y in [0, L), x - y lies in (-L, L), where their
+order picks the separable branch of g'), read at each node's tie run;
+see _drift_near_far.  That costs O(n_steps * B N^2) pair terms and
+O(n_steps^2 N / B) table entries per path instead of O(n_steps^2 N^2)
+pair terms.  Every eps = 0 array is path-minor, (step, particle, path),
+so elementwise work runs over a chunk's paths in its inner loop.
 
 Restricting a path to its first h steps (horizon beta_h) leaves S_el, X
 and Y as sums over those steps of per-step terms that do not see h: Phi
@@ -112,7 +115,6 @@ from .kernels import (
     default_k_max,
     eval_dphi,
     eval_phi,
-    reduce_to_cell,
 )
 from .paths import PathSample, ito_integral
 
@@ -146,7 +148,7 @@ FREE = PotentialSpec()
 
 # Size of the largest array of one chunk of paths: the eps > 0 mode table
 # (paths x nodes x particles x modes, complex), the theta phase table, the
-# eps = 0 pair arrays and the drift's rank bounds.  The paths are
+# eps = 0 pair arrays and the drift's rank tables.  The paths are
 # processed in chunks sized to stay under this.
 _TABLE_BUDGET_BYTES = 2**19
 
@@ -156,8 +158,8 @@ _TABLE_BUDGET_BYTES = 2**19
 # about sqrt(n_steps) on the 96-160-step grids of the checks.
 _DRIFT_BLOCK = 8
 
-# Largest L for the eps = 0 drift: its tables hold sums of e^{sqrt2 |y|}
-# with |y| <= L, and e^{sqrt2 400} ~ 1e245 leaves room for any node count.
+# Largest L for the eps = 0 drift: its tables hold sums of e^{sqrt2 y}
+# with 0 <= y <= L, and e^{sqrt2 400} ~ 1e245 leaves room for any node count.
 _DRIFT_L_MAX = 400.0
 
 
@@ -265,73 +267,42 @@ def _mode_table_terms(
     return drift, X, Z
 
 
-def _pair_terms_closed_form(
-    path: PathSample, params: ModelParams, steps: tuple, phi_diag: float
-) -> tuple:
+def _eps0_chunks(n_paths: int, n: int, N: int) -> list:
+    """Path ranges of the eps = 0 chunks: N^2 doubles per node and path fit the budget."""
+    chunk = max(1, _TABLE_BUDGET_BYTES // (8 * (n + 1) * N * N))
+    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+
+
+def _pair_terms_closed_form(path: PathSample, params: ModelParams, steps: tuple) -> tuple:
     """(X, Z) rows (k, n_paths) at eps = 0 from the closed-form phi.
 
-    X sums one equal-time pair array (paths, n_steps, N, N) over the
-    first h steps and removes the h N phi(0,0) of the diagonal; Z pairs
-    the endpoint x_h with every left endpoint before it.  Paths go in
-    chunks whose pair array stays under _TABLE_BUDGET_BYTES; every sum
-    runs along one path, so the chunks change no bit.
+    A chunk's positions are path-minor, (nodes, N, paths).  X runs one
+    sum over the equal-time pairs i < j, step by step, and reads it at
+    every horizon; Z pairs the endpoint x_h with every left endpoint
+    before it.  The sums are running sums along each path, which add in
+    one order for any chunk (np.sum over the leading axes turns pairwise
+    for a chunk of one path), so the chunks change no bit.
     """
     states = path.states
     n_paths, _, N = states.shape
     n = path.grid.n_steps
     dt = path.grid.dt
     t_left = path.grid.times[:-1]
-    X = np.zeros((len(steps), n_paths))
-    Z = np.zeros_like(X)
-    chunk = max(1, _TABLE_BUDGET_BYTES // (8 * n * N * N))
-    for lo in range(0, n_paths, chunk):
-        x = states[lo:lo + chunk]
-        left = x[:, :-1]
+    X, Z = np.zeros((2, len(steps), n_paths))
+    i, j = np.triu_indices(N, 1)
+    at_h = np.array(steps) * i.size - 1  # running-sum row of the steps before h
+    for lo, hi in _eps0_chunks(n_paths, n, N):
+        x = states[lo:hi].transpose(1, 2, 0).copy()
+        left = x[:-1]
         if N >= 2:
-            pair = eval_phi(left[:, :, :, None] - left[:, :, None, :], 0.0, 0.0, params)
-            for r, h in enumerate(steps):
-                X[r, lo:lo + chunk] = 2 * dt * (
-                    np.sum(pair[:, :h], axis=(1, 2, 3)) - h * N * phi_diag)
+            pair = eval_phi(left[:, i] - left[:, j], 0.0, 0.0, params)
+            X[:, lo:hi] = np.cumsum(pair.reshape(-1, hi - lo), axis=0)[at_h]
         # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}
         for r, h in enumerate(steps):
-            beta_h = path.grid.beta - (n - h) * dt
-            diff = x[:, h, None, :, None] - left[:, :h, None, :]
-            lag = (beta_h - t_left[:h])[None, :, None, None]
-            Z[r, lo:lo + chunk] = np.sum(eval_phi(diff, lag, 0.0, params), axis=(1, 2, 3))
-    return X, -2 * dt * Z
-
-
-def _interval_bounds(ys: np.ndarray, L: float) -> np.ndarray:
-    """Rank bounds of the four intervals of every sorted node, per row.
-
-    ys is sorted along axis 1.  For x = ys[:, r], interval j of
-    _drift_near_far holds the ranks [lo_j, hi_j) with lo = (0, #{y <= x - L},
-    #{y <= x}, #{y <= x + L}) and hi = (#{y < x - L}, #{y < x}, #{y < x + L},
-    S); returns (..., 8) = lo then hi.  The ranks at x come from the runs
-    of equal values.  Those at x +- L come from a stable merge that puts
-    each threshold ahead of the nodes equal to it, then from the run at
-    that rank when it holds the threshold itself.
-    """
-    n_rows, S = ys.shape
-    r = np.arange(S)
-    edge = ys[:, 1:] != ys[:, :-1]
-    # rank r holds a value whose copies fill [first[r], end[r])
-    first = np.zeros((n_rows, S), dtype=np.intp)
-    first[:, 1:] = np.maximum.accumulate(np.where(edge, r[1:], 0), axis=1)
-    end = np.full((n_rows, S + 1), S, dtype=np.intp)
-    end[:, :S - 1] = np.minimum.accumulate(np.where(edge, r[1:], S)[:, ::-1], axis=1)[:, ::-1]
-    padded = np.concatenate([ys, np.full((n_rows, 1), np.inf)], axis=1)
-    lt, le = [], []  # at x - L, then at x + L
-    for t in (ys - L, ys + L):
-        order = np.argsort(np.concatenate((t, ys), axis=1), axis=1, kind="stable")
-        is_node = order >= S
-        # the thresholds keep their sorted order through the merge
-        below = np.cumsum(is_node, axis=1)[~is_node].reshape(n_rows, S)
-        tied = np.take_along_axis(padded, below, axis=1) == t
-        lt.append(below)
-        le.append(np.where(tied, np.take_along_axis(end, below, axis=1), below))
-    return np.stack([np.zeros_like(first), le[0], end[:, :S], le[1],
-                     lt[0], first, lt[1], np.full_like(first, S)], axis=-1)
+            lag = (path.grid.beta - (n - h) * dt - t_left[:h])[:, None, None, None]
+            pair = eval_phi(x[h, None, :, None] - left[:h, None, :], lag, 0.0, params)
+            Z[r, lo:hi] = np.cumsum(pair.reshape(-1, hi - lo), axis=0)[-1]
+    return 4 * dt * X, -2 * dt * Z
 
 
 def _drift_near_far(path: PathSample, params: ModelParams) -> np.ndarray:
@@ -339,38 +310,42 @@ def _drift_near_far(path: PathSample, params: ModelParams) -> np.ndarray:
 
     Phi^(i)_a = 2 dt sum_{b < a} e^{-(t_a - t_b)} sum_j (alpha/2)
     g'(x_{i,a} - x_{j,b}).  Steps a in [k B, (k+1) B) form block k.
-    Sources b in [k B, a) go through eval_dphi pair by pair.  For the
-    sources b < k B, write x and y for the positions reduced to [-L, L)
-    and q = e^{-sqrt2 L}; g'(x - y) / (sqrt2 / (1 - q)) is, with
-    u = e^{sqrt2 x} and v = 1/u, one separable term on each interval:
+    Sources b in [k B, a) go through eval_dphi pair by pair.  The sources
+    b < k B go through sorted sums.  g is L-periodic, so only the
+    positions x and y mod L enter, in [0, L); their difference lies in
+    (-L, L), where the closed form of g' holds, and only the order of x
+    and y picks its branch.  With q = e^{-sqrt2 L}, u = e^{sqrt2 x} and
+    v = 1 / u,
 
-        j = 0   y < x - L          q^2 u e^{-sqrt2 y} - (v / q) e^{sqrt2 y}
-        j = 1   x - L < y < x      q u e^{-sqrt2 y}   - v e^{sqrt2 y}
-        j = 2   x < y < x + L      u e^{-sqrt2 y}     - q v e^{sqrt2 y}
-        j = 3   y > x + L          (u / q) e^{-sqrt2 y} - q^2 v e^{sqrt2 y}
+        g'(x - y) (1 - q) / sqrt2 = q u e^{-sqrt2 y} - v e^{sqrt2 y}    y < x
+                                  = u e^{-sqrt2 y} - q v e^{sqrt2 y}    y > x
 
-    and 0 at y = x and y = x +- L, where g' is 0 (sgn 0 and the snapped
-    wall).  So one sort of a path's n_steps * N reduced nodes serves every
-    step.  For each block k, the weights e^{-(t_{kB} - t_b)} [b < kB] times
-    e^{+-sqrt2 y} in rank order give prefix sums of e^{+sqrt2 y} and suffix
-    sums of e^{-sqrt2 y}; each interval sum is the difference of two of
-    them at the rank bounds of _interval_bounds.  In those directions
-    every difference is dominated by its own terms, so the absolute error
-    stays near (n_steps N) eps_mach.  Every time factor is <= 1, so
-    nothing overflows at any beta.  u / q exceeds 1 / q only at x > 0,
-    where interval 3 is empty, and v / q only at x < 0, where interval 0
-    is; both are clipped at 1 / q.  The tables stay finite for
+    and 0 at y = x, where g' is 0 (sgn 0 and the snapped wall).  So one
+    sort of a path's nodes mod L serves every step.  For block k, with
+    weights w = e^{-(t_{kB} - t_b)} [b < kB] in rank order, one prefix
+    table of w e^{sqrt2 y} and one suffix table of w e^{-sqrt2 y} give
+    both sides of every node, read at the bounds of its own tie run (the
+    ranks of its copies): the prefix below the run and the suffix above
+    it directly, the other two sides as the table total minus them.  Such
+    a difference keeps the side whose terms are the larger ones, and its
+    factor q u or q v times any term of the total is at most 1, so the
+    absolute error stays near (n_steps N) eps_mach.  Every time factor is
+    <= 1, so nothing overflows at any beta; the tables stay finite for
     L <= _DRIFT_L_MAX.
 
-    A separation that equals 0 or +-L exactly in binary gives 0, as in
-    eval_dg.  One within a rounding of +-L (0.3 against -0.7 at L = 1,
-    where 0.3 - 1 != -0.7 in binary) can land on the other side of the
-    jump, a measure-zero event on Brownian paths.
+    Equal positions mod L give 0, as eval_dg does at a separation of 0 or
+    at the wall.  A separation within a rounding of a multiple of L (0.3
+    against -0.7 at L = 1, where 0.3 - 1 != -0.7 in binary) can land on
+    the other side of the jump, a measure-zero event on Brownian paths.
 
-    Every row is per path and the block starts depend on _DRIFT_BLOCK
-    alone, so path chunks change no bit, and Phi at the steps before h is
-    bitwise what an h-step prefix of the path gives: its nodes keep their
-    order in the stable sort, and the later ones weigh an exact 0.
+    Positions are held path-minor, (step, particle, path), padded to
+    whole blocks, so elementwise work runs over the paths of a chunk in
+    its inner loop; the tables are (ranks + 1, paths).  Every result is
+    elementwise or a running sum along one path, and the block starts
+    depend on _DRIFT_BLOCK alone, so path chunks change no bit, and Phi
+    at the steps before h is bitwise what an h-step prefix of the path
+    gives: its nodes keep their order in the sort (copies in node order),
+    and the later ones (and the pad) weigh an exact 0.
     """
     L = params.L
     if L > _DRIFT_L_MAX:
@@ -380,56 +355,66 @@ def _drift_near_far(path: PathSample, params: ModelParams) -> np.ndarray:
     n = path.grid.n_steps
     dt = path.grid.dt
     B = _DRIFT_BLOCK
-    S = n * N
-    steps = np.arange(n)
-    # wlag[n + m] = e^{-m dt} for m >= 1 and 0 for m <= 0
-    wlag = np.concatenate([np.zeros(n + 1), np.exp(-dt * np.arange(1, n + 1))])
-    decay = np.exp(-dt * (steps % B))[:, None]  # e^{-(t_a - t_{kB})}
+    n_blocks = -(-n // B)
+    S = n_blocks * B * N  # nodes f = a N + i, pad included
+    # wlag[n_blocks B + m] = e^{-m dt} for m >= 1 and 0 for m <= 0
+    wlag = np.concatenate([np.zeros(n_blocks * B + 1), np.exp(-dt * np.arange(1, n + 1))])
+    decay = np.exp(-dt * np.arange(B))[:, None, None]  # e^{-(t_a - t_{kB})}
     q = np.exp(-SQRT2 * L)
     c_far = 0.5 * params.alpha * SQRT2 / (1 - q)
-    drift = np.zeros((n_paths, n, N))
-    # the largest arrays, the gathered rank bounds, hold 8 per node
-    chunk = max(1, _TABLE_BUDGET_BYTES // (64 * S))
-    for lo in range(0, n_paths, chunk):
-        x = states[lo:lo + chunk, :n]
-        P = x.shape[0]
+    drift = np.empty((n_paths, n, N))
+    for lo, hi in _eps0_chunks(n_paths, n, N):
+        P = hi - lo
+        x = np.zeros((n_blocks * B, N, P))
+        x[:n] = states[lo:hi, :n].transpose(1, 2, 0)
+        xb = x.reshape(n_blocks, B, N, P)
         # near: the source b = a - d lies in the block of a, 1 <= d <= a mod B
-        near = np.zeros((P, n, N))
+        near = np.zeros_like(xb)
         for d in range(1, B):
-            a = steps[steps % B >= d]
-            dphi = eval_dphi(x[:, a, :, None] - x[:, a - d, None, :], d * dt, 0.0, params)
-            near[:, a] += np.sum(dphi, axis=-1)
-        far = np.zeros((P, S))
-        if n > B:
-            xh = reduce_to_cell(x, L).reshape(P, S)  # node f = a N + i
-            order = np.argsort(xh, axis=1, kind="stable")
-            ys = np.take_along_axis(xh, order, axis=1)
-            rows = np.arange(P)[:, None]
-            # flat bounds into the (P, S + 1) tables, in node order
-            node = np.empty((P, S), dtype=np.intp)
-            node[rows, order] = np.arange(S) + S * rows
-            bounds = _interval_bounds(ys, L).reshape(P * S, 8)[node]
-            bounds += (S + 1) * rows[..., None]
-            u = np.exp(SQRT2 * xh)[..., None]
-            v = 1 / u
-            coef_m = np.concatenate([u * q * q, u * q, u, np.minimum(u, 1) / q], axis=-1)
-            coef_p = np.concatenate([np.minimum(v, 1) / q, v, v * q, v * q * q], axis=-1)
-            src_lag = n - order // N
-            e_plus, e_minus = np.exp(SQRT2 * ys), np.exp(-SQRT2 * ys)
-            up = np.zeros((P, S + 1))
-            down = np.zeros((P, S + 1))
-            at_up = np.zeros((P, S, 8))
-            at_down = np.zeros((P, S, 8))
-            for k0 in range(B, n, B):
-                w = wlag[src_lag + k0]
-                np.cumsum(w * e_plus, axis=1, out=up[:, 1:])
-                np.cumsum((w * e_minus)[:, ::-1], axis=1, out=down[:, S - 1::-1])
-                f = slice(k0 * N, min(k0 + B, n) * N)
-                np.take(up, bounds[:, f], out=at_up[:, f])
-                np.take(down, bounds[:, f], out=at_down[:, f])
-            far = (np.sum(coef_m * (at_down[..., :4] - at_down[..., 4:]), axis=-1)
-                   - np.sum(coef_p * (at_up[..., 4:] - at_up[..., :4]), axis=-1))
-        drift[lo:lo + chunk] = 2 * dt * (near + c_far * decay * far.reshape(P, n, N))
+            dphi = eval_dphi(xb[:, d:, :, None] - xb[:, :B - d, None, :], d * dt, 0.0, params)
+            for j in range(N):
+                near[:, d:] += dphi[:, :, :, j]
+        # far: the sources of earlier blocks, from tables over the nodes sorted mod L
+        xs = x.reshape(S, P)
+        y = xs - L * np.floor(xs / L)
+        order = np.argsort(y, axis=0)
+        cols = np.arange(P)
+        ys = y.take(order * P + cols)
+        # the copies of the value at rank r fill the ranks [first, end); without
+        # ties each run is one rank and the (4x slower) stable sort changes nothing
+        tie = ys[1:] == ys[:-1]
+        rank = np.arange(S)[:, None]
+        first, end = rank, rank + 1
+        if tie.any():
+            order = np.argsort(y, axis=0, kind="stable")
+            first = np.zeros((S, P), dtype=np.intp)
+            first[1:] = np.maximum.accumulate(np.where(tie, 0, rank[1:]), axis=0)
+            end = np.full((S, P), S, dtype=np.intp)
+            end[:-1] = np.minimum.accumulate(np.where(tie, S, rank[1:])[::-1], axis=0)[::-1]
+        node = order * P + cols  # flat index of the node at each rank
+        # flat indices into the (S + 1, P) tables, in node order
+        at_first, at_end = np.empty((2, S, P), dtype=np.intp)
+        at_first.put(node, first * P + cols)
+        at_end.put(node, end * P + cols)
+        lag = (n_blocks * B - np.arange(S) // N).take(order)  # wlag[kB + lag] weighs each rank
+        e_up = np.exp(SQRT2 * ys)
+        e_down = 1 / e_up
+        u = np.empty((S, P))  # e^{sqrt2 y} in node order
+        u.put(node, e_up)
+        v = 1 / u
+        up = np.zeros((S + 1, P))  # up[r]: ranks below r
+        down = np.zeros((S + 1, P))  # down[r]: ranks r and above
+        far = np.zeros((S, P))
+        for k in range(1, n_blocks):
+            w = wlag[k * B:].take(lag)
+            np.cumsum(w * e_up, axis=0, out=up[1:])
+            np.cumsum((w * e_down)[::-1], axis=0, out=down[S - 1::-1])
+            f = slice(k * B * N, (k + 1) * B * N)
+            below, above = at_first[f], at_end[f]
+            far[f] = (u[f] * (down.take(above) + q * (down[0] - down.take(below)))
+                      - v[f] * (up.take(below) + q * (up[S] - up.take(above))))
+        out = 2 * dt * (near + c_far * decay * far.reshape(xb.shape))
+        drift[lo:hi] = out.reshape(-1, N, P)[:n].transpose(2, 0, 1)
     return drift
 
 
@@ -483,7 +468,7 @@ def s_eff_decomposed(
             k_max = default_k_max(2 * eps, params.L)
             drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
         else:
-            X, Z = _pair_terms_closed_form(path, params, steps, phi_diag)
+            X, Z = _pair_terms_closed_form(path, params, steps)
             drift = _drift_near_far(path, params)
         Y = np.stack([ito_integral(drift[:, :h], path) for h in steps])
 

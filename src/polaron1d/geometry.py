@@ -101,18 +101,31 @@ def _check_dim(x: np.ndarray, N: int):
         raise ValueError(f"state dimension {x.shape[-1]} != N = {N}")
 
 
+def _chains(domain: OrderedDomain, x: np.ndarray) -> list:
+    """The order chains x_1..x_p and x_{p+1}..x_N that have two or more coordinates."""
+    p = domain.p
+    return [c for c in (x[..., :p], x[..., p:]) if c.shape[-1] >= 2]
+
+
 def contains(domain: OrderedDomain, x) -> np.ndarray | bool:
     """Strict membership of points x (shape (..., N)) in the ordered domain."""
     x = np.asarray(x, dtype=float)
     _check_dim(x, domain.N)
-    p = domain.p
     ok = np.all(np.abs(x) < domain.L, axis=-1)
-    if p >= 2:
-        ok &= np.all(np.diff(x[..., :p], axis=-1) > 0, axis=-1)
-    if domain.N - p >= 2:
-        ok &= np.all(np.diff(x[..., p:], axis=-1) > 0, axis=-1)
+    for chain in _chains(domain, x):
+        ok &= np.all(np.diff(chain, axis=-1) > 0, axis=-1)
     if ok.ndim == 0:
         return bool(ok)
+    return ok
+
+
+def contains_all(domain: OrderedDomain, states: np.ndarray) -> np.ndarray:
+    """np.all(contains(domain, states), axis=-1) for states (n_paths, n_nodes, N),
+    from per-path max, min and smallest chain difference (a nan fails each)."""
+    L = domain.L
+    ok = (states.max(axis=(1, 2)) < L) & (states.min(axis=(1, 2)) > -L)
+    for chain in _chains(domain, states):
+        ok &= np.diff(chain, axis=-1).min(axis=(1, 2)) > 0
     return ok
 
 
@@ -122,12 +135,9 @@ def _constraint_distances(states: np.ndarray, domain: OrderedDomain) -> np.ndarr
     Positive inside the domain.  Walls contribute 2N entries, the order
     chains p-1 and N-p-1 entries (Euclidean plane distances).
     """
-    L, p, N = domain.L, domain.p, domain.N
+    L = domain.L
     parts = [L - states, states + L]
-    if p >= 2:
-        parts.append(np.diff(states[..., :p], axis=-1) / np.sqrt(2.0))
-    if N - p >= 2:
-        parts.append(np.diff(states[..., p:], axis=-1) / np.sqrt(2.0))
+    parts += [np.diff(chain, axis=-1) / np.sqrt(2.0) for chain in _chains(domain, states)]
     return np.concatenate(parts, axis=-1)
 
 
@@ -143,7 +153,7 @@ def survival_log_weights(states, domain: OrderedDomain, dt: float,
     Membership is tested first: a path with a grid point outside the
     domain within the shortest horizon is -inf in every row, so the
     bridge factors are computed only for the paths inside through that
-    horizon.  `contains` and the signed distances agree on every point
+    horizon.  `contains_all` and the signed distances agree on every point
     (|x| < L exactly when L - x > 0 and x + L > 0; a positive difference
     stays positive divided by sqrt(2)), so the -inf set and the finite
     rows are those of the full evaluation.
@@ -156,7 +166,7 @@ def survival_log_weights(states, domain: OrderedDomain, dt: float,
         raise ValueError(f"horizons must lie in 1..{n}, got {horizons}")
     lead = states.shape[:-2]
     flat = states.reshape((-1,) + states.shape[-2:])
-    keep = np.all(contains(domain, flat[:, :min(steps) + 1]), axis=-1)
+    keep = contains_all(domain, flat[:, :min(steps) + 1])
     d = _constraint_distances(flat[keep], domain)
     inside = np.all(d > 0, axis=-1)
     # exponent of the bridge crossing probability per step and constraint

@@ -5,8 +5,10 @@ over shifts of the interval length L, evaluated through closed forms on
 the fundamental cell [-L, L).  Conventions, fixed once here and relied on
 everywhere else:
 
-* reduce_to_cell maps x to xhat = x - 2L*floor((x+L)/(2L)) in [-L, L).
-  All kernels are 2L-periodic through this reduction.
+* reduce_to_cell maps x to xhat = x - 2L*floor((x+L)/(2L)) in [-L, L),
+  where the closed forms below hold.  g, g', phi, dphi and w have period
+  L (images at every shift nL, modes on the lattice 2*pi*m/L); only the
+  Gaussian periodization K_eps has period 2L.
 
 * The even kernel
 
@@ -28,8 +30,8 @@ everywhere else:
       g'(x) = -sqrt(2) sgn(xhat) exp(-sqrt(2)|xhat|)
               + sqrt(2) A(L) sinh(sqrt(2) xhat),
 
-  exposed as eval_dg.  It jumps at 0 and at the cell walls; its sup norm
-  is sqrt(2) (attained at the jump at 0).
+  exposed as eval_dg.  It jumps at the multiples of L, from sqrt(2) to
+  -sqrt(2); its sup norm is sqrt(2).
 
 * Retarded interaction: with xi(t) = exp(-|t|) and g_L = sqrt(2)*alpha/L,
 
@@ -148,9 +150,11 @@ def eval_g(x, L: float = 1.0):
 
 
 def eval_dg(x, L: float = 1.0):
-    """Spatial derivative g'(x) on the cell interior (odd, jumps at 0 and walls)."""
+    """Spatial derivative g'(x) (odd, period L, jumps at the multiples of L)."""
     xh = reduce_to_cell(x, L)
-    out = SQRT2 * (-np.sign(xh) * np.exp(-SQRT2 * np.abs(xh)) + _A(L) * np.sinh(SQRT2 * xh))
+    # one exp, r = e^{sqrt2 xh}; each product stays <= 1 / (1 - e^{-sqrt2 L})
+    r, half_A = np.exp(SQRT2 * xh), 0.5 * _A(L)
+    out = SQRT2 * ((half_A + (xh < 0)) * r - (half_A + (xh > 0)) / r)
     # At the wall the one-sided closed form overshoots the odd
     # periodization's midpoint value 0; snap it.  reduce_to_cell maps
     # both walls to -L, the only point snapped.

@@ -78,7 +78,8 @@ def sample_brownian(x0, grid: TimeGrid, rng: np.random.Generator) -> PathSample:
     states = np.empty((n_paths, grid.n_steps + 1, N))
     states[:, 0] = x0
     np.cumsum(dw, axis=1, out=states[:, 1:])
-    states[:, 1:] += x0[:, None, :]
+    for i in range(N):  # one coordinate at a time: no length-N inner loops
+        states[:, 1:, i] += x0[:, i, None]
     return PathSample(states=states, grid=grid)
 
 

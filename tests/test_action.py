@@ -298,6 +298,19 @@ class TestHorizonRows:
             assert getattr(rows, name).shape == shape, name
 
 
+def record_chunks(monkeypatch):
+    """Collect the path ranges of every eps = 0 chunking from now on."""
+    chunks = []
+
+    def recording(*args):
+        chunks.append(real(*args))
+        return chunks[-1]
+
+    real = A._eps0_chunks
+    monkeypatch.setattr(A, "_eps0_chunks", recording)
+    return chunks
+
+
 def assert_rel_close(got, want, rel=1e-12):
     """max |got - want| <= rel * max |want|, with matching shapes."""
     assert got.shape == want.shape
@@ -380,12 +393,14 @@ class TestClosedFormPairTerms:
         assert_rel_close(rows.Z, Z_ref)
 
     def test_ragged_chunks_change_no_bit(self, monkeypatch):
-        # pair-term chunks of 3 of 7 paths (drift chunks of 1), as rows
+        # pair-term and drift chunks of 3, 3 and 1 of 7 paths, as rows
         path = make_paths(7, 2, beta=2.5, n_steps=40, stream_index=44)
         params = ModelParams(alpha=1.0, N=2, beta=2.5)
         full = A.s_eff_decomposed(path, 0.0, params, horizons=(40, 27))
-        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 8 * 40 * 2 * 2 * 3)
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 8 * 41 * 2 * 2 * 3)
+        chunks = record_chunks(monkeypatch)
         chunked = A.s_eff_decomposed(path, 0.0, params, horizons=(40, 27))
+        assert chunks == [[(0, 3), (3, 6), (6, 7)]] * 2
         for name in ("X", "Y", "Z"):
             assert np.array_equal(getattr(chunked, name), getattr(full, name)), name
 
@@ -422,8 +437,22 @@ class TestEpsZeroDrift:
         params = ModelParams(alpha=1.0, N=3, beta=2.0)
         full = A._drift_near_far(path, params)
         # chunks of 3, 3 and 1 paths
-        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 64 * 40 * 3 * 3)
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 8 * 41 * 3 * 3 * 3)
+        chunks = record_chunks(monkeypatch)
         assert np.array_equal(self.assert_matches_pair_sum(path, params), full)
+        assert chunks == [[(0, 3), (3, 6), (6, 7)]]
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0, 2.0, -2.0])
+    def test_invariant_under_shifts_by_multiples_of_L(self, shift):
+        # g' has period L: moving one particle's whole path by L or 2L
+        # moves every separation x_i - x_j by a multiple of L
+        L = 0.5
+        path = make_paths(4, 2, beta=2.0, n_steps=45, stream_index=58, L=L)
+        params = ModelParams(alpha=1.0, N=2, L=L, beta=2.0)
+        states = path.states.copy()
+        states[:, :, 1] += shift * L
+        moved = self.assert_matches_pair_sum(PathSample(states, path.grid), params)
+        assert_rel_close(moved, A._drift_near_far(path, params))
 
     @pytest.mark.parametrize("beta, n_steps", [(40.0, 320), (800.0, 1600)])
     def test_long_horizon_without_warnings(self, beta, n_steps):

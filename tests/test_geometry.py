@@ -79,6 +79,20 @@ class TestOrderedDomain:
         swapped = np.concatenate([x[:, 2:], x[:, :2]], axis=1)
         assert np.array_equal(G.contains(d, x), G.contains(d, swapped))
 
+    @pytest.mark.parametrize("N,p", [(1, 0), (2, 1), (2, 2), (3, 1), (4, 2)])
+    def test_contains_all_is_contains_on_every_node(self, N, p):
+        rng = np.random.default_rng(SEED)
+        d = G.OrderedDomain(G.SpinSector(N, p), 1.0)
+        x = np.sort(rng.uniform(-1.02, 1.02, size=(400, 3, N)), axis=-1)
+        x[:50] = rng.uniform(-1.02, 1.02, size=(50, 3, N))
+        x[50, 1, 0] = np.nan
+        x[51, 2, -1] = 1.0  # on the wall
+        x[52, 0] = 0.25  # every coordinate equal
+        expected = np.all(G.contains(d, x), axis=-1)
+        assert 0 < expected.sum() < len(x)
+        assert np.array_equal(G.contains_all(d, x), expected)
+        assert G.contains_all(d, x[:0]).shape == (0,)
+
 
 def survival_weight(states, domain, dt):
     return float(np.exp(G.survival_log_weights(states, domain, dt)))

@@ -80,6 +80,26 @@ class TestEvalDg:
         assert np.array_equal(K.eval_dg(np.array([1.0, -1.0, 3.0])), np.zeros(3))
 
 
+class TestPeriodL:
+    """g sums the images at every shift n L, so g and g' have period L."""
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.3])
+    def test_g_and_dg_repeat_after_L(self, L):
+        x = np.random.default_rng(SEED + 2).uniform(-3 * L, 3 * L, size=300)
+        # g' jumps at the multiples of L
+        x = x[np.abs(x / L - np.round(x / L)) > 1e-6]
+        for shift in (L, -L):
+            np.testing.assert_allclose(K.eval_g(x + shift, L), K.eval_g(x, L),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(K.eval_dg(x + shift, L), K.eval_dg(x, L),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.3, 400.0])
+    def test_dg_vanishes_at_half_period(self, L):
+        # odd with period L: g'(L/2) = -g'(-L/2) = -g'(L/2)
+        assert np.all(np.abs(K.eval_dg(np.array([0.5, -0.5, 1.5]) * L, L)) <= 1e-15)
+
+
 class TestGaussianPeriodization:
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01, 1e-4])
     def test_matches_image_sum(self, eps):
