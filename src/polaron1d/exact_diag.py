@@ -55,40 +55,33 @@ goes through the explicit isometry into the tensor product, built once
 per Hamiltonian (`_Sector`), which keeps every matrix element manifestly
 correct at these tiny dimensions.
 
-`build_H_eps` returns the Hamiltonian as its Kronecker factors,
+`build_H_eps` returns the Hamiltonian as one CSR matrix,
 
     H = h_el (x) 1 + 1 (x) diag(n) + sum_k c_k E_k (x) Q_k,
 
 with h_el the sector matrix (potential included), n the boson
 occupations and, per quadrature mode, the coupling c_k, the lifted
-electronic matrix E_k and Q_k = a_k + a_k^T.  With the state reshaped as
-X (n_el x n_boson), H x = h_el X + X diag(n) + sum_k c_k E_k X Q_k^T:
-two dense products (h_el, and the stacked c_k E_k against X) and one
-sparse product with the interleaved Q_k.  The dense products call
-scipy's dgemm rather than numpy's `@`: numpy and scipy each bundle their
-own OpenBLAS with its own thread pool, and scipy's is the one ARPACK
-already drives.  With numpy's products inside the Lanczos loop the two
-pools contend for the cores: a (10,4,4) N = 2 symmetric solve with
-every mode m <= 4 in the space (dim 39 325) took 6.3-6.9 s that way on
-2 cores, against 1.4-2.0 s with dgemm.
-||H||_inf and the symmetry defect come from the factors and are exact
-up to summation order: h_el (x) 1 and 1 (x) diag(n) fill only
-boson-diagonal positions, and each E_k (x) Q_k only positions one mode-k
-quantum apart, so the terms never share a position and every row sum
-splits into per-term sums.  `KroneckerHamiltonian.tocsr` renders the
-same factors in the kron/sum order, bit for bit the matrix the CSR
-assembly always gave; it serves the dense solver (dim <= 1500), which
-densifies it in Fortran order, so LAPACK works on it in place, and
-computes only the m lowest pairs, on one BLAS thread.
+electronic matrix E_k and Q_k = a_k + a_k^T; states are indexed
+(electron, boson), the boson index fastest.  It is assembled in one
+COO -> CSR step (`_assemble`).  The terms fill disjoint positions:
+h_el (x) 1 and 1 (x) diag(n) only boson-diagonal ones, and each
+E_k (x) Q_k only positions one mode-k quantum apart.  The one sum is
+h_el[i, i] + n_b on the diagonal, two numbers, whose order cannot
+change a bit.  With each coupling entry computed as c_k (E_k,ij Q_k,bb')
+and exact zeros dropped, the matrix is byte for byte the term-by-term
+sum of scipy.sparse.kron products (`tests/oracles.py` keeps that sum as
+the reference).  The dense solver (dim <= 1500) densifies it in Fortran
+order, so LAPACK works on it in place, and computes only the m lowest
+pairs, on one BLAS thread; eigsh applies the CSR product.
 
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
 a symmetric matrix).  Above dim 1500 one eigsh call at tol 1e-11
 either converges or raises InvariantViolation.  Each solve records its
-basis dimension, nnz, coupled quadrature modes, solver (dense or
-eigsh), ncv, tol, the products eigsh took, residuals and seconds in the
-result's provenance and sends one INFO record to the "polaron1d"
-logger; the library adds no handler.  eps = 0 is never diagonalized.
+basis dimension, nnz, solver (dense or eigsh), ncv, tol, the products
+eigsh took, residuals and seconds in the result's provenance and sends
+one INFO record to the "polaron1d" logger; the library adds no
+handler.  eps = 0 is never diagonalized.
 
 `ratio_energy_oracle` evaluates -(1/delta) log of the semigroup ratio
 <u| e^{-(beta+delta) H} |u> / <u| e^{-beta H} |u> with u = (uniform
@@ -96,7 +89,7 @@ function) x (vacuum), i.e. the same finite-horizon functional the ratio
 Monte Carlo estimator targets, so the two can be compared without any
 beta -> infinity argument.  Both horizons come from one Gauss quadrature
 (Golub & Meurant, Matrices, Moments and Quadrature with Applications,
-2010): a Lanczos recurrence from u on the KroneckerHamiltonian, with
+2010): a Lanczos recurrence from u on the CSR matrix, with
 full reorthogonalization in two passes, gives the Jacobi matrix T whose
 Ritz values theta_j and weights tau_j (first eigenvector components,
 squared) give <u| e^{-tH} |u> ~ ||u||^2 sum_j tau_j e^{-t theta_j}.
@@ -112,14 +105,12 @@ import ctypes
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.blas import dgemm
 
 from .fock import FockSpace, annihilator
 from .kernels import ModelParams, damped_mode_count
@@ -355,127 +346,37 @@ def _interaction_blocks(sector: _Sector, spec: DiscretizationSpec,
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
-class KroneckerHamiltonian:
-    """H = h_el (x) 1 + 1 (x) diag(n) + sum_k c_k E_k (x) Q_k, kept as factors.
+def _assemble(h_el: np.ndarray, space: FockSpace,
+              terms) -> scipy.sparse.csr_matrix:
+    """H = h_el (x) 1 + 1 (x) diag(n) + sum_k c_k E_k (x) Q_k as one CSR.
 
-    h_el is the electronic sector matrix, n the boson occupations, and
-    per interacting quadrature mode c_k its coupling, E_k its lifted
-    electronic matrix and Q_k = a_k + a_k^T (sparse).  States are indexed
-    (electron, boson), the boson index fastest.
+    n is the total occupation of the Fock space and (c_k, E_k) the
+    coupling and electronic matrix of the quadrature mode at Fock
+    position k, whose Q_k = a_k + a_k^T.  States are indexed (electron,
+    boson), the boson index fastest.  One COO -> CSR step; the entries
+    are the bytes of the term-by-term kron sum (module docstring).
     """
-
-    h_el: np.ndarray
-    occupation: np.ndarray
-    couplings: tuple = ()
-    el_mats: tuple = ()
-    quads: tuple = ()
-
-    dtype = np.dtype(np.float64)
-
-    @property
-    def shape(self) -> tuple:
-        dim = self.h_el.shape[0] * self.occupation.size
-        return (dim, dim)
-
-    @cached_property
-    def _h_el_t(self) -> np.ndarray:
-        return np.asfortranarray(self.h_el.T)
-
-    @cached_property
-    def _stacked_el(self) -> np.ndarray:
-        """Rows k * n_el + i hold c_k E_k[i, :]."""
-        return np.asfortranarray(np.concatenate(
-            [c * E for c, E in zip(self.couplings, self.el_mats)]))
-
-    @cached_property
-    def _interleaved_quads(self) -> scipy.sparse.csr_matrix:
-        """(n_b, n_b K) with Q_k[b, b'] at column b' K + k."""
-        K, n_b = len(self.quads), self.occupation.size
-        coo = [Q.tocoo() for Q in self.quads]
-        rows = np.concatenate([q.row for q in coo])
-        cols = np.concatenate([q.col * K + k for k, q in enumerate(coo)])
-        data = np.concatenate([q.data for q in coo])
-        return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n_b, n_b * K))
-
-    def __matmul__(self, x) -> np.ndarray:
-        """H x as h_el X + X diag(n) + sum_k c_k E_k X Q_k^T, X = x as (n_el, n_b).
-
-        A C-ordered X is X^T in Fortran order, so both dgemm calls take it
-        without a copy.  The stacked product, read as C-ordered
-        (n_b, K n_el), is the (n_b K, n_el) operand of one sparse product
-        with the interleaved Q_k.
-        """
-        n_el, n_b = self.h_el.shape[0], self.occupation.size
-        X = np.ascontiguousarray(x, dtype=np.float64).reshape(n_el, n_b)
-        Y = dgemm(1.0, X.T, self._h_el_t).T
-        Y += X * self.occupation
-        if self.couplings:
-            P = dgemm(1.0, self._stacked_el, X.T, trans_b=True)
-            Y += (self._interleaved_quads
-                  @ P.T.reshape(n_b * len(self.couplings), n_el)).T
-        return Y.ravel()
-
-    @cached_property
-    def nnz(self) -> int:
-        """Nonzeros of the represented matrix, as many as tocsr() stores.
-
-        The three kinds of term fill disjoint positions (boson-diagonal,
-        and one mode-k quantum apart for each k), so the count is theirs
-        summed.  A coupling term counts its positions structurally,
-        nnz(E_k) nnz(Q_k): no product c_k E_k,ij Q_k,bb' underflows to 0,
-        as build_H_eps keeps only the modes the damping keeps, and the
-        zeros of E_k are those of the closed forms (module docstring).
-        """
-        n_b = self.occupation.size
-        off = self.h_el != 0
-        np.fill_diagonal(off, False)
-        count = int(off.sum()) * n_b + int(np.count_nonzero(
-            np.diag(self.h_el)[:, None] + self.occupation[None, :]))
-        for E, Q in zip(self.el_mats, self.quads):
-            count += int(np.count_nonzero(E)) * Q.nnz
-        return count
-
-    def inf_norm(self) -> float:
-        """max_r sum_c |H_rc| from the factors, exact up to summation order.
-
-        On disjoint positions the row sum splits: the boson-diagonal part
-        sum_j |h_ij + delta_ij n_b| plus sum_k |c_k| (sum_j |E_k,ij|)
-        (sum_b' |Q_k,bb'|).
-        """
-        a = np.abs(self.h_el)
-        np.fill_diagonal(a, 0.0)
-        rows = a.sum(axis=1)[:, None] + np.abs(
-            np.diag(self.h_el)[:, None] + self.occupation[None, :])
-        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
-            rows += np.outer(abs(c) * np.abs(E).sum(axis=1),
-                             np.asarray(abs(Q).sum(axis=1)).ravel())
-        return float(rows.max())
-
-    def asymmetry(self) -> float:
-        """max |H - H^T| from the factors.
-
-        Exact when every Q_k is symmetric, as build_H_eps makes them,
-        and an upper bound otherwise: E (x) Q - E^T (x) Q^T =
-        (E - E^T) (x) Q + E^T (x) (Q - Q^T).
-        """
-        defect = float(np.abs(self.h_el - self.h_el.T).max())
-        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
-            defect = max(defect, float(abs(c) * (
-                np.abs(E - E.T).max() * abs(Q).max()
-                + np.abs(E).max() * abs(Q - Q.T).max())))
-        return defect
-
-    def tocsr(self) -> scipy.sparse.csr_matrix:
-        """The same matrix as CSR, summed term by term in this order."""
-        eye_b = scipy.sparse.identity(self.occupation.size, format="csr")
-        eye_e = scipy.sparse.identity(self.h_el.shape[0], format="csr")
-        n_ph = scipy.sparse.diags(self.occupation, format="csr")
-        H = (scipy.sparse.kron(scipy.sparse.csr_matrix(self.h_el), eye_b)
-             + scipy.sparse.kron(eye_e, n_ph))
-        for c, E, Q in zip(self.couplings, self.el_mats, self.quads):
-            H = H + c * scipy.sparse.kron(scipy.sparse.csr_matrix(E), Q)
-        return H.tocsr()
+    n_el, n_b = h_el.shape[0], space.dim
+    bosons = np.arange(n_b)
+    off = h_el != 0
+    np.fill_diagonal(off, False)
+    i, j = np.nonzero(off)
+    diag = (np.diag(h_el)[:, None] + space.total_occupation).ravel()
+    d = np.flatnonzero(diag)
+    parts = [((i * n_b)[:, None] + bosons, (j * n_b)[:, None] + bosons,
+              np.repeat(h_el[i, j], n_b)), (d, d, diag[d])]
+    for pos, (c, E) in enumerate(terms):
+        low = annihilator(space, pos)
+        Q = (low + low.T).tocoo()
+        i, j = np.nonzero(E)
+        parts.append(((i * n_b)[:, None] + Q.row, (j * n_b)[:, None] + Q.col,
+                      c * (E[i, j][:, None] * Q.data)))
+    rows, cols, data = (np.concatenate([p[n].ravel() for p in parts])
+                        for n in range(3))
+    H = scipy.sparse.coo_matrix((data, (rows, cols)),
+                                shape=(n_el * n_b, n_el * n_b)).tocsr()
+    H.eliminate_zeros()
+    return H
 
 
 def kept_modes(params: ModelParams, spec: DiscretizationSpec) -> int:
@@ -484,8 +385,8 @@ def kept_modes(params: ModelParams, spec: DiscretizationSpec) -> int:
 
 
 def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
-                spec: DiscretizationSpec) -> KroneckerHamiltonian:
-    """Full cutoff Hamiltonian H_el + N_ph + interaction, as its factors.
+                spec: DiscretizationSpec) -> scipy.sparse.csr_matrix:
+    """Full cutoff Hamiltonian H_el + N_ph + interaction, as one CSR matrix.
 
     The Fock space holds the k = 0 mode and the cosine and sine of the
     modes m <= kept_modes(params, spec), all coupled at alpha > 0; the
@@ -497,45 +398,38 @@ def build_H_eps(N: int, symmetry: str, pot, params: ModelParams,
         raise ValueError(f"N = {N} does not match params.N = {params.N}")
     sector = _Sector(N, symmetry, spec.n_el_basis)
     n_modes = kept_modes(params, spec)
-    space = FockSpace(modes=range(1 + 2 * n_modes), cap=spec.n_ph_max)
     terms = ()
     with _one_blas_thread():
         h_el = sector.electronic(pot, params.L)
         if params.alpha > 0:
             terms = _interaction_blocks(sector, spec, params, n_modes)
-    quads = []
-    for pos in range(len(terms)):
-        low = annihilator(space, pos)
-        quads.append(low + low.T)
-    return KroneckerHamiltonian(
-        h_el=h_el,
-        occupation=space.total_occupation,
-        couplings=tuple(c for c, _ in terms),
-        el_mats=tuple(E for _, E in terms), quads=tuple(quads))
+    space = FockSpace(modes=range(1 + 2 * n_modes), cap=spec.n_ph_max)
+    return _assemble(h_el, space, terms)
 
 
-def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
+def ground(H: scipy.sparse.spmatrix, m: int = 2) -> SpectrumResult:
     """Lowest-m eigenpairs with explicit residual certificates.
 
-    Rejects non-symmetric input; residuals must sit below 1e-8 times the
-    infinity norm of H or the result is refused rather than returned.
+    H is a scipy sparse matrix.  Rejects non-symmetric input; residuals
+    must sit below 1e-8 times the infinity norm of H or the result is
+    refused rather than returned.
     The gate certifies that each returned pair is an eigenpair, not that
     the pairs are the lowest m: a Lanczos solve that skips a degenerate
     copy can pass it.  Above dim 1500 the solve is one eigsh call at
-    tol 1e-11 that applies H through its product, never assembling it;
-    if ARPACK does not converge within its default restarts, it raises
+    tol 1e-11 that applies H through its sparse product; if ARPACK does
+    not converge within its default restarts, it raises
     InvariantViolation("spectrum-convergence") with dim, m, ncv and the
     products taken.
 
-    The provenance of the result holds dim, nnz, coupled_modes (the
-    quadrature modes with an interaction term), solver ("dense" or
+    The provenance of the result holds dim, nnz, solver ("dense" or
     "eigsh"), ncv and tol (None for dense), matvecs (the products eigsh
     took; 0 for dense), residuals and solve_s, the seconds from the
     symmetry check to the certificate.
     """
     start = perf_counter()
-    dim, coupled, nnz = H.shape[0], len(H.couplings), H.nnz
-    scale, asym = max(H.inf_norm(), 1e-300), H.asymmetry()
+    dim, nnz = H.shape[0], H.nnz
+    scale = max(float(abs(H).sum(axis=1).max()), 1e-300)
+    asym = float(abs(H - H.T).max())
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: defect {asym:.3e} "
                          f"against scale {scale:.3e}")
@@ -545,7 +439,7 @@ def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
         solver, ncv, tol = "dense", None, None
         with _one_blas_thread():
             vals, vecs = scipy.linalg.eigh(
-                H.tocsr().toarray(order="F"), subset_by_index=(0, m - 1),
+                H.toarray(order="F"), subset_by_index=(0, m - 1),
                 overwrite_a=True)
     else:
         def apply(x):
@@ -578,12 +472,12 @@ def ground(H: KroneckerHamiltonian, m: int = 2) -> SpectrumResult:
             "spectrum-residual",
             f"residuals {residuals[bad]} exceed 1e-8 * ||H|| = {1e-8 * scale:.3e}")
     gap = float(vals[1] - vals[0]) if m >= 2 else 0.0
-    prov = dict(dim=dim, nnz=nnz, coupled_modes=coupled, solver=solver,
+    prov = dict(dim=dim, nnz=nnz, solver=solver,
                 ncv=ncv, tol=tol, matvecs=matvecs,
                 residuals=residuals.tolist(), solve_s=perf_counter() - start)
-    logger.info("ground dim=%d nnz=%d coupled_modes=%d solver=%s ncv=%s "
+    logger.info("ground dim=%d nnz=%d solver=%s ncv=%s "
                 "tol=%s matvecs=%d m=%d E0=%r residual_max=%.3e solve_s=%.3f",
-                dim, nnz, coupled, solver, ncv, tol, matvecs, m,
+                dim, nnz, solver, ncv, tol, matvecs, m,
                 float(vals[0]), float(residuals.max()), prov["solve_s"])
     return SpectrumResult(eigenvalues=vals, residuals=residuals, gap=gap,
                           norm_scale=scale, provenance=prov)
@@ -706,8 +600,9 @@ def ratio_energy_oracle(params: ModelParams, spec: DiscretizationSpec,
     horizons come from one Lanczos quadrature (see the module docstring),
     which raises InvariantViolation("oracle-convergence") rather than
     return an energy that has not settled within _LANCZOS_MAX_STEPS steps.
-    Sends one INFO record to the "polaron1d" logger: dim, coupled
-    quadrature modes, Lanczos steps, the last energy change and seconds.
+    Sends one INFO record to the "polaron1d" logger: dim, the quadrature
+    modes in the Fock space, Lanczos steps, the last energy change and
+    seconds.
     """
     if params.N != 1:
         raise ValueError("the matched semigroup oracle is implemented for N = 1")
@@ -716,7 +611,7 @@ def ratio_energy_oracle(params: ModelParams, spec: DiscretizationSpec,
     start = perf_counter()
     H = build_H_eps(1, "none", pot, params, spec)
     dim = H.shape[0]
-    u = uniform_vacuum_vector(spec, H.occupation.size, params.L)
+    u = uniform_vacuum_vector(spec, dim // spec.n_el_basis, params.L)
     basis = np.empty((min(dim, 32), dim))
     basis[0] = u / np.linalg.norm(u)
     diag, off = [], []
@@ -745,7 +640,8 @@ def ratio_energy_oracle(params: ModelParams, spec: DiscretizationSpec,
             f"energy still moved by {change:.3e} after {_LANCZOS_MAX_STEPS} "
             "Lanczos steps")
     seconds = perf_counter() - start
-    logger.info("ratio_energy_oracle dim=%d coupled_modes=%d lanczos_steps=%d "
-                "last_change=%.3e E=%r oracle_s=%.3f", dim, len(H.couplings),
-                step + 1, change, energy, seconds)
+    logger.info("ratio_energy_oracle dim=%d boson_modes=%d lanczos_steps=%d "
+                "last_change=%.3e E=%r oracle_s=%.3f", dim,
+                1 + 2 * kept_modes(params, spec), step + 1, change, energy,
+                seconds)
     return energy

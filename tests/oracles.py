@@ -12,12 +12,15 @@ step at a time.  `theta_two_pass` evaluates theta and theta_tilde in two
 passes, one on the path and one on its time reversal, with one complex
 exponential per mode.  `full_coupling_hamiltonian` assembles the ED
 Hamiltonian from the package's blocks with every mode m <= k_max in the
-Fock space and coupled, however damped, and `expm_ratio_energy`
+Fock space and coupled, however damped; `kron_sum_hamiltonian` sums
+the ED Hamiltonian term by term from `scipy.sparse.kron` products, the
+reference for the one-step assembly; and `expm_ratio_energy`
 propagates the ratio oracle's reference vector with `expm_multiply` on
-the CSR rendering of a given Hamiltonian.
+a given Hamiltonian.
 """
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
 from polaron1d import exact_diag as ed
@@ -490,27 +493,38 @@ def full_coupling_hamiltonian(N, symmetry, pot, params, spec):
     if params.alpha > 0:
         terms = ed._interaction_blocks(sector, spec, params, spec.k_max)
     space = FockSpace(modes=range(1 + 2 * spec.k_max), cap=spec.n_ph_max)
-    quads = []
-    for pos in range(len(terms)):
+    return ed._assemble(sector.electronic(pot, params.L), space, terms)
+
+
+def kron_sum_hamiltonian(N, symmetry, pot, params, spec):
+    """build_H_eps summed term by term from scipy.sparse.kron products:
+    h_el (x) 1 + 1 (x) diag(n), then + c_k kron(E_k, Q_k) per mode."""
+    sector = ed._Sector(N, symmetry, spec.n_el_basis)
+    n_modes = ed.kept_modes(params, spec)
+    terms = ()
+    if params.alpha > 0:
+        terms = ed._interaction_blocks(sector, spec, params, n_modes)
+    space = FockSpace(modes=range(1 + 2 * n_modes), cap=spec.n_ph_max)
+    h_el = sector.electronic(pot, params.L)
+    H = (scipy.sparse.kron(scipy.sparse.csr_matrix(h_el),
+                           scipy.sparse.identity(space.dim, format="csr"))
+         + scipy.sparse.kron(scipy.sparse.identity(sector.dim, format="csr"),
+                             scipy.sparse.diags(space.total_occupation, format="csr")))
+    for pos, (c, E) in enumerate(terms):
         low = annihilator(space, pos)
-        quads.append(low + low.T)
-    return ed.KroneckerHamiltonian(
-        h_el=sector.electronic(pot, params.L),
-        occupation=space.total_occupation,
-        couplings=tuple(c for c, _ in terms),
-        el_mats=tuple(E for _, E in terms), quads=tuple(quads))
+        H = H + c * scipy.sparse.kron(scipy.sparse.csr_matrix(E), low + low.T)
+    return H.tocsr()
 
 
 def expm_ratio_energy(H, spec, beta, delta, L=1.0):
     """ratio_energy_oracle by expm_multiply: w = e^{-beta H/2} u, then
-    e^{-delta H/2} w, on the CSR rendering of the N = 1 KroneckerHamiltonian H.
+    e^{-delta H/2} w, on the N = 1 Hamiltonian H, a sparse matrix.
 
-    <u| e^{-tH} |u> = ||e^{-tH/2} u||^2 for symmetric H.  On the CSR,
-    not the operator: on an operator expm_multiply estimates the 1-norm
+    <u| e^{-tH} |u> = ||e^{-tH/2} u||^2 for symmetric H.  On the matrix,
+    not an operator: on an operator expm_multiply estimates the 1-norm
     with onenormest, which draws from numpy's global unseeded RNG.
     """
-    u = ed.uniform_vacuum_vector(spec, H.occupation.size, L)
-    H = H.tocsr()
+    u = ed.uniform_vacuum_vector(spec, H.shape[0] // spec.n_el_basis, L)
     w = scipy.sparse.linalg.expm_multiply(-(beta / 2) * H, u)
     w_more = scipy.sparse.linalg.expm_multiply(-(delta / 2) * H, w)
     return float(-np.log((w_more @ w_more) / (w @ w)) / delta)

@@ -10,7 +10,6 @@ and the ratio oracle are held against `oracles.full_coupling_hamiltonian`,
 the space with every mode m <= k_max in it and coupled.
 """
 
-import dataclasses
 import json
 import logging
 import re
@@ -27,17 +26,9 @@ from polaron1d.action import PotentialSpec
 from polaron1d.fock import FockSpace
 from polaron1d.kernels import ModelParams, default_k_max
 
-SEED = 71003
-
 
 def params_for(alpha, N=1, beta=2.0):
     return ModelParams(alpha=alpha, N=N, L=1.0, beta=beta)
-
-
-def one_boson_state(M):
-    """M as a KroneckerHamiltonian: electronic factor M, one boson state."""
-    return ed.KroneckerHamiltonian(h_el=np.asarray(M, dtype=float),
-                                   occupation=np.zeros(1))
 
 
 def count_eigsh_products(monkeypatch):
@@ -158,7 +149,7 @@ class TestBuildHeps:
                                             (2, "antisymmetric")])
     def test_real_symmetric(self, N, symmetry):
         spec = ed.DiscretizationSpec(5, 2, 2, 0.5)
-        H = ed.build_H_eps(N, symmetry, None, params_for(0.8, N=N), spec).tocsr()
+        H = ed.build_H_eps(N, symmetry, None, params_for(0.8, N=N), spec)
         assert H.dtype == np.float64
         defect = abs(H - H.T).max()
         assert defect <= 1e-12 * abs(H).max()
@@ -210,7 +201,7 @@ class TestBuildHeps:
 
 class TestGround:
     def test_rejects_asymmetric(self):
-        H = one_boson_state([[1.0, 2.0], [0.0, 3.0]])
+        H = scipy.sparse.csr_matrix([[1.0, 2.0], [0.0, 3.0]])
         with pytest.raises(ValueError, match="symmetric"):
             ed.ground(H)
 
@@ -222,7 +213,7 @@ class TestGround:
         assert np.all(np.diff(res.eigenvalues) >= -1e-12)
 
     def test_m_clamped_to_dimension(self):
-        H = one_boson_state(np.diag([1.0, 2.0]))
+        H = scipy.sparse.csr_matrix(np.diag([1.0, 2.0]))
         res = ed.ground(H, m=5)
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0], atol=1e-14)
 
@@ -231,7 +222,7 @@ class TestGround:
         H = ed.build_H_eps(2, "symmetric", None, params_for(1.0, N=2), spec)
         res = ed.ground(H, m=3)
         assert res.provenance["solver"] == "dense"
-        full = scipy.linalg.eigh(H.tocsr().toarray(), eigvals_only=True)
+        full = scipy.linalg.eigh(H.toarray(), eigvals_only=True)
         np.testing.assert_allclose(res.eigenvalues, full[:3], rtol=0,
                                    atol=1e-14 * res.norm_scale)
 
@@ -274,14 +265,14 @@ class TestGround:
         assert [get() for get, _ in ed._BLAS_CONTROLS] == before
 
 
-class TestKroneckerHamiltonian:
-    """The factor form against its own CSR rendering."""
+class TestAssembly:
+    """The one-step CSR assembly against the term-by-term kron sum."""
 
     V_AND_W = PotentialSpec(V=lambda x: 0.4 * x**2 - 0.3,
                             W=lambda r: 0.2 * np.cos(np.pi * r))
     # (N, symmetry, sizes, eps, alpha, pot); the two eps = 0.5 shapes are
     # benchmark shapes whose E_k hold parity and sinc zeros as rounding
-    # residue, which the structural nnz must count as tocsr() stores them
+    # residue, which the assembly must store as the kron sum does
     CASES = {
         "n1": (1, "none", (6, 2, 3), 0.3, 1.0, None),
         "n1-alpha0": (1, "none", (5, 2, 3), 0.3, 0.0, None),
@@ -297,69 +288,52 @@ class TestKroneckerHamiltonian:
     }
 
     @staticmethod
-    def build(case):
-        N, symmetry, sizes, eps, alpha, pot = TestKroneckerHamiltonian.CASES[case]
-        return ed.build_H_eps(N, symmetry, pot, params_for(alpha, N=N),
-                              ed.DiscretizationSpec(*sizes, eps))
+    def args(case):
+        N, symmetry, sizes, eps, alpha, pot = TestAssembly.CASES[case]
+        return (N, symmetry, pot, params_for(alpha, N=N),
+                ed.DiscretizationSpec(*sizes, eps))
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_product_matches_csr(self, case):
-        H = self.build(case)
-        C = H.tocsr()
-        rng = np.random.default_rng([SEED, len(case)])
-        for _ in range(3):
-            x = rng.standard_normal(H.shape[0])
-            want = C @ x
-            assert np.linalg.norm(H @ x - want) <= 1e-13 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_norm_nnz_and_symmetry_match_csr(self, case):
-        H = self.build(case)
-        C = H.tocsr()
-        row_sums = abs(C).sum(axis=1).max()
-        assert abs(H.inf_norm() - row_sums) <= 1e-14 * row_sums
-        assert H.nnz == C.nnz
-        assert H.asymmetry() <= 1e-15 * row_sums
-        assert H.shape == C.shape
+    def test_matches_kron_sum_bitwise(self, case):
+        H = ed.build_H_eps(*self.args(case))
+        want = oracles.kron_sum_hamiltonian(*self.args(case))
+        assert isinstance(H, scipy.sparse.csr_matrix)
+        assert H.shape == want.shape and H.nnz == want.nnz
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(H, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
     def test_interaction_terms_only_at_positive_alpha(self):
-        # the k = 0 mode, then a cosine and a sine per mode the damping keeps
-        assert self.build("n1-alpha0").couplings == ()
-        for case in ("n1-kmax0", "n2-sym"):
-            _, _, sizes, eps, *_ = self.CASES[case]
-            kept = min(sizes[1], default_k_max(2 * eps))
-            assert len(self.build(case).couplings) == 1 + 2 * kept
+        # at alpha = 0 every entry is boson-diagonal; above it the Fock
+        # space holds the k = 0 mode and a cosine and a sine per mode the
+        # damping keeps, and entries off the boson diagonal couple them
+        from math import comb
+        for case in ("n1-alpha0", "n1-kmax0", "n2-sym"):
+            N, symmetry, pot, params, spec = self.args(case)
+            modes = 1 + 2 * min(spec.k_max, default_k_max(2 * spec.epsilon))
+            n_b = comb(spec.n_ph_max + modes, modes)
+            H = ed.build_H_eps(N, symmetry, pot, params, spec)
+            assert H.shape[0] == ed._Sector(N, symmetry, spec.n_el_basis).dim * n_b
+            rows, cols = H.nonzero()
+            assert np.any(rows % n_b != cols % n_b) == (params.alpha > 0)
 
-    @pytest.mark.parametrize("target", ["h_el", "el_mats"])
-    def test_asymmetric_factor_rejected(self, target):
-        H = self.build("n2-anti-VW")
-        if target == "h_el":
-            bad = H.h_el.copy()
-            bad[0, 1] += 1e-3
-            H = dataclasses.replace(H, h_el=bad)
-        else:
-            bad = H.el_mats[1].copy()
-            bad[1, 0] -= 1e-3
-            H = dataclasses.replace(H, el_mats=(H.el_mats[0], bad) + H.el_mats[2:])
-        C = H.tocsr()
-        defect = abs(C - C.T).max()
-        assert defect > 0
-        assert H.asymmetry() == pytest.approx(defect, rel=1e-12)
+    @pytest.mark.parametrize("target", ["boson-diagonal", "coupling"])
+    def test_asymmetric_entry_rejected(self, target):
+        N, symmetry, pot, params, spec = self.args("n2-anti-VW")
+        H = ed.build_H_eps(N, symmetry, pot, params, spec)
+        n_b = H.shape[0] // ed._Sector(N, symmetry, spec.n_el_basis).dim
+        rows, cols = H.nonzero()
+        boson_diagonal = rows % n_b == cols % n_b
+        pick = boson_diagonal & (rows != cols) if target == "boson-diagonal" \
+            else ~boson_diagonal
+        r, c = rows[pick][0], cols[pick][0]
+        bad = H.copy()
+        bad[r, c] += 1e-3
+        assert abs(bad - bad.T).max() == pytest.approx(1e-3, rel=1e-9)
+        ed.ground(H)
         with pytest.raises(ValueError, match="symmetric"):
-            ed.ground(H)
-
-    def test_eigsh_branch_assembles_no_csr(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the eigsh branch assembled a matrix")
-
-        monkeypatch.setattr(scipy.sparse, "kron", refuse)
-        monkeypatch.setattr(ed.KroneckerHamiltonian, "tocsr", refuse)
-        spec = ed.DiscretizationSpec(6, 2, 4, 0.05)
-        res = ed.sector_ground(2, "antisymmetric", None, params_for(1.0, N=2), spec)
-        prov = res.provenance
-        assert prov["dim"] > 1500
-        assert prov["solver"] == "eigsh"
-        assert np.all(res.residuals <= 1e-8 * res.norm_scale)
+            ed.ground(bad)
 
     def test_operator_lanczos_matches_dense(self):
         # eps = 0.05 keeps m = 1..3 of k_max = 3: dim 2640.  At alpha = 0
@@ -373,21 +347,23 @@ class TestKroneckerHamiltonian:
         H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
         assert H.shape[0] > 1500
         res = ed.ground(H, m=3)
-        dense = scipy.linalg.eigh(H.tocsr().toarray(), eigvals_only=True)[:3]
+        dense = scipy.linalg.eigh(H.toarray(), eigvals_only=True)[:3]
         np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-9)
 
     def test_selection_rule_zeros_are_exact(self):
         # <a|cos kx|b> lives on |a - b| = 4m or a + b = 4m, <a|sin kx|b> on
         # odd a + b; everywhere else the stored entries are exact zeros
         n = 12
-        H = ed.build_H_eps(1, "none", None, params_for(1.0),
-                           ed.DiscretizationSpec(n, 3, 2, 0.02))
+        spec = ed.DiscretizationSpec(n, 3, 2, 0.02)
+        blocks = ed._interaction_blocks(ed._Sector(1, "none", n), spec,
+                                        params_for(1.0), 3)
+        el_mats = [E for _, E in blocks]
         a = np.arange(1, n + 1)
         summ, diff = np.add.outer(a, a), np.abs(np.subtract.outer(a, a))
-        np.testing.assert_array_equal(H.el_mats[0], np.eye(n))
+        np.testing.assert_array_equal(el_mats[0], np.eye(n))
         for m in (1, 2, 3):
-            for E, rule in [(H.el_mats[2 * m - 1], (diff == 4 * m) | (summ == 4 * m)),
-                            (H.el_mats[2 * m], summ % 2 == 1)]:
+            for E, rule in [(el_mats[2 * m - 1], (diff == 4 * m) | (summ == 4 * m)),
+                            (el_mats[2 * m], summ % 2 == 1)]:
                 assert np.count_nonzero(E) == np.count_nonzero(rule)
                 assert np.all(E[~rule] == 0.0)
 
@@ -395,9 +371,10 @@ class TestKroneckerHamiltonian:
     def test_k0_block_is_exactly_n_identity(self, symmetry):
         # (1/sqrt 2)^2 rounds below 1/2: lifting the identity would leave
         # 1.9999999999999996 on the diagonal
-        H = ed.build_H_eps(2, symmetry, None, params_for(1.0, N=2),
-                           ed.DiscretizationSpec(5, 1, 1, 0.5))
-        np.testing.assert_array_equal(H.el_mats[0], 2 * np.eye(H.h_el.shape[0]))
+        sector = ed._Sector(2, symmetry, 5)
+        [(_, E0), *_] = ed._interaction_blocks(
+            sector, ed.DiscretizationSpec(5, 1, 1, 0.5), params_for(1.0, N=2), 1)
+        np.testing.assert_array_equal(E0, 2 * np.eye(sector.dim))
 
 
 class TestModeRule:
@@ -413,7 +390,7 @@ class TestModeRule:
         spec = ed.DiscretizationSpec(*sizes, eps)
         H = ed.build_H_eps(N, symmetry, None, params, spec)
         full = oracles.full_coupling_hamiltonian(N, symmetry, None, params, spec)
-        assert len(H.couplings) < len(full.couplings)
+        assert H.shape[0] < full.shape[0]
         got, want = ed.ground(H, m=3), ed.ground(full, m=3)
         # relative to ||H||: the scale at which the solvers resolve
         # eigenvalues, far above the dropped couplings' e^{-37} g_L
@@ -424,13 +401,9 @@ class TestModeRule:
         spec = ed.DiscretizationSpec(5, 3, 2, 0.02)
         H = ed.build_H_eps(2, "antisymmetric", None, params, spec)
         full = oracles.full_coupling_hamiltonian(2, "antisymmetric", None, params, spec)
-        assert len(H.couplings) == 1 + 2 * 3
-        assert H.couplings == full.couplings
-        np.testing.assert_array_equal(H.h_el, full.h_el)
-        np.testing.assert_array_equal(H.occupation, full.occupation)
-        for E, E_full, Q, Q_full in zip(H.el_mats, full.el_mats, H.quads, full.quads):
-            np.testing.assert_array_equal(E, E_full)
-            assert (Q != Q_full).nnz == 0
+        assert ed.kept_modes(params, spec) == spec.k_max == 3
+        for name in ("data", "indices", "indptr"):
+            assert getattr(H, name).tobytes() == getattr(full, name).tobytes()
 
     def test_products_hold_no_subnormals(self):
         # at eps = 0.5 the couplings of m = 2, 3, 4 would be 8.6e-35 and
@@ -438,7 +411,7 @@ class TestModeRule:
         # and every product that touches them runs several times slower
         spec = ed.DiscretizationSpec(12, 4, 4, 0.5)
         H = ed.build_H_eps(1, "none", None, params_for(1.0), spec)
-        v = ed.uniform_vacuum_vector(spec, H.occupation.size)
+        v = ed.uniform_vacuum_vector(spec, H.shape[0] // spec.n_el_basis)
         for _ in range(30):
             v = H @ v
             v /= np.linalg.norm(v)
@@ -460,14 +433,13 @@ class TestProvenance:
         assert (prov["dim"], prov["nnz"]) == (H.shape[0], H.nnz)
         assert (prov["solver"], prov["ncv"], prov["tol"]) == ("dense", None, None)
         assert prov["matvecs"] == 0
-        assert prov["coupled_modes"] == len(H.couplings) == 1
+        assert "coupled_modes" not in prov
         assert prov["residuals"] == res.residuals.tolist()
         assert prov["assemble_s"] >= 0.0 and prov["solve_s"] >= 0.0
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert rec.levelno == logging.INFO
-        assert " solver=dense " in rec.getMessage()
-        assert " nnz=%d coupled_modes=1 " % H.nnz in rec.getMessage()
+        assert " nnz=%d solver=dense " % H.nnz in rec.getMessage()
         assert "matvecs=0" in rec.getMessage()
         assert logging.getLogger("polaron1d").handlers == []
 
@@ -478,39 +450,36 @@ class TestProvenance:
             res = ed.sector_ground(1, "none", None, params_for(1.0), spec, m=3)
         prov = res.provenance
         assert prov["solver"] == "eigsh"
-        assert prov["boson_modes"] == prov["coupled_modes"] == 1 + 2 * 3
+        assert prov["boson_modes"] == 1 + 2 * 3
         assert prov["matvecs"] == len(calls) > 0
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
         assert " solver=eigsh " in rec.getMessage()
         assert f"matvecs={len(calls)} " in rec.getMessage()
 
     def test_lanczos_solve(self, monkeypatch, caplog):
-        # tridiagonal: diagonal sqrt(j), off-diagonal 0.01, as one coupling
-        # of a single electronic state to a chain of boson states
+        # tridiagonal: diagonal sqrt(j), off-diagonal 0.01; the diagonal's
+        # leading 0 is not stored
         calls = count_eigsh_products(monkeypatch)
         dim = 2000
-        ones = np.ones(dim - 1)
-        H = ed.KroneckerHamiltonian(
-            h_el=np.zeros((1, 1)), occupation=np.sqrt(np.arange(dim, dtype=float)),
-            couplings=(0.01,), el_mats=(np.ones((1, 1)),),
-            quads=(scipy.sparse.diags([ones, ones], [-1, 1], format="csr"),))
+        off = np.full(dim - 1, 0.01)
+        H = scipy.sparse.diags([off, np.sqrt(np.arange(dim, dtype=float)), off],
+                               [-1, 0, 1], format="csr")
+        H.eliminate_zeros()
         with caplog.at_level(logging.INFO, logger="polaron1d"):
             res = ed.ground(H, m=2)
         prov = res.provenance
         assert (prov["dim"], prov["nnz"]) == (dim, 3 * dim - 3)
         assert prov["solver"] == "eigsh" and prov["ncv"] == 60 and prov["tol"] == 1e-11
-        assert prov["coupled_modes"] == 1
         assert prov["matvecs"] == len(calls) > 0
         assert len(prov["residuals"]) == 2 and "assemble_s" not in prov
         json.dumps(prov)
         [rec] = [r for r in caplog.records if r.name == "polaron1d"]
-        assert " coupled_modes=1 solver=eigsh " in rec.getMessage()
+        assert f" nnz={3 * dim - 3} solver=eigsh " in rec.getMessage()
         assert f"matvecs={len(calls)} " in rec.getMessage()
 
     def test_matvec_count_is_per_call(self):
         dim = 2000
-        H = ed.KroneckerHamiltonian(h_el=np.zeros((1, 1)),
-                                    occupation=np.arange(dim, dtype=float))
+        H = scipy.sparse.diags(np.arange(dim, dtype=float), format="csr")
         first = ed.ground(H, m=2).provenance["matvecs"]
         assert ed.ground(H, m=2).provenance["matvecs"] == first > 0
 
@@ -687,7 +656,7 @@ class TestRatioOracle:
         assert rec.levelno == logging.INFO
         msg = rec.getMessage()
         # eps = 0.1 keeps m = 1, 2 of k_max = 3
-        assert msg.startswith("ratio_energy_oracle dim=448 coupled_modes=5 ")
+        assert msg.startswith("ratio_energy_oracle dim=448 boson_modes=5 ")
         steps = int(re.search(r"lanczos_steps=(\d+) ", msg).group(1))
         assert 0 < steps < ed._LANCZOS_MAX_STEPS
         assert re.search(r"last_change=\S+ .*oracle_s=\S+$", msg)
