@@ -51,16 +51,21 @@ c'_k = e^{-2 eps k^2} / (1 + k^2/2) and c_k = k c'_k,
 so X, Y and Z come from the same table in O(n_steps * N * n_modes) per
 path instead of O(n_steps^2) or O(n_steps * N^2 * n_modes) pair sums.
 At eps = 0 the series has no usable truncation: X and Z are pair sums
-of the closed-form phi, over chunks of paths.  Phi splits at time blocks
-of _DRIFT_BLOCK steps: sources inside the block of step a go through g'
-pair by pair, and the earlier blocks through one prefix and one suffix
-sum of e^{+-sqrt2 y} over the positions of one path sorted mod L (g is
+of the closed-form phi.  Phi splits at time blocks of _DRIFT_BLOCK
+steps: sources inside the block of step a go through g' pair by pair,
+and the earlier blocks through one prefix and one suffix sum of
+e^{+-sqrt2 y} over the positions of one path sorted mod L (g is
 L-periodic; with x and y in [0, L), x - y lies in (-L, L), where their
-order picks the separable branch of g'), read at each node's tie run;
-see _drift_near_far.  That costs O(n_steps * B N^2) pair terms and
-O(n_steps^2 N / B) table entries per path instead of O(n_steps^2 N^2)
-pair terms.  Every eps = 0 array is path-minor, (step, particle, path),
-so elementwise work runs over a chunk's paths in its inner loop.
+order picks the separable branch of g'), read at each node's tie run.
+That costs O(n_steps * B N^2) pair terms and O(n_steps^2 N / B) table
+entries per path instead of O(n_steps^2 N^2) pair terms.  Every eps = 0
+array is path-minor, (step, particle, path), so elementwise work runs
+over a chunk's paths in its inner loop.
+
+s_eff_decomposed makes the only pass over chunks of paths, sized so
+that the largest array of a chunk stays under _TABLE_BUDGET_BYTES, and
+each branch gives Phi, X and Z of one chunk.  Every term is elementwise
+or a reduction along one path, so the chunks change no bit.
 
 Restricting a path to its first h steps (horizon beta_h) leaves S_el, X
 and Y as sums over those steps of per-step terms that do not see h: Phi
@@ -209,9 +214,9 @@ def _phase_powers(x: np.ndarray, k0: float, n_modes: int) -> np.ndarray:
 
 
 def _mode_table_terms(
-    path: PathSample, eps: float, params: ModelParams, k_max: int, steps: tuple
+    part: PathSample, eps: float, params: ModelParams, k_max: int, steps: tuple
 ) -> tuple:
-    """(Phi, X, Z) of the eps > 0 action from one mode table per path chunk.
+    """(Phi, X, Z) of the eps > 0 action from one mode table of a path chunk.
 
     Phi has shape (n_paths, n_steps, N); X and Z are rows (k, n_paths)
     for the k horizons in steps.  Every horizon row is bitwise equal to
@@ -219,10 +224,10 @@ def _mode_table_terms(
     time axes of one path, and the time blocks start at multiples of a
     step count fixed by dt alone.
     """
-    states = path.states
-    n_paths, _, N = states.shape
-    n = path.grid.n_steps
-    dt = path.grid.dt
+    states = part.states
+    P, _, N = states.shape
+    n = part.grid.n_steps
+    dt = part.grid.dt
     g_L = params.g_L
     k = 2 * np.pi * np.arange(1, k_max + 1) / params.L
     c_xz = np.exp(-2 * eps * k**2) / (1 + k**2 / 2)
@@ -232,81 +237,46 @@ def _mode_table_terms(
     B = max(1, int(1.0 / dt))
     grow = dt * np.exp(dt * np.arange(B))[:, None]
     shrink = np.exp(-dt * np.arange(1, B + 1))[:, None]
-    drift = np.zeros((n_paths, n, N))
-    X = np.zeros((len(steps), n_paths))
-    Z = np.zeros_like(X)
-    chunk = max(1, _TABLE_BUDGET_BYTES // (16 * (n + 1) * N * k_max))
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        # E[p, b, j, m - 1] = e^{-i k_m x_{j,b}}
-        E = _phase_powers(states[lo:hi], k[0], k_max)
-        F = E[:, :n].sum(axis=2)
-        # G[p, a] = sum_{b < a} dt e^{-(t_a - t_b)} F[p, b]
-        G = np.zeros((hi - lo, n + 1, k_max), dtype=complex)
-        for a0 in range(0, n, B):
-            a1 = min(a0 + B, n)
-            acc = np.cumsum(grow[:a1 - a0] * F[:, a0:a1], axis=1)
-            G[:, a0 + 1:a1 + 1] = shrink[:a1 - a0] * (G[:, a0, None] + acc)
-        # Phi^(i)_a = -2 g_L sum_k c_k Im[conj(E_k(a, i)) G_k(a)]
-        Ea, Ga = E[:, 1:n], G[:, 1:n, None]
-        im = Ea.real * Ga.imag - Ea.imag * Ga.real
-        drift[lo:hi, 1:] = -2 * g_L * np.sum(im * c_phi, axis=-1)
-        if N >= 2:  # X vanishes for one particle; skip its rounding noise
-            pair = np.sum((F.real**2 + F.imag**2 - N) * c_xz, axis=-1)
-            per_step = 0.5 * g_L * (N * N - N + 2 * pair)
-            for r, h in enumerate(steps):
-                X[r, lo:hi] = 2 * dt * np.sum(per_step[:, :h], axis=1)
+    X, Z = np.zeros((2, len(steps), P))
+    # E[p, b, j, m - 1] = e^{-i k_m x_{j,b}}
+    E = _phase_powers(states, k[0], k_max)
+    F = E[:, :n].sum(axis=2)
+    # G[p, a] = sum_{b < a} dt e^{-(t_a - t_b)} F[p, b]
+    G = np.zeros((P, n + 1, k_max), dtype=complex)
+    for a0 in range(0, n, B):
+        a1 = min(a0 + B, n)
+        acc = np.cumsum(grow[:a1 - a0] * F[:, a0:a1], axis=1)
+        G[:, a0 + 1:a1 + 1] = shrink[:a1 - a0] * (G[:, a0, None] + acc)
+    # Phi^(i)_a = -2 g_L sum_k c_k Im[conj(E_k(a, i)) G_k(a)]
+    Ea, Ga = E[:, 1:n], G[:, 1:n, None]
+    im = Ea.real * Ga.imag - Ea.imag * Ga.real
+    drift = np.zeros((P, n, N))
+    drift[:, 1:] = -2 * g_L * np.sum(im * c_phi, axis=-1)
+    if N >= 2:  # X vanishes for one particle; skip its rounding noise
+        pair = np.sum((F.real**2 + F.imag**2 - N) * c_xz, axis=-1)
+        per_step = 0.5 * g_L * (N * N - N + 2 * pair)
         for r, h in enumerate(steps):
-            Eh, Gh = E[:, h], G[:, h, None]
-            re = Eh.real * Gh.real + Eh.imag * Gh.imag
-            Z[r, lo:hi] = 2 * np.sum(np.sum(re * c_xz, axis=-1), axis=-1)
-    t_left = path.grid.times[:-1]
+            X[r] = 2 * dt * np.sum(per_step[:, :h], axis=1)
+    t_left = part.grid.times[:-1]
     for r, h in enumerate(steps):
-        beta_h = path.grid.beta - (n - h) * dt
-        Z[r] = -g_L * (N * N * dt * np.sum(np.exp(-(beta_h - t_left[:h]))) + Z[r])
+        Eh, Gh = E[:, h], G[:, h, None]
+        re = Eh.real * Gh.real + Eh.imag * Gh.imag
+        beta_h = part.grid.beta - (n - h) * dt
+        Z[r] = -g_L * (N * N * dt * np.sum(np.exp(-(beta_h - t_left[:h])))
+                       + 2 * np.sum(np.sum(re * c_xz, axis=-1), axis=-1))
     return drift, X, Z
 
 
-def _eps0_chunks(n_paths: int, n: int, N: int) -> list:
-    """Path ranges of the eps = 0 chunks: N^2 doubles per node and path fit the budget."""
-    chunk = max(1, _TABLE_BUDGET_BYTES // (8 * (n + 1) * N * N))
-    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+def _closed_form_terms(part: PathSample, params: ModelParams, steps: tuple) -> tuple:
+    """(Phi, X, Z) of the eps = 0 action from the closed-form phi on a path chunk.
 
-
-def _pair_terms_closed_form(path: PathSample, params: ModelParams, steps: tuple) -> tuple:
-    """(X, Z) rows (k, n_paths) at eps = 0 from the closed-form phi.
-
-    A chunk's positions are path-minor, (nodes, N, paths).  X runs one
-    sum over the equal-time pairs i < j, step by step, and reads it at
-    every horizon; Z pairs the endpoint x_h with every left endpoint
-    before it.  The sums are running sums along each path, which add in
-    one order for any chunk (np.sum over the leading axes turns pairwise
-    for a chunk of one path), so the chunks change no bit.
-    """
-    states = path.states
-    n_paths, _, N = states.shape
-    n = path.grid.n_steps
-    dt = path.grid.dt
-    t_left = path.grid.times[:-1]
-    X, Z = np.zeros((2, len(steps), n_paths))
-    i, j = np.triu_indices(N, 1)
-    at_h = np.array(steps) * i.size - 1  # running-sum row of the steps before h
-    for lo, hi in _eps0_chunks(n_paths, n, N):
-        x = states[lo:hi].transpose(1, 2, 0).copy()
-        left = x[:-1]
-        if N >= 2:
-            pair = eval_phi(left[:, i] - left[:, j], 0.0, 0.0, params)
-            X[:, lo:hi] = np.cumsum(pair.reshape(-1, hi - lo), axis=0)[at_h]
-        # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}
-        for r, h in enumerate(steps):
-            lag = (path.grid.beta - (n - h) * dt - t_left[:h])[:, None, None, None]
-            pair = eval_phi(x[h, None, :, None] - left[:h, None, :], lag, 0.0, params)
-            Z[r, lo:hi] = np.cumsum(pair.reshape(-1, hi - lo), axis=0)[-1]
-    return 4 * dt * X, -2 * dt * Z
-
-
-def _drift_near_far(path: PathSample, params: ModelParams) -> np.ndarray:
-    """Phi^(i) at eps = 0: exact g' inside a time block, sorted sums before it.
+    Shapes as for _mode_table_terms.  The positions are copied once,
+    path-minor, (node, particle, path), padded to whole drift blocks.
+    X runs one sum over the equal-time pairs i < j, step by step, and
+    reads it at every horizon; Z pairs the endpoint x_h with every left
+    endpoint before it.  Both are running sums along each path, which add
+    in one order for any chunk (np.sum over the leading axes turns
+    pairwise for a chunk of one path).
 
     Phi^(i)_a = 2 dt sum_{b < a} e^{-(t_a - t_b)} sum_j (alpha/2)
     g'(x_{i,a} - x_{j,b}).  Steps a in [k B, (k+1) B) form block k.
@@ -338,84 +308,87 @@ def _drift_near_far(path: PathSample, params: ModelParams) -> np.ndarray:
     against -0.7 at L = 1, where 0.3 - 1 != -0.7 in binary) can land on
     the other side of the jump, a measure-zero event on Brownian paths.
 
-    Positions are held path-minor, (step, particle, path), padded to
-    whole blocks, so elementwise work runs over the paths of a chunk in
-    its inner loop; the tables are (ranks + 1, paths).  Every result is
-    elementwise or a running sum along one path, and the block starts
-    depend on _DRIFT_BLOCK alone, so path chunks change no bit, and Phi
-    at the steps before h is bitwise what an h-step prefix of the path
-    gives: its nodes keep their order in the sort (copies in node order),
-    and the later ones (and the pad) weigh an exact 0.
+    Phi at the steps before h is bitwise what an h-step prefix of the
+    path gives: its nodes keep their order in the sort (copies in node
+    order), and the later ones (node n and the pad) weigh an exact 0.
     """
     L = params.L
     if L > _DRIFT_L_MAX:
         raise ValueError(f"the eps = 0 drift needs L <= {_DRIFT_L_MAX}, got {L}")
-    states = path.states
-    n_paths, _, N = states.shape
-    n = path.grid.n_steps
-    dt = path.grid.dt
+    states = part.states
+    P, _, N = states.shape
+    n = part.grid.n_steps
+    dt = part.grid.dt
     B = _DRIFT_BLOCK
     n_blocks = -(-n // B)
-    S = n_blocks * B * N  # nodes f = a N + i, pad included
+    S = n_blocks * B * N  # drift nodes f = a N + i, pad included
+    x_all = np.zeros((max(n_blocks * B, n + 1), N, P))
+    x_all[:n + 1] = states.transpose(1, 2, 0)
+    x, left = x_all[:n + 1], x_all[:n]
+    X, Z = np.zeros((2, len(steps), P))
+    if N >= 2:
+        i, j = np.triu_indices(N, 1)
+        at_h = np.array(steps) * i.size - 1  # running-sum row of the steps before h
+        pair = eval_phi(left[:, i] - left[:, j], 0.0, 0.0, params)
+        X = 4 * dt * np.cumsum(pair.reshape(-1, P), axis=0)[at_h]
+    # Z: endpoint layer against every left endpoint, weight e^{-(beta_h - s)}
+    for r, h in enumerate(steps):
+        lag = (part.grid.beta - (n - h) * dt - part.grid.times[:h])[:, None, None, None]
+        pair = eval_phi(x[h, None, :, None] - left[:h, None, :], lag, 0.0, params)
+        Z[r] = -2 * dt * np.cumsum(pair.reshape(-1, P), axis=0)[-1]
     # wlag[n_blocks B + m] = e^{-m dt} for m >= 1 and 0 for m <= 0
     wlag = np.concatenate([np.zeros(n_blocks * B + 1), np.exp(-dt * np.arange(1, n + 1))])
     decay = np.exp(-dt * np.arange(B))[:, None, None]  # e^{-(t_a - t_{kB})}
     q = np.exp(-SQRT2 * L)
     c_far = 0.5 * params.alpha * SQRT2 / (1 - q)
-    drift = np.empty((n_paths, n, N))
-    for lo, hi in _eps0_chunks(n_paths, n, N):
-        P = hi - lo
-        x = np.zeros((n_blocks * B, N, P))
-        x[:n] = states[lo:hi, :n].transpose(1, 2, 0)
-        xb = x.reshape(n_blocks, B, N, P)
-        # near: the source b = a - d lies in the block of a, 1 <= d <= a mod B
-        near = np.zeros_like(xb)
-        for d in range(1, B):
-            dphi = eval_dphi(xb[:, d:, :, None] - xb[:, :B - d, None, :], d * dt, 0.0, params)
-            for j in range(N):
-                near[:, d:] += dphi[:, :, :, j]
-        # far: the sources of earlier blocks, from tables over the nodes sorted mod L
-        xs = x.reshape(S, P)
-        y = xs - L * np.floor(xs / L)
-        order = np.argsort(y, axis=0)
-        cols = np.arange(P)
-        ys = y.take(order * P + cols)
-        # the copies of the value at rank r fill the ranks [first, end); without
-        # ties each run is one rank and the (4x slower) stable sort changes nothing
-        tie = ys[1:] == ys[:-1]
-        rank = np.arange(S)[:, None]
-        first, end = rank, rank + 1
-        if tie.any():
-            order = np.argsort(y, axis=0, kind="stable")
-            first = np.zeros((S, P), dtype=np.intp)
-            first[1:] = np.maximum.accumulate(np.where(tie, 0, rank[1:]), axis=0)
-            end = np.full((S, P), S, dtype=np.intp)
-            end[:-1] = np.minimum.accumulate(np.where(tie, S, rank[1:])[::-1], axis=0)[::-1]
-        node = order * P + cols  # flat index of the node at each rank
-        # flat indices into the (S + 1, P) tables, in node order
-        at_first, at_end = np.empty((2, S, P), dtype=np.intp)
-        at_first.put(node, first * P + cols)
-        at_end.put(node, end * P + cols)
-        lag = (n_blocks * B - np.arange(S) // N).take(order)  # wlag[kB + lag] weighs each rank
-        e_up = np.exp(SQRT2 * ys)
-        e_down = 1 / e_up
-        u = np.empty((S, P))  # e^{sqrt2 y} in node order
-        u.put(node, e_up)
-        v = 1 / u
-        up = np.zeros((S + 1, P))  # up[r]: ranks below r
-        down = np.zeros((S + 1, P))  # down[r]: ranks r and above
-        far = np.zeros((S, P))
-        for k in range(1, n_blocks):
-            w = wlag[k * B:].take(lag)
-            np.cumsum(w * e_up, axis=0, out=up[1:])
-            np.cumsum((w * e_down)[::-1], axis=0, out=down[S - 1::-1])
-            f = slice(k * B * N, (k + 1) * B * N)
-            below, above = at_first[f], at_end[f]
-            far[f] = (u[f] * (down.take(above) + q * (down[0] - down.take(below)))
-                      - v[f] * (up.take(below) + q * (up[S] - up.take(above))))
-        out = 2 * dt * (near + c_far * decay * far.reshape(xb.shape))
-        drift[lo:hi] = out.reshape(-1, N, P)[:n].transpose(2, 0, 1)
-    return drift
+    xb = x_all[:n_blocks * B].reshape(n_blocks, B, N, P)
+    # near: the source b = a - d lies in the block of a, 1 <= d <= a mod B
+    near = np.zeros_like(xb)
+    for d in range(1, B):
+        dphi = eval_dphi(xb[:, d:, :, None] - xb[:, :B - d, None, :], d * dt, 0.0, params)
+        for j in range(N):
+            near[:, d:] += dphi[:, :, :, j]
+    # far: the sources of earlier blocks, from tables over the nodes sorted mod L
+    xs = xb.reshape(S, P)
+    y = xs - L * np.floor(xs / L)
+    order = np.argsort(y, axis=0)
+    cols = np.arange(P)
+    ys = y.take(order * P + cols)
+    # the copies of the value at rank r fill the ranks [first, end); without
+    # ties each run is one rank and the (4x slower) stable sort changes nothing
+    tie = ys[1:] == ys[:-1]
+    rank = np.arange(S)[:, None]
+    first, end = rank, rank + 1
+    if tie.any():
+        order = np.argsort(y, axis=0, kind="stable")
+        first = np.zeros((S, P), dtype=np.intp)
+        first[1:] = np.maximum.accumulate(np.where(tie, 0, rank[1:]), axis=0)
+        end = np.full((S, P), S, dtype=np.intp)
+        end[:-1] = np.minimum.accumulate(np.where(tie, S, rank[1:])[::-1], axis=0)[::-1]
+    node = order * P + cols  # flat index of the node at each rank
+    # flat indices into the (S + 1, P) tables, in node order
+    at_first, at_end = np.empty((2, S, P), dtype=np.intp)
+    at_first.put(node, first * P + cols)
+    at_end.put(node, end * P + cols)
+    lag = (n_blocks * B - np.arange(S) // N).take(order)  # wlag[kB + lag] weighs each rank
+    e_up = np.exp(SQRT2 * ys)
+    e_down = 1 / e_up
+    u = np.empty((S, P))  # e^{sqrt2 y} in node order
+    u.put(node, e_up)
+    v = 1 / u
+    up = np.zeros((S + 1, P))  # up[r]: ranks below r
+    down = np.zeros((S + 1, P))  # down[r]: ranks r and above
+    far = np.zeros((S, P))
+    for k in range(1, n_blocks):
+        w = wlag[k * B:].take(lag)
+        np.cumsum(w * e_up, axis=0, out=up[1:])
+        np.cumsum((w * e_down)[::-1], axis=0, out=down[S - 1::-1])
+        f = slice(k * B * N, (k + 1) * B * N)
+        below, above = at_first[f], at_end[f]
+        far[f] = (u[f] * (down.take(above) + q * (down[0] - down.take(below)))
+                  - v[f] * (up.take(below) + q * (up[S] - up.take(above))))
+    out = 2 * dt * (near + c_far * decay * far.reshape(xb.shape))
+    return out.reshape(-1, N, P)[:n].transpose(2, 0, 1).copy(), X, Z
 
 
 def s_eff_decomposed(
@@ -456,9 +429,7 @@ def s_eff_decomposed(
     beta = path.grid.beta
     dt = path.grid.dt
     sel = _s_el_rows(path, pot, steps)
-    X = np.zeros((len(steps), n_paths))
-    Y = np.zeros_like(X)
-    Z = np.zeros_like(X)
+    X, Y, Z = np.zeros((3, len(steps), n_paths))
     phi00 = np.zeros(len(steps))
     if params.alpha != 0.0:
         phi_diag = float(eval_phi(0.0, 0.0, 2 * eps, params))
@@ -466,11 +437,19 @@ def s_eff_decomposed(
             phi00[r] = 2 * (beta - (n - h) * dt) * N * phi_diag
         if eps > 0.0:
             k_max = default_k_max(2 * eps, params.L)
-            drift, X, Z = _mode_table_terms(path, eps, params, k_max, steps)
+            bytes_per_path = 16 * (n + 1) * path.N * k_max
         else:
-            X, Z = _pair_terms_closed_form(path, params, steps)
-            drift = _drift_near_far(path, params)
-        Y = np.stack([ito_integral(drift[:, :h], path) for h in steps])
+            bytes_per_path = 8 * (n + 1) * path.N**2
+        chunk = max(1, _TABLE_BUDGET_BYTES // bytes_per_path)
+        for lo in range(0, n_paths, chunk):
+            c = slice(lo, lo + chunk)
+            part = PathSample(path.states[c], path.grid)
+            if eps > 0.0:
+                drift, X[:, c], Z[:, c] = _mode_table_terms(part, eps, params, k_max, steps)
+            else:
+                drift, X[:, c], Z[:, c] = _closed_form_terms(part, params, steps)
+            for r, h in enumerate(steps):
+                Y[r, c] = ito_integral(drift[:, :h], part)
 
     s_eff = phi00[:, None] + X + Y + Z
     if horizons is None:

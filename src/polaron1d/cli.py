@@ -42,10 +42,14 @@ class ConfigError(Exception):
 
 
 def _float_list(text):
+    """Comma-separated values >= 0 (the couplings and cutoffs of a sweep)."""
     items = [t for t in str(text).split(",") if t.strip()]
     if not items:
         raise ValueError("empty list")
-    return tuple(float(t) for t in items)
+    values = tuple(float(t) for t in items)
+    if min(values) < 0:
+        raise ValueError("entries must be >= 0")
+    return values
 
 
 def _opt_float(text):
@@ -268,6 +272,9 @@ def cmd_uv_limit(config: ExperimentConfig, t0: float) -> int:
 
 
 def cmd_ordering(config: ExperimentConfig, t0: float) -> int:
+    N = config.values["N"]
+    if N != 2:
+        raise ConfigError(f"ordering compares the two N = 2 sectors, got N = {N}")
     report = ordering_check(config.run_config())
     rows = [_estimate_row(report["symmetric"]),
             _estimate_row(report["antisymmetric"])]
@@ -307,21 +314,31 @@ def _read_rows(path) -> list:
         return list(csv.DictReader(fh))
 
 
-def _join_key(row) -> tuple:
-    return tuple(_fmt(row[k]) for k in ("alpha", "beta", "epsilon")) + (
-        str(int(row["N"])), str(int(row["p"])))
+def _number(row, column, path, parse=float):
+    try:
+        return parse(row[column])
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"{path}: column {column!r} missing or not a number "
+                          f"({row.get(column)!r})")
+
+
+def _join_key(row, path) -> tuple:
+    return tuple(_fmt(_number(row, k, path))
+                 for k in ("alpha", "beta", "epsilon")) + tuple(
+        str(_number(row, k, path, int)) for k in ("N", "p"))
 
 
 def cmd_compare(config: ExperimentConfig, t0: float) -> int:
-    mc_rows = _read_rows(config.values["mc_csv"])
-    diag_rows = {_join_key(r): r for r in _read_rows(config.values["diag_csv"])}
+    mc_csv, diag_csv = config.values["mc_csv"], config.values["diag_csv"]
+    diag_rows = {_join_key(r, diag_csv): r for r in _read_rows(diag_csv)}
     out_rows = []
-    for row in mc_rows:
-        ref = diag_rows.get(_join_key(row))
+    for row in _read_rows(mc_csv):
+        ref = diag_rows.get(_join_key(row, mc_csv))
         if ref is None:
             continue
-        value, stderr = float(row["value"]), float(row["stderr"])
-        target = float(ref["value"])
+        value = _number(row, "value", mc_csv)
+        stderr = _number(row, "stderr", mc_csv)
+        target = _number(ref, "value", diag_csv)
         sigma = abs(value - target) / stderr if stderr > 0 else float("inf")
         out_rows.append([row["alpha"], row["beta"], row["epsilon"], row["N"],
                          row["p"], _fmt(value), _fmt(stderr), _fmt(target),

@@ -369,7 +369,8 @@ def ordering_check(config: RunConfig) -> dict:
     Uses one seed for both sectors (the Wiener increments are shared; only
     the start-point ordering differs).  Raises InvariantViolation when the
     symmetric sector fails to lie below the antisymmetric one beyond the
-    combined 3 sigma.
+    combined 3 sigma, and under the name zero-survivors, before any
+    comparison, when a sector keeps no path.
     """
     if config.sector.N != 2:
         raise ValueError("ordering_check compares the two N = 2 sectors")
@@ -379,6 +380,11 @@ def ordering_check(config: RunConfig) -> dict:
         est = energy_estimate(cfg)
         report[label] = est
     e0, e1 = report["symmetric"], report["antisymmetric"]
+    for p, est in ((1, e0), (2, e1)):
+        if est.diagnostics.get("zero_survivors"):
+            raise InvariantViolation(
+                "zero-survivors",
+                f"sector p = {p} keeps no path of n_paths = {config.n_paths}")
     sigma = float(np.hypot(e0.stderr, e1.stderr))
     report["difference"] = e1.value - e0.value
     report["combined_sigma"] = sigma

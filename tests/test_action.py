@@ -181,6 +181,24 @@ class TestDecomposition:
         for name in ("X", "Y", "Z"):
             assert np.array_equal(getattr(blocked, name), getattr(full, name)), name
 
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_ragged_chunks_change_no_bit(self, monkeypatch, eps):
+        # chunks of 3, 3 and 1 of 7 paths against one chunk, as rows; Y
+        # runs one ito_integral per chunk and horizon
+        path = make_paths(7, 3, beta=2.5, n_steps=40, stream_index=44)
+        params = ModelParams(alpha=1.0, N=3, beta=2.5)
+        sizes = []
+        ito = A.ito_integral
+        monkeypatch.setattr(A, "ito_integral",
+                            lambda f, part: sizes.append(part.n_paths) or ito(f, part))
+        full = A.s_eff_decomposed(path, eps, params, horizons=(40, 27))
+        per_node = 16 * 3 * default_k_max(2 * eps, params.L) if eps else 8 * 3 * 3
+        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 41 * per_node * 3)
+        chunked = A.s_eff_decomposed(path, eps, params, horizons=(40, 27))
+        assert sizes == [7, 7] + [3, 3, 3, 3, 1, 1]
+        for name in ("X", "Y", "Z", "s_eff"):
+            assert np.array_equal(getattr(chunked, name), getattr(full, name)), name
+
     @pytest.mark.parametrize("eps", [0.1])
     def test_partial_final_block(self, monkeypatch, eps):
         # a path chunk that does not divide n_paths
@@ -298,16 +316,22 @@ class TestHorizonRows:
             assert getattr(rows, name).shape == shape, name
 
 
-def record_chunks(monkeypatch):
-    """Collect the path ranges of every eps = 0 chunking from now on."""
+def eps0_drift(path, params):
+    """Phi of the eps = 0 branch on the whole path as one chunk."""
+    return A._closed_form_terms(path, params, (path.grid.n_steps,))[0]
+
+
+def record_eps0_chunks(monkeypatch):
+    """Collect (n_paths, Phi) of every eps = 0 path chunk from now on."""
     chunks = []
+    real = A._closed_form_terms
 
-    def recording(*args):
-        chunks.append(real(*args))
-        return chunks[-1]
+    def recording(part, params, steps):
+        terms = real(part, params, steps)
+        chunks.append((part.n_paths, terms[0]))
+        return terms
 
-    real = A._eps0_chunks
-    monkeypatch.setattr(A, "_eps0_chunks", recording)
+    monkeypatch.setattr(A, "_closed_form_terms", recording)
     return chunks
 
 
@@ -357,13 +381,10 @@ class TestModeTable:
         params = ModelParams(alpha=1.3, N=N, beta=2.0)
         self.assert_matches_oracles(path, 0.1, params, (48, 31), k_max=5)
 
-    def test_ragged_chunks_and_time_blocks(self, monkeypatch):
-        # chunks of 3 of 7 paths; G blocks of 16 steps (dt = 1/16) divide
-        # neither 40 nor 27
+    def test_ragged_time_blocks(self):
+        # G blocks of 16 steps (dt = 1/16) divide neither 40 nor 27
         path = make_paths(7, 2, beta=2.5, n_steps=40, stream_index=34)
         params = ModelParams(alpha=1.0, N=2, beta=2.5)
-        k_max = default_k_max(0.4, params.L)
-        monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 3)
         self.assert_matches_oracles(path, 0.2, params, (40, 27))
 
     @pytest.mark.parametrize("beta, n_steps", [(40.0, 320), (800.0, 1600)])
@@ -398,9 +419,9 @@ class TestClosedFormPairTerms:
         params = ModelParams(alpha=1.0, N=2, beta=2.5)
         full = A.s_eff_decomposed(path, 0.0, params, horizons=(40, 27))
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 8 * 41 * 2 * 2 * 3)
-        chunks = record_chunks(monkeypatch)
+        chunks = record_eps0_chunks(monkeypatch)
         chunked = A.s_eff_decomposed(path, 0.0, params, horizons=(40, 27))
-        assert chunks == [[(0, 3), (3, 6), (6, 7)]] * 2
+        assert [n for n, _ in chunks] == [3, 3, 1]
         for name in ("X", "Y", "Z"):
             assert np.array_equal(getattr(chunked, name), getattr(full, name)), name
 
@@ -409,7 +430,7 @@ class TestEpsZeroDrift:
     """The eps = 0 near/far drift against the pair loop of tests/oracles.py."""
 
     def assert_matches_pair_sum(self, path, params):
-        drift = A._drift_near_far(path, params)
+        drift = eps0_drift(path, params)
         assert_rel_close(drift, drift_profile_pair_sum(path, 0.0, params))
         return drift
 
@@ -435,12 +456,13 @@ class TestEpsZeroDrift:
     def test_ragged_chunks(self, monkeypatch):
         path = make_paths(7, 3, beta=2.0, n_steps=40, stream_index=56)
         params = ModelParams(alpha=1.0, N=3, beta=2.0)
-        full = A._drift_near_far(path, params)
+        full = self.assert_matches_pair_sum(path, params)
         # chunks of 3, 3 and 1 paths
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 8 * 41 * 3 * 3 * 3)
-        chunks = record_chunks(monkeypatch)
-        assert np.array_equal(self.assert_matches_pair_sum(path, params), full)
-        assert chunks == [[(0, 3), (3, 6), (6, 7)]]
+        chunks = record_eps0_chunks(monkeypatch)
+        A.s_eff_decomposed(path, 0.0, params)
+        assert [n for n, _ in chunks] == [3, 3, 1]
+        assert np.array_equal(np.concatenate([d for _, d in chunks]), full)
 
     @pytest.mark.parametrize("shift", [1.0, -1.0, 2.0, -2.0])
     def test_invariant_under_shifts_by_multiples_of_L(self, shift):
@@ -452,7 +474,7 @@ class TestEpsZeroDrift:
         states = path.states.copy()
         states[:, :, 1] += shift * L
         moved = self.assert_matches_pair_sum(PathSample(states, path.grid), params)
-        assert_rel_close(moved, A._drift_near_far(path, params))
+        assert_rel_close(moved, eps0_drift(path, params))
 
     @pytest.mark.parametrize("beta, n_steps", [(40.0, 320), (800.0, 1600)])
     def test_long_horizon_without_warnings(self, beta, n_steps):

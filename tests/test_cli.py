@@ -100,6 +100,26 @@ class TestConfigErrors:
         code = run_cli("energy", "--out", tmp_path, "--set", "delta=0.013")
         assert code == 2
 
+    @pytest.mark.parametrize("command, settings, named", [
+        ("sweep-alpha", ["alphas=-1,0"], "'alphas'"),
+        ("uv-limit", ["eps_ladder=0.5,-0.1"], "'eps_ladder'"),
+        ("ordering", ["N=1"], "N = 1"),
+        ("compare", ["mc_csv={no_eps}", "diag_csv={no_eps}"], "no_eps.csv: column 'epsilon'"),
+        ("compare", ["mc_csv={text}", "diag_csv={text}"], "text.csv: column 'beta'"),
+    ], ids=["alphas", "eps_ladder", "ordering-N", "compare-missing-column",
+            "compare-non-numeric"])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command,
+                                         settings, named):
+        columns = ("alpha", "beta", "epsilon", "N", "p", "value", "stderr")
+        for name, header, row in (("no_eps", columns[:2] + columns[3:], "0,1,1,1,1,0"),
+                                  ("text", columns, "0,hot,0,1,1,1,0")):
+            (tmp_path / f"{name}.csv").write_text(",".join(header) + "\n" + row + "\n")
+        files = {name: tmp_path / f"{name}.csv" for name in ("no_eps", "text")}
+        args = [word for item in settings for word in ("--set", item.format(**files))]
+        assert run_cli(command, "--out", tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
     def test_missing_input_file_exits_3(self, tmp_path):
         code = run_cli("compare", "--out", tmp_path,
                        "--set", "mc_csv=/does/not/exist.csv",

@@ -546,3 +546,14 @@ class TestOrderingCheck:
         with pytest.raises(InvariantViolation) as err:
             ordering_check(cfg)
         assert err.value.name == "sector-ordering-mc"
+
+    def test_empty_sector_is_not_an_ordering_violation(self):
+        # criterion-4 shape: at 16 paths the p = 2 sector keeps none, and
+        # E(1) = inf +- inf says nothing about the ordering
+        cfg = RunConfig(params=ModelParams(alpha=1.0, N=2, L=1.0, beta=0.75),
+                        sector=SpinSector(2, 1), grid=TimeGrid(0.75, 96),
+                        eps=0.0, n_paths=16, seed=3, variant="ratio")
+        with pytest.raises(InvariantViolation) as err:
+            ordering_check(cfg)
+        assert err.value.name == "zero-survivors"
+        assert "p = 2" in str(err.value) and "n_paths = 16" in str(err.value)
