@@ -26,7 +26,8 @@ from pathlib import Path
 from . import __version__
 from .action import PotentialSpec
 from .exact_diag import DiscretizationSpec, InvariantViolation, sector_ground
-from .estimator import RunConfig, energy_estimate, ordering_check, sweep_alpha
+from .estimator import RunConfig, energy_estimate, ordering_check, sweep_alpha, \
+    sweep_eps
 from .geometry import SpinSector
 from .kernels import ModelParams
 from .paths import TimeGrid
@@ -260,14 +261,19 @@ def cmd_sweep_alpha(config: ExperimentConfig, t0: float) -> int:
 
 def cmd_uv_limit(config: ExperimentConfig, t0: float) -> int:
     base = config.run_config()
-    rows = []
-    for eps in config.values["eps_ladder"]:
-        est = energy_estimate(replace(base, eps=float(eps)))
-        rows.append(_estimate_row(est))
+    ladder = config.values["eps_ladder"]
+    try:
+        for eps in ladder:  # the rungs sweep_eps builds; a refused one names the key
+            replace(base, eps=eps)
+    except ValueError as err:
+        raise ConfigError(f"bad value for 'eps_ladder': {err}")
+    report = sweep_eps(base, ladder)
+    rows = [_estimate_row(est) for est in report["estimates"]]
     _write_csv(config.out_dir / "results.csv", rows)
     _write_manifest(config.out_dir / "manifest.json", "uv-limit", config, t0,
-                    {"eps_ladder": list(config.values["eps_ladder"]),
-                     "common_random_numbers": True})
+                    {"eps_ladder": list(ladder),
+                     "common_random_numbers": True,
+                     "paired_differences": report["paired_differences"]})
     return 0
 
 
@@ -282,6 +288,7 @@ def cmd_ordering(config: ExperimentConfig, t0: float) -> int:
     _write_manifest(config.out_dir / "manifest.json", "ordering", config, t0,
                     {"difference": report["difference"],
                      "combined_sigma": report["combined_sigma"],
+                     "paired_sigma": report["paired_sigma"],
                      "survival_fractions": {
                          str(k): v
                          for k, v in report["survival_fractions"].items()}})

@@ -32,7 +32,9 @@ Coupling sweeps exploit that S_eff is exactly linear in alpha (g_L =
 sqrt(2) alpha / L enters every kernel once): the alpha = 1 action is
 evaluated per path and scaled, which makes per-path monotonicity in
 alpha exact rather than statistical and gives common random numbers
-across the sweep for free.
+across the sweep for free.  The eps ladder shares its paths the same
+way: the seed does not depend on eps, so each block is sampled and
+killed once and only the action runs once per rung.
 
 Every number here goes through one function, `log_mean_estimate`: per-path
 log-weights in rows on shared paths, shape (k, n), and coefficients c give
@@ -43,6 +45,10 @@ sum_i c_i log mean exp(row_i) with a batch-means delta-method stderr.
     partition  one row, c = 1; Z = volume e^value, stderr Z * stderr
     sweep      each alpha as above; a paired difference stacks the rows
                of both couplings with c and -c
+    ladder     each eps as above, on one path set; paired differences
+               as for the sweep
+    ordering   each N = 2 sector on its own paths; the gap's paired
+               stderr stacks both sectors' rows with c and -c
 
 Each row is shifted by its own maximum before exponentiating, so large
 actions cannot overflow.  A row with no survivors (every log-weight
@@ -163,13 +169,15 @@ def _horizons(config: RunConfig) -> tuple:
     return (n_b + config.n_delta_steps, n_b)
 
 
-def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
-    """Per-path log-survival, S_eff and S_el, each shape (k, n_block).
+def _simulate_block(config: RunConfig, block_idx: int, n_block: int,
+                    eps_values: tuple) -> tuple:
+    """Per-path log-survival and S_el, shape (k, n_block), and S_eff per eps.
 
     Row i belongs to horizon `_horizons(config)[i]`; the ratio variant's
-    paths run to beta + delta and one pass yields both rows.  The action
-    runs only on the paths alive at beta; the others, whose weight is
-    exactly 0, carry S_eff = S_el = 0.
+    paths run to beta + delta and one pass yields both rows.  The block
+    is sampled and killed once; the action runs once per eps, only on
+    the paths alive at beta.  The others, whose weight is exactly 0,
+    carry S_eff = S_el = 0.
     """
     domain = config.domain
     start_rng = np.random.default_rng([config.seed, 2 * block_idx])
@@ -183,28 +191,37 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int) -> tuple:
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
     # alive at any horizon means alive at the shortest one, beta
     alive = (logs > -np.inf).any(axis=0)
-    bd = s_eff_decomposed(PathSample(path.states[alive], grid), config.eps,
-                          config.params, pot=config.pot, horizons=steps)
-    s_eff = np.zeros_like(logs)
+    live = PathSample(path.states[alive], grid)
+    s_eff = np.zeros((len(eps_values),) + logs.shape)
     sel = np.zeros_like(logs)
-    s_eff[:, alive] = bd.s_eff
+    for m, eps in enumerate(eps_values):
+        bd = s_eff_decomposed(live, eps, config.params, pot=config.pot,
+                              horizons=steps)
+        s_eff[m][:, alive] = bd.s_eff
     sel[:, alive] = bd.s_el
     return logs, s_eff, sel
 
 
-def _collect(config: RunConfig) -> np.ndarray:
+def _collect(config: RunConfig, eps_values=None) -> tuple:
     """Run all blocks (threaded); (log-survival, S_eff, S_el) rows in path order.
 
-    Shape (3, k, n_paths).  A path's log-weight is logs + S_eff + S_el,
-    summed in that order; sweeps scale S_eff, which is linear in alpha.
-    Paths dead at beta have S_eff = S_el = 0 and log-weight -inf.
+    One path set serves every cutoff in `eps_values` (default: config.eps
+    alone): log-survival and S_el have shape (k, n_paths), S_eff shape
+    (len(eps_values), k, n_paths).  A path's log-weight at the m-th eps is
+    logs + S_eff[m] + S_el, summed in that order; sweeps scale S_eff,
+    which is linear in alpha.  Paths dead at beta have S_eff = S_el = 0
+    and log-weight -inf.
     """
+    eps_values = (config.eps,) if eps_values is None else tuple(eps_values)
     ranges = _block_ranges(config.n_paths, config.path_block)
-    out = np.empty((3, len(_horizons(config)), config.n_paths))
+    shape = (len(_horizons(config)), config.n_paths)
+    logs, sel = np.empty(shape), np.empty(shape)
+    s_eff = np.empty((len(eps_values),) + shape)
 
     def run(task):
         block_idx, lo, hi = task
-        out[:, :, lo:hi] = _simulate_block(config, block_idx, hi - lo)
+        logs[:, lo:hi], s_eff[..., lo:hi], sel[:, lo:hi] = _simulate_block(
+            config, block_idx, hi - lo, eps_values)
 
     if config.n_workers == 1:
         for task in ranges:
@@ -212,7 +229,13 @@ def _collect(config: RunConfig) -> np.ndarray:
     else:
         with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
             list(pool.map(run, ranges))
-    return out
+    return logs, s_eff, sel
+
+
+def _log_weights(config: RunConfig) -> np.ndarray:
+    """Per-path log-weight rows of one config, shape (k, n_paths)."""
+    logs, (s_eff,), sel = _collect(config)
+    return logs + s_eff + sel
 
 
 def _batch_means(per_path: np.ndarray) -> np.ndarray:
@@ -319,19 +342,38 @@ def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
                           diagnostics=diagnostics)
 
 
+def _sweep(key: str, values, configs, log_ws) -> dict:
+    """Estimates of configs on shared paths and their paired differences.
+
+    configs[i] has log-weight rows log_ws[i] and swept value values[i].
+    Neighbours in sorted `values` are paired: E(hi) - E(lo) is the
+    log-mean combination of both rows stacked with coefficients c and
+    -c, so its stderr carries only the variance the shared paths leave.
+    """
+    estimates = [_energy(cfg, log_w) for cfg, log_w in zip(configs, log_ws)]
+    coeffs = _coefficients(configs[0])
+    paired = []
+    order = np.argsort(values)
+    for i, j in zip(order[:-1], order[1:]):
+        diff = log_mean_estimate(np.vstack([log_ws[j], log_ws[i]]),
+                                 np.concatenate([coeffs, -coeffs]))
+        paired.append({f"{key}_lo": values[i], f"{key}_hi": values[j],
+                       "difference": diff.value, "stderr": diff.stderr})
+    return {"estimates": estimates, "paired_differences": paired}
+
+
 def partition_estimate(config: RunConfig) -> tuple[float, float]:
     """Volume-weighted survival average of e^S; stderr by 32 batch means.
 
     Zero survivors return (0.0, inf): a flagged estimate, not an error.
     """
-    logs, s_eff, sel = _collect(replace(config, variant="plain"))
-    return _partition(config, log_mean_estimate(logs + s_eff + sel, [1.0]), 1.0)
+    log_w = _log_weights(replace(config, variant="plain"))
+    return _partition(config, log_mean_estimate(log_w, [1.0]), 1.0)
 
 
 def energy_estimate(config: RunConfig) -> EnergyEstimate:
     """-log Z_beta / beta (plain) or -(1/delta) log(Z_{beta+delta}/Z_beta)."""
-    logs, s_eff, sel = _collect(config)
-    return _energy(config, logs + s_eff + sel)
+    return _energy(config, _log_weights(config))
 
 
 def sweep_alpha(config: RunConfig, alphas) -> dict:
@@ -341,56 +383,64 @@ def sweep_alpha(config: RunConfig, alphas) -> dict:
     alpha; per-path weights at different alphas are deterministic
     rescalings, so the paired differences in the report carry only the
     (small) variance of the shared sample, and per-path partition-weight
-    monotonicity in alpha is exact.  A paired difference is the log-mean
-    combination of both couplings' rows with coefficients c and -c.
+    monotonicity in alpha is exact.  Paired differences are keyed
+    alpha_lo, alpha_hi.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one alpha")
-    logs, s_eff, sel = _collect(replace(config, params=replace(config.params, alpha=1.0)))
-    log_w = {a: logs + a * s_eff + sel for a in alphas}
-    estimates = [_energy(replace(config, params=replace(config.params, alpha=a)),
-                         log_w[a]) for a in alphas]
-    coeffs = _coefficients(config)
-    paired = []
-    order = np.argsort(alphas)
-    for i, j in zip(order[:-1], order[1:]):
-        a_lo, a_hi = alphas[i], alphas[j]
-        diff = log_mean_estimate(np.vstack([log_w[a_hi], log_w[a_lo]]),
-                                 np.concatenate([coeffs, -coeffs]))
-        paired.append({"alpha_lo": a_lo, "alpha_hi": a_hi,
-                       "difference": diff.value, "stderr": diff.stderr})
-    return {"estimates": estimates, "paired_differences": paired}
+    configs = [replace(config, params=replace(config.params, alpha=a)) for a in alphas]
+    logs, (s_eff,), sel = _collect(replace(config, params=replace(config.params, alpha=1.0)))
+    return _sweep("alpha", alphas, configs, [logs + a * s_eff + sel for a in alphas])
+
+
+def sweep_eps(config: RunConfig, eps_values) -> dict:
+    """Common-random-number energy ladder over UV cutoffs.
+
+    One set of paths, sampled and killed once, serves every eps; only the
+    action runs once per eps.  Each rung's config is config with that eps,
+    built before any path is sampled, so a rung RunConfig refuses raises
+    ValueError up front.  Every rung equals a direct energy_estimate at
+    its eps, bit for bit.  Paired differences are keyed eps_lo, eps_hi.
+    """
+    eps_values = [float(e) for e in eps_values]
+    if not eps_values:
+        raise ValueError("need at least one eps")
+    configs = [replace(config, eps=e) for e in eps_values]
+    logs, s_eff, sel = _collect(config, eps_values)
+    return _sweep("eps", eps_values, configs, [logs + s + sel for s in s_eff])
 
 
 def ordering_check(config: RunConfig) -> dict:
     """N = 2 sector comparison: E(0) on D^{2,(1)} against E(1) on D^{2,(2)}.
 
     Uses one seed for both sectors (the Wiener increments are shared; only
-    the start-point ordering differs).  Raises InvariantViolation when the
-    symmetric sector fails to lie below the antisymmetric one beyond the
-    combined 3 sigma, and under the name zero-survivors, before any
-    comparison, when a sector keeps no path.
+    the start-point ordering differs), so "paired_sigma", the stderr of
+    the gap from both sectors' rows stacked with c and -c, sits below
+    "combined_sigma" = hypot of the two stderrs when the sectors
+    correlate.  Raises InvariantViolation when the symmetric sector fails
+    to lie below the antisymmetric one beyond 3 combined_sigma, and under
+    the name zero-survivors, before any comparison, when a sector keeps
+    no path.
     """
     if config.sector.N != 2:
         raise ValueError("ordering_check compares the two N = 2 sectors")
-    report = {}
-    for label, p in (("symmetric", 1), ("antisymmetric", 2)):
-        cfg = replace(config, sector=SpinSector(2, p))
-        est = energy_estimate(cfg)
-        report[label] = est
-    e0, e1 = report["symmetric"], report["antisymmetric"]
+    configs = [replace(config, sector=SpinSector(2, p)) for p in (1, 2)]
+    sweep = _sweep("p", [1, 2], configs, [_log_weights(cfg) for cfg in configs])
+    e0, e1 = sweep["estimates"]
     for p, est in ((1, e0), (2, e1)):
         if est.diagnostics.get("zero_survivors"):
             raise InvariantViolation(
                 "zero-survivors",
                 f"sector p = {p} keeps no path of n_paths = {config.n_paths}")
     sigma = float(np.hypot(e0.stderr, e1.stderr))
-    report["difference"] = e1.value - e0.value
-    report["combined_sigma"] = sigma
-    report["survival_fractions"] = {
-        1: e0.diagnostics["survival_fraction"],
-        2: e1.diagnostics["survival_fraction"]}
+    report = {"symmetric": e0, "antisymmetric": e1,
+              "difference": e1.value - e0.value,
+              "combined_sigma": sigma,
+              "paired_sigma": sweep["paired_differences"][0]["stderr"],
+              "survival_fractions": {
+                  1: e0.diagnostics["survival_fraction"],
+                  2: e1.diagnostics["survival_fraction"]}}
     if not (e1.value - e0.value > 3 * sigma):
         raise InvariantViolation(
             "sector-ordering-mc",

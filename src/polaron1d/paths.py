@@ -20,6 +20,7 @@ key, grid and x0 and never on worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,8 +66,9 @@ class PathSample:
     def N(self) -> int:
         return self.states.shape[2]
 
-    @property
+    @cached_property
     def increments(self) -> np.ndarray:
+        # computed once per sample: the action's Ito sums read it per horizon
         return np.diff(self.states, axis=1)
 
 

@@ -327,8 +327,8 @@ def full_survival_log_weights(states, domain, dt, horizons=None):
     return rows[0] if horizons is None else np.stack(rows)
 
 
-def full_batch_block(config, block_idx, n_block):
-    """(log-survival, S_eff, S_el) rows of one path block, action on every path.
+def full_batch_block(config, block_idx, n_block, eps_values):
+    """(log-survival, S_eff per eps, S_el) rows of one path block, action on every path.
 
     The estimator's block as it was before the survivor filter: the same
     seeds, paths and layer calls, but s_eff_decomposed runs on the whole
@@ -345,9 +345,9 @@ def full_batch_block(config, block_idx, n_block):
     path = sample_brownian(
         x0, grid, np.random.default_rng([config.seed, 2 * block_idx + 1]))
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
-    bd = s_eff_decomposed(path, config.eps, config.params, pot=config.pot,
-                          horizons=steps)
-    return logs, bd.s_eff, bd.s_el
+    bds = [s_eff_decomposed(path, eps, config.params, pot=config.pot, horizons=steps)
+           for eps in eps_values]
+    return logs, np.array([bd.s_eff for bd in bds]), bds[0].s_el
 
 
 def s_eff_direct(path, eps, params, k_max=None):

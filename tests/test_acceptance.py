@@ -137,7 +137,8 @@ def test_criterion_4_sector_ordering_coupled():
     assert report["difference"] > 3 * report["combined_sigma"]
     announce(4, f"exact split {e1 - e0:.4f} > 1e-6; MC split "
                 f"{report['difference']:.4f} > 3 sigma = "
-                f"{3 * report['combined_sigma']:.4f}")
+                f"{3 * report['combined_sigma']:.4f} (paired sigma "
+                f"{report['paired_sigma']:.4f})")
 
 
 def test_criterion_5_coupling_monotonicity():

@@ -103,10 +103,13 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, settings, named", [
         ("sweep-alpha", ["alphas=-1,0"], "'alphas'"),
         ("uv-limit", ["eps_ladder=0.5,-0.1"], "'eps_ladder'"),
+        # a rung RunConfig refuses (the eps = 0 drift needs L <= 400)
+        ("uv-limit", ["eps_ladder=0.5,0", "L=500", "alpha=1", "n_paths=64",
+                      "n_steps=16", "beta=1"], "'eps_ladder'"),
         ("ordering", ["N=1"], "N = 1"),
         ("compare", ["mc_csv={no_eps}", "diag_csv={no_eps}"], "no_eps.csv: column 'epsilon'"),
         ("compare", ["mc_csv={text}", "diag_csv={text}"], "text.csv: column 'beta'"),
-    ], ids=["alphas", "eps_ladder", "ordering-N", "compare-missing-column",
+    ], ids=["alphas", "eps_ladder", "eps_ladder-rung", "ordering-N", "compare-missing-column",
             "compare-non-numeric"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command,
                                          settings, named):
@@ -217,6 +220,11 @@ class TestSweepAndLadders:
         rows = read_csv(tmp_path / "results.csv")
         assert [r["epsilon"] for r in rows] == ["0.5", "0.25"]
         assert {r["seed"] for r in rows} == {str(SEED)}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (pair,) = manifest["paired_differences"]
+        assert (pair["eps_lo"], pair["eps_hi"]) == (0.25, 0.5)
+        # both cutoffs keep one mode at L = 1: the rungs differ by ~5e-10
+        assert abs(pair["difference"]) < 1e-6 and 0 < pair["stderr"] < 1e-6
 
     def test_ordering_emits_both_sectors(self, tmp_path):
         assert run_cli("ordering", "--out", tmp_path, "--seed", 3,
@@ -227,6 +235,7 @@ class TestSweepAndLadders:
         assert [r["p"] for r in rows] == ["1", "2"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["difference"] > 3 * manifest["combined_sigma"]
+        assert 0 < manifest["paired_sigma"] < 2 * manifest["combined_sigma"]
 
 
 class TestValidateCommand:

@@ -22,6 +22,7 @@ from polaron1d.estimator import (
     ordering_check,
     partition_estimate,
     sweep_alpha,
+    sweep_eps,
 )
 from polaron1d.exact_diag import InvariantViolation
 from polaron1d.geometry import SpinSector
@@ -280,7 +281,7 @@ class TestSurvivorFilter:
 
     @staticmethod
     def log_weights(rows):
-        logs, s_eff, sel = rows
+        logs, (s_eff,), sel = rows
         return logs + s_eff + sel
 
     @pytest.mark.parametrize("kw", FILTER_CASES.values(), ids=FILTER_CASES.keys())
@@ -361,6 +362,90 @@ class TestSweepAlpha:
         assert swept.stderr == direct.stderr
         assert swept.n_effective == direct.n_effective
         assert swept.diagnostics == direct.diagnostics
+
+
+LADDER = [0.5, 0.0625, 0.0]
+
+
+class TestSweepEps:
+    """The eps ladder: one path set, one action run per rung."""
+
+    @staticmethod
+    def ladder_config(n_workers=1, n_paths=2048, path_block=512):
+        return RunConfig(params=ModelParams(alpha=1.0, N=1, L=1.0, beta=1.0),
+                         sector=SpinSector(1, 1), grid=TimeGrid(1.0, 64),
+                         eps=LADDER[0], n_paths=n_paths, seed=SEED,
+                         n_workers=n_workers, variant="ratio",
+                         path_block=path_block)
+
+    @staticmethod
+    def assert_same(got, ref):
+        for g, r in zip(got["estimates"], ref["estimates"], strict=True):
+            assert (g.value, g.stderr, g.n_effective) == (r.value, r.stderr, r.n_effective)
+            assert g.diagnostics == r.diagnostics
+            assert g.config.eps == r.config.eps
+        assert got["paired_differences"] == ref["paired_differences"]
+
+    @pytest.mark.parametrize("rung", range(len(LADDER)), ids=[str(e) for e in LADDER])
+    def test_rung_bitwise_equals_direct_estimate(self, rung):
+        # the seed does not depend on eps: a rung is the direct run at its eps
+        cfg = self.ladder_config()
+        report = sweep_eps(cfg, LADDER)
+        direct = energy_estimate(replace(cfg, eps=LADDER[rung]))
+        swept = report["estimates"][rung]
+        assert swept.config.eps == LADDER[rung]
+        assert swept.value == direct.value
+        assert swept.stderr == direct.stderr
+        assert swept.n_effective == direct.n_effective
+        assert swept.diagnostics == direct.diagnostics
+
+    def test_workers_and_full_batch_change_no_bit(self):
+        cfg = self.ladder_config(n_paths=600, path_block=128)
+        ref = sweep_eps(cfg, LADDER)
+        self.assert_same(sweep_eps(replace(cfg, n_workers=2), LADDER), ref)
+        self.assert_same(with_full_batch(sweep_eps, cfg, LADDER), ref)
+
+    def test_each_block_is_sampled_and_killed_once(self, monkeypatch):
+        calls = {"sample": 0, "survival": 0, "action": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, attr in (("sample", "sample_brownian"),
+                           ("survival", "survival_log_weights"),
+                           ("action", "s_eff_decomposed")):
+            monkeypatch.setattr(est_mod, attr, counted(name, getattr(est_mod, attr)))
+        cfg = self.ladder_config(n_paths=300, path_block=128)
+        sweep_eps(cfg, LADDER)
+        # 3 blocks: paths and survival once each, the action once per rung
+        assert calls == {"sample": 3, "survival": 3, "action": 3 * len(LADDER)}
+
+    def test_paired_differences_of_neighbouring_rungs(self):
+        report = sweep_eps(self.ladder_config(), LADDER)
+        pairs = report["paired_differences"]
+        assert [(p["eps_lo"], p["eps_hi"]) for p in pairs] == [(0.0, 0.0625),
+                                                               (0.0625, 0.5)]
+        e = {est.config.eps: est.value for est in report["estimates"]}
+        for p in pairs:
+            assert p["difference"] == pytest.approx(e[p["eps_hi"]] - e[p["eps_lo"]],
+                                                    rel=1e-9)
+            assert 0 < p["stderr"] < np.inf
+
+    def test_refused_rung_stops_before_any_sampling(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled a path")
+        monkeypatch.setattr(est_mod, "sample_brownian", forbidden)
+        cfg = replace(self.ladder_config(), params=ModelParams(alpha=1.0, N=1,
+                                                               L=500.0, beta=1.0))
+        with pytest.raises(ValueError, match="L <="):
+            sweep_eps(cfg, [0.5, 0.0])
+
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            sweep_eps(self.ladder_config(), [])
 
 
 class TestLogSpace:
@@ -536,11 +621,27 @@ class TestOrderingCheck:
         surv = report["survival_fractions"]
         assert surv[1] > surv[2] > 0
 
+    def test_paired_sigma_stacks_both_sectors(self):
+        # criterion-4 shape at 20000 paths: the sectors share their
+        # increments, so the paired stderr of the gap sits below the
+        # combined one (pinned: 0.600 against 0.623)
+        cfg = RunConfig(params=ModelParams(alpha=1.0, N=2, L=1.0, beta=0.75),
+                        sector=SpinSector(2, 1), grid=TimeGrid(0.75, 96),
+                        eps=0.0, n_paths=20000, seed=3, n_workers=2, variant="ratio")
+        report = ordering_check(cfg)
+        assert report["paired_sigma"] < report["combined_sigma"]
+        rows = [est_mod._log_weights(replace(cfg, sector=SpinSector(2, p)))
+                for p in (2, 1)]
+        c = est_mod._coefficients(cfg)
+        stacked = est_mod.log_mean_estimate(np.vstack(rows), np.concatenate([c, -c]))
+        assert report["paired_sigma"] == stacked.stderr
+        assert stacked.value == pytest.approx(report["difference"], rel=1e-12)
+
     def test_violation_carries_invariant_name(self, monkeypatch):
-        def rigged(cfg):
+        def rigged(cfg, log_w):
             return EnergyEstimate(1.0, 1e-6, 100.0, cfg,
                                   diagnostics={"survival_fraction": 0.5})
-        monkeypatch.setattr(est_mod, "energy_estimate", rigged)
+        monkeypatch.setattr(est_mod, "_energy", rigged)
         cfg = free_config(N=2, p=1, beta=0.5, n_steps=64, n_paths=64,
                           variant="ratio")
         with pytest.raises(InvariantViolation) as err:

@@ -35,6 +35,14 @@ class TestSampleBrownian:
         inc = path.increments
         assert np.array_equal(path.states[:, 1:] - path.states[:, :-1], inc)
 
+    def test_increments_computed_once_per_sample(self):
+        # Ito sums at several horizons read one array
+        path = P.sample_brownian(np.zeros((5, 2)), P.TimeGrid(1.0, 20), generator(1))
+        assert path.increments is path.increments
+        f = np.ones((5, 12, 2))
+        steps = path.states[:, 1:13] - path.states[:, :12]
+        assert np.array_equal(P.ito_integral(f, path), np.sum(f * steps, axis=(1, 2)))
+
     def test_reproducible_and_stream_dependent(self):
         grid = P.TimeGrid(1.5, 32)
         a = P.sample_brownian(np.zeros((4, 2)), grid, generator(3))
