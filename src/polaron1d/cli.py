@@ -250,8 +250,20 @@ def cmd_energy(config: ExperimentConfig, t0: float) -> int:
     return 0
 
 
+def _build_swept(key: str, configs) -> None:
+    """Build every swept RunConfig before any sampling; a refused one names key."""
+    try:
+        list(configs)
+    except ValueError as err:
+        raise ConfigError(f"bad value for {key!r}: {err}")
+
+
 def cmd_sweep_alpha(config: ExperimentConfig, t0: float) -> int:
-    report = sweep_alpha(config.run_config(), config.values["alphas"])
+    base = config.run_config()
+    alphas = config.values["alphas"]
+    _build_swept("alphas", (replace(base, params=replace(base.params, alpha=a))
+                            for a in alphas))
+    report = sweep_alpha(base, alphas)
     rows = [_estimate_row(est) for est in report["estimates"]]
     _write_csv(config.out_dir / "results.csv", rows)
     _write_manifest(config.out_dir / "manifest.json", "sweep-alpha", config,
@@ -262,11 +274,7 @@ def cmd_sweep_alpha(config: ExperimentConfig, t0: float) -> int:
 def cmd_uv_limit(config: ExperimentConfig, t0: float) -> int:
     base = config.run_config()
     ladder = config.values["eps_ladder"]
-    try:
-        for eps in ladder:  # the rungs sweep_eps builds; a refused one names the key
-            replace(base, eps=eps)
-    except ValueError as err:
-        raise ConfigError(f"bad value for 'eps_ladder': {err}")
+    _build_swept("eps_ladder", (replace(base, eps=eps) for eps in ladder))
     report = sweep_eps(base, ladder)
     rows = [_estimate_row(est) for est in report["estimates"]]
     _write_csv(config.out_dir / "results.csv", rows)

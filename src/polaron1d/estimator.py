@@ -28,6 +28,14 @@ horizon, so its weight is exactly e^{-inf} = 0 whatever its action; in
 also after a sweep scales S_eff.  Every estimate sees the log-weights
 the full batch would give.
 
+Such paths are not even stored: `sample_brownian` draws a block in
+slices and applies the membership test through beta to each slice as it
+is drawn.  The block's generator [seed, 2b + 1] is consumed in path
+order across the slices, so slicing changes no bit.  A dead path lives
+only in its slice's reused buffers, and a block's paths take about twice
+the slice budget (`paths._SLICE_BUDGET_BYTES`) plus the survivors'
+states, whatever the block size and grid length.
+
 Coupling sweeps exploit that S_eff is exactly linear in alpha (g_L =
 sqrt(2) alpha / L enters every kernel once): the alpha = 1 action is
 evaluated per path and scaled, which makes per-path monotonicity in
@@ -75,8 +83,8 @@ import numpy as np
 
 from .action import _DRIFT_L_MAX, PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
-from .geometry import OrderedDomain, SpinSector, survival_log_weights, \
-    uniform_ordered_points
+from .geometry import OrderedDomain, SpinSector, contains_all, \
+    survival_log_weights, uniform_ordered_points
 from .kernels import ModelParams, default_k_max
 from .paths import PathSample, TimeGrid, sample_brownian
 
@@ -175,30 +183,37 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int,
 
     Row i belongs to horizon `_horizons(config)[i]`; the ratio variant's
     paths run to beta + delta and one pass yields both rows.  The block
-    is sampled and killed once; the action runs once per eps, only on
-    the paths alive at beta.  The others, whose weight is exactly 0,
-    carry S_eff = S_el = 0.
+    is sampled and killed once, slice by slice, so only the paths inside
+    the domain through beta are stored; survival and the action (once
+    per eps) run on those alone.  The others, whose weight is exactly 0,
+    carry log-survival -inf and S_eff = S_el = 0.
     """
     domain = config.domain
     start_rng = np.random.default_rng([config.seed, 2 * block_idx])
     x0 = uniform_ordered_points(start_rng, n_block, domain)
     steps = _horizons(config)
+    n_beta = min(steps)
     grid = config.grid
     if config.variant == "ratio":
         grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
     path = sample_brownian(
-        x0, grid, np.random.default_rng([config.seed, 2 * block_idx + 1]))
-    logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
-    # alive at any horizon means alive at the shortest one, beta
-    alive = (logs > -np.inf).any(axis=0)
-    live = PathSample(path.states[alive], grid)
+        x0, grid, np.random.default_rng([config.seed, 2 * block_idx + 1]),
+        keep=lambda states: contains_all(domain, states[:, :n_beta + 1]))
+    logs = np.full((len(steps), n_block), -np.inf)
     s_eff = np.zeros((len(eps_values),) + logs.shape)
     sel = np.zeros_like(logs)
+    live_logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
+    logs[:, path.rows] = live_logs
+    # alive at any horizon means alive at the shortest one, beta; a path
+    # inside the domain can still have a bridge factor that underflows
+    alive = (live_logs > -np.inf).any(axis=0)
+    rows = path.rows[alive]
+    live = path if alive.all() else PathSample(path.states[alive], grid)
     for m, eps in enumerate(eps_values):
         bd = s_eff_decomposed(live, eps, config.params, pot=config.pot,
                               horizons=steps)
-        s_eff[m][:, alive] = bd.s_eff
-    sel[:, alive] = bd.s_el
+        s_eff[m][:, rows] = bd.s_eff
+    sel[:, rows] = bd.s_el
     return logs, s_eff, sel
 
 
@@ -383,14 +398,18 @@ def sweep_alpha(config: RunConfig, alphas) -> dict:
     alpha; per-path weights at different alphas are deterministic
     rescalings, so the paired differences in the report carry only the
     (small) variance of the shared sample, and per-path partition-weight
-    monotonicity in alpha is exact.  Paired differences are keyed
+    monotonicity in alpha is exact.  Every config, the sampled one
+    included, is built before any path is sampled, so one RunConfig
+    refuses raises ValueError up front; the unit-coupling action runs
+    only when some alpha is nonzero.  Paired differences are keyed
     alpha_lo, alpha_hi.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one alpha")
     configs = [replace(config, params=replace(config.params, alpha=a)) for a in alphas]
-    logs, (s_eff,), sel = _collect(replace(config, params=replace(config.params, alpha=1.0)))
+    unit = 1.0 if any(alphas) else 0.0
+    logs, (s_eff,), sel = _collect(replace(config, params=replace(config.params, alpha=unit)))
     return _sweep("alpha", alphas, configs, [logs + a * s_eff + sel for a in alphas])
 
 

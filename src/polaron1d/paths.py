@@ -15,6 +15,15 @@ Reproducibility: every sampler takes a numpy Generator; the estimator
 keys block b with [seed, 2b] (start points) and [seed, 2b + 1]
 (increments), default_rng(key) each, so a path batch depends only on its
 key, grid and x0 and never on worker scheduling.
+
+Bounded memory: given a kill test, `sample_brownian` draws the batch in
+slices of about _SLICE_BUDGET_BYTES of states and stores only the paths
+the test keeps.  The generator is consumed in path order across the
+slices, and numpy fills an array path-major, so k slices draw exactly
+the normals of one whole-batch call and every kept path is bit for bit
+the one a whole-batch call gives.  A killed path is never stored beyond
+its slice: the slice's two buffers (increments and states) are reused,
+so a batch holds about twice the budget plus its kept paths.
 """
 
 from __future__ import annotations
@@ -23,6 +32,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+# Bytes of states per slice of a batch drawn with a kill test.  At 4 MB
+# the Monte Carlo benchmark ops take no longer than with whole-batch
+# draws; smaller slices pay more per-slice Python overhead.
+_SLICE_BUDGET_BYTES = 2**22
 
 
 @dataclass(frozen=True)
@@ -47,10 +61,15 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathSample:
-    """A batch of discretized Brownian paths on a common time grid."""
+    """A batch of discretized Brownian paths on a common time grid.
+
+    `rows`, when set, holds each path's index in the batch it was drawn
+    from (the paths a kill test kept); None means the whole batch.
+    """
 
     states: np.ndarray  # (n_paths, n_steps+1, N)
     grid: TimeGrid
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         if self.states.ndim != 3:
@@ -72,18 +91,48 @@ class PathSample:
         return np.diff(self.states, axis=1)
 
 
-def sample_brownian(x0, grid: TimeGrid, rng: np.random.Generator) -> PathSample:
-    """Paths started at x0 (shape (n_paths, N) or (N,) broadcast to one path)."""
+def sample_brownian(x0, grid: TimeGrid, rng: np.random.Generator,
+                    keep=None) -> PathSample:
+    """Paths started at x0 (shape (n_paths, N) or (N,) broadcast to one path).
+
+    `keep`, a function from states (n, n_steps+1, N) to a bool mask of
+    shape (n,), kills paths while they are drawn: the batch is drawn in
+    slices of about _SLICE_BUDGET_BYTES, and the result holds only the
+    kept paths, in batch order, with their batch indices in `rows`.
+    Without it the whole batch is drawn at once and kept.
+    """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     n_paths, N = x0.shape
-    dw = rng.standard_normal((n_paths, grid.n_steps, N))
-    dw *= np.sqrt(grid.dt)  # bit for bit rng.normal(0, sqrt(dt)), faster
-    states = np.empty((n_paths, grid.n_steps + 1, N))
-    states[:, 0] = x0
-    np.cumsum(dw, axis=1, out=states[:, 1:])
-    for i in range(N):  # one coordinate at a time: no length-N inner loops
-        states[:, 1:, i] += x0[:, i, None]
-    return PathSample(states=states, grid=grid)
+    n = grid.n_steps
+    if keep is None:  # one slice; the returned states hold no dead buffer
+        size = n_paths
+        dw, states = np.empty((size, n, N)), np.empty((size, n + 1, N))
+    else:
+        size = max(1, min(n_paths, _SLICE_BUDGET_BYTES // (8 * (n + 1) * N)))
+        # one allocation for both slice buffers: two separate ones were
+        # handed back to the OS after each batch and faulted in again
+        buf = np.empty(size * (2 * n + 1) * N)
+        dw = buf[:size * n * N].reshape(size, n, N)
+        states = buf[size * n * N:].reshape(size, n + 1, N)
+    scale = np.sqrt(grid.dt)
+    kept, rows = [np.empty((0, n + 1, N))], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, n_paths, max(size, 1)):
+        m = min(size, n_paths - lo)
+        d, s, x = dw[:m], states[:m], x0[lo:lo + m]
+        rng.standard_normal(out=d)  # the stream continues across slices
+        d *= scale  # bit for bit rng.normal(0, sqrt(dt)), faster
+        s[:, 0] = x
+        np.cumsum(d, axis=1, out=s[:, 1:])
+        for i in range(N):  # one coordinate at a time: no length-N inner loops
+            s[:, 1:, i] += x[:, i, None]
+        if keep is not None:
+            ok = np.flatnonzero(keep(s))
+            kept.append(s[ok])
+            rows.append(ok + lo)
+    if keep is None:
+        return PathSample(states=states, grid=grid)
+    return PathSample(states=np.concatenate(kept), grid=grid,
+                      rows=np.concatenate(rows))
 
 
 def refine_midpoint(path: PathSample, rng: np.random.Generator) -> PathSample:

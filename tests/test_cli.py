@@ -102,6 +102,9 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command, settings, named", [
         ("sweep-alpha", ["alphas=-1,0"], "'alphas'"),
+        # a coupling RunConfig refuses (the eps = 0 drift needs L <= 400)
+        ("sweep-alpha", ["alphas=0,0.5", "L=500", "epsilon=0", "n_paths=64",
+                         "n_steps=16", "beta=1"], "'alphas'"),
         ("uv-limit", ["eps_ladder=0.5,-0.1"], "'eps_ladder'"),
         # a rung RunConfig refuses (the eps = 0 drift needs L <= 400)
         ("uv-limit", ["eps_ladder=0.5,0", "L=500", "alpha=1", "n_paths=64",
@@ -109,7 +112,7 @@ class TestConfigErrors:
         ("ordering", ["N=1"], "N = 1"),
         ("compare", ["mc_csv={no_eps}", "diag_csv={no_eps}"], "no_eps.csv: column 'epsilon'"),
         ("compare", ["mc_csv={text}", "diag_csv={text}"], "text.csv: column 'beta'"),
-    ], ids=["alphas", "eps_ladder", "eps_ladder-rung", "ordering-N", "compare-missing-column",
+    ], ids=["alphas", "alphas-refused", "eps_ladder", "eps_ladder-rung", "ordering-N", "compare-missing-column",
             "compare-non-numeric"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command,
                                          settings, named):
@@ -211,6 +214,14 @@ class TestSweepAndLadders:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         for pair in manifest["paired_differences"]:
             assert pair["difference"] <= 3 * pair["stderr"]
+
+    def test_sweep_alpha_at_zero_coupling_needs_no_drift(self, tmp_path):
+        # alpha = 0 runs no action, so L > 400 at eps = 0 is a valid sweep
+        assert run_cli("sweep-alpha", "--out", tmp_path, "--seed", SEED,
+                       "--set", "alphas=0", "--set", "L=500", "--set", "epsilon=0",
+                       "--set", "n_paths=64", "--set", "n_steps=16",
+                       "--set", "beta=1") == 0
+        assert [r["alpha"] for r in read_csv(tmp_path / "results.csv")] == ["0"]
 
     def test_uv_limit_emits_ladder_with_shared_seed(self, tmp_path):
         assert run_cli("uv-limit", "--out", tmp_path, "--seed", SEED,

@@ -7,6 +7,7 @@ oracles.py and were cross-checked against finite-difference heat kernels.
 """
 
 import logging
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from polaron1d import estimator as est_mod
+from polaron1d import paths as paths_mod
 from polaron1d.action import PotentialSpec
 from polaron1d.estimator import (
     EnergyEstimate,
@@ -364,6 +366,25 @@ class TestSweepAlpha:
         assert swept.diagnostics == direct.diagnostics
 
 
+    def test_refused_coupling_stops_before_any_sampling(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled a path")
+        monkeypatch.setattr(est_mod, "sample_brownian", forbidden)
+        cfg = replace(self.coupled_config(), params=ModelParams(alpha=0.0, N=1,
+                                                                L=500.0, beta=1.0))
+        with pytest.raises(ValueError, match="L <="):
+            sweep_alpha(cfg, [0.0, 0.5])
+
+    def test_zero_couplings_need_no_drift(self):
+        # alpha = 0 alone runs no action, so L > 400 at eps = 0 is allowed
+        cfg = replace(self.coupled_config(n_paths=512),
+                      params=ModelParams(alpha=0.0, N=1, L=500.0, beta=1.0))
+        (swept,) = sweep_alpha(cfg, [0.0])["estimates"]
+        direct = energy_estimate(cfg)
+        assert (swept.value, swept.stderr) == (direct.value, direct.stderr)
+        assert swept.diagnostics == direct.diagnostics
+
+
 LADDER = [0.5, 0.0625, 0.0]
 
 
@@ -446,6 +467,67 @@ class TestSweepEps:
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             sweep_eps(self.ladder_config(), [])
+
+
+def slice_budget(cfg, rows):
+    """A slice budget that holds `rows` paths of cfg's sampled grid."""
+    nodes = cfg.grid.n_steps + 1
+    if cfg.variant == "ratio":
+        nodes += cfg.n_delta_steps
+    return rows * 8 * nodes * cfg.params.N
+
+
+def bits(a):
+    return a.view(np.int64).tolist()
+
+
+# 7 paths divide neither block size (128, 16); 256 hold either block whole
+SLICE_ROWS = {"one-path": 1, "non-divisor": 7, "whole-block": 256}
+
+
+class TestSlicedBlocks:
+    """Blocks drawn and killed slice by slice give the full batch's bits."""
+
+    @pytest.mark.parametrize("rows", SLICE_ROWS.values(), ids=SLICE_ROWS.keys())
+    @pytest.mark.parametrize("kw", FILTER_CASES.values(), ids=FILTER_CASES.keys())
+    def test_rows_bitwise_equal_full_batch(self, monkeypatch, kw, rows):
+        cfg = coupled_config(**kw)
+        monkeypatch.setattr(paths_mod, "_SLICE_BUDGET_BYTES", slice_budget(cfg, rows))
+        logs, s_eff, sel = est_mod._collect(cfg)
+        ref_logs, ref_s_eff, ref_sel = with_full_batch(est_mod._collect, cfg)
+        assert bits(logs) == bits(ref_logs)
+        alive = (logs > -np.inf).any(axis=0)
+        assert 0 < alive.sum() < cfg.n_paths
+        assert bits(s_eff[..., alive]) == bits(ref_s_eff[..., alive])
+        assert bits(sel[:, alive]) == bits(ref_sel[:, alive])
+        assert not s_eff[..., ~alive].any() and not sel[:, ~alive].any()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_sweep_eps_bitwise_equal_full_batch(self, monkeypatch, n_workers):
+        cfg = TestSweepEps.ladder_config(n_workers=n_workers, n_paths=600,
+                                         path_block=128)
+        monkeypatch.setattr(paths_mod, "_SLICE_BUDGET_BYTES", slice_budget(cfg, 7))
+        TestSweepEps.assert_same(sweep_eps(cfg, LADDER),
+                                 with_full_batch(sweep_eps, cfg, LADDER))
+
+    def test_block_memory_is_bounded_by_the_slice_budget(self):
+        # the mc-free-n1 block: 4096 paths, beta = 4, 512 + 128 steps,
+        # alpha = 0; the whole batch's increments and states alone take
+        # 42 MB, and about 1 % of the paths survive
+        cfg = free_config(beta=4.0, n_steps=512, n_paths=4096, variant="ratio")
+        est_mod._simulate_block(cfg, 0, cfg.n_paths, (cfg.eps,))
+        tracemalloc.start()
+        try:
+            logs, _, _ = est_mod._simulate_block(cfg, 0, cfg.n_paths, (cfg.eps,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        survivors = int(np.sum(logs[-1] > -np.inf))
+        assert 0 < survivors < cfg.n_paths // 20
+        # a slice's increments and states, its temporaries, and the
+        # survivors' states kept per slice and joined
+        bound = 3 * paths_mod._SLICE_BUDGET_BYTES + 2 * survivors * 8 * 641
+        assert peak < bound
 
 
 class TestLogSpace:

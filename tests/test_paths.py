@@ -51,6 +51,26 @@ class TestSampleBrownian:
         assert np.array_equal(a.states, b.states)
         assert not np.array_equal(a.states, c.states)
 
+    @pytest.mark.parametrize("rows_per_slice", [1, 7, 64],
+                             ids=["one-path", "non-divisor", "whole-batch"])
+    def test_killed_draw_keeps_whole_batch_paths_bitwise(self, monkeypatch,
+                                                          rows_per_slice):
+        # the generator runs on in path order across slices: a kept path
+        # is the whole-batch draw's path, bit for bit
+        grid = P.TimeGrid(1.0, 20)
+        x0 = generator(10).uniform(-0.5, 0.5, (40, 2))
+        whole = P.sample_brownian(x0, grid, generator(11)).states
+        monkeypatch.setattr(P, "_SLICE_BUDGET_BYTES", rows_per_slice * 8 * 21 * 2)
+
+        def keep(states):
+            return np.abs(states).max(axis=(1, 2)) < 1.0
+
+        got = P.sample_brownian(x0, grid, generator(11), keep=keep)
+        want = np.flatnonzero(keep(whole))
+        assert 0 < want.size < len(x0)
+        assert got.rows.tolist() == want.tolist()
+        assert got.states.view(np.int64).tolist() == whole[want].view(np.int64).tolist()
+
     def test_terminal_moments(self):
         n, beta = 10**5, 2.0
         path = P.sample_brownian(np.zeros((n, 1)), P.TimeGrid(beta, 64), generator(5))
