@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -42,12 +43,20 @@ class ConfigError(Exception):
     pass
 
 
+def _finite(text):
+    """float(text), refusing the nan and inf that float() accepts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _float_list(text):
-    """Comma-separated values >= 0 (the couplings and cutoffs of a sweep)."""
+    """Comma-separated finite values >= 0 (the couplings and cutoffs of a sweep)."""
     items = [t for t in str(text).split(",") if t.strip()]
     if not items:
         raise ValueError("empty list")
-    values = tuple(float(t) for t in items)
+    values = tuple(_finite(t) for t in items)
     if min(values) < 0:
         raise ValueError("entries must be >= 0")
     return values
@@ -57,18 +66,18 @@ def _opt_float(text):
     text = str(text).strip()
     if text in ("", "none"):
         return None
-    return float(text)
+    return _finite(text)
 
 
 # key -> (parser, default as config text)
 SCHEMA = {
-    "alpha": (float, "0.0"),
+    "alpha": (_finite, "0.0"),
     "N": (int, "1"),
     "p": (int, "1"),
-    "L": (float, "1.0"),
-    "beta": (float, "2.0"),
+    "L": (_finite, "1.0"),
+    "beta": (_finite, "2.0"),
     "n_steps": (int, "256"),
-    "epsilon": (float, "0.5"),
+    "epsilon": (_finite, "0.5"),
     "n_paths": (int, "20000"),
     "seed": (int, "1"),
     "workers": (int, "1"),
@@ -79,8 +88,8 @@ SCHEMA = {
     "n_el_basis": (int, "10"),
     "k_max": (int, "3"),
     "n_ph_max": (int, "3"),
-    "v_quadratic": (float, "0.0"),
-    "w_quadratic": (float, "0.0"),
+    "v_quadratic": (_finite, "0.0"),
+    "w_quadratic": (_finite, "0.0"),
     "mc_csv": (str, ""),
     "diag_csv": (str, ""),
     "out": (str, "."),
@@ -207,13 +216,19 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _results_row(params, sector, eps, variant, value, stderr, n_paths,
+                 n_steps, seed) -> list:
+    """One results.csv row, in CSV_COLUMNS order."""
+    m = float(sector.M)
+    return [_fmt(params.alpha), _fmt(params.beta), _fmt(eps), str(params.N),
+            str(sector.p), _fmt(m), _fmt(abs(m)), variant, _fmt(value),
+            _fmt(stderr), str(n_paths), str(n_steps), str(seed)]
+
+
 def _estimate_row(est) -> list:
     cfg = est.config
-    m = float(cfg.sector.M)
-    return [_fmt(cfg.params.alpha), _fmt(cfg.params.beta), _fmt(cfg.eps),
-            str(cfg.params.N), str(cfg.sector.p), _fmt(m), _fmt(abs(m)),
-            cfg.variant, _fmt(est.value), _fmt(est.stderr),
-            str(cfg.n_paths), str(cfg.grid.n_steps), str(cfg.seed)]
+    return _results_row(cfg.params, cfg.sector, cfg.eps, cfg.variant, est.value,
+                        est.stderr, cfg.n_paths, cfg.grid.n_steps, cfg.seed)
 
 
 def _write_csv(path: Path, rows, columns=CSV_COLUMNS):
@@ -314,10 +329,8 @@ def cmd_diag(config: ExperimentConfig, t0: float) -> int:
     params, sector = config.model()
     res = sector_ground(v["N"], symmetry, config.potential(), params,
                         config.disc_spec())
-    m = float(sector.M)
-    row = [_fmt(v["alpha"]), _fmt(v["beta"]), _fmt(v["epsilon"]),
-           str(v["N"]), str(v["p"]), _fmt(m), _fmt(abs(m)), "exact-diag",
-           _fmt(res.ground_energy), _fmt(0.0), "0", "0", str(v["seed"])]
+    row = _results_row(params, sector, v["epsilon"], "exact-diag",
+                       res.ground_energy, 0.0, 0, 0, v["seed"])
     _write_csv(config.out_dir / "results.csv", [row])
     _write_manifest(config.out_dir / "manifest.json", "diag", config, t0,
                     {"gap": res.gap, "provenance": res.provenance})

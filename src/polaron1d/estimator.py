@@ -9,8 +9,10 @@ domain volume (2L)^N / (p! (N-p)!).
 Randomness is organized per path block: block b draws start points from
 generator key [seed, 2b] and Brownian increments from [seed, 2b + 1].
 Results are therefore bit-identical for a fixed RunConfig regardless of
-the worker count; threads only decide which core fills which block (the
-heavy work is inside numpy, which releases the GIL).
+the worker count.  One thread pool of n_workers threads runs the blocks
+for every worker count, one included; threads only decide which core
+fills which block (the heavy work is inside numpy, which releases the
+GIL).
 
 The ratio variant estimates -(1/delta) log(Z_{beta+delta} / Z_beta),
 which cancels the overlap prefactor at finite beta.  Each sample is one
@@ -30,7 +32,9 @@ the full batch would give.
 
 Such paths are not even stored: `sample_brownian` draws a block in
 slices and applies the membership test through beta to each slice as it
-is drawn.  The block's generator [seed, 2b + 1] is consumed in path
+is drawn.  That kill test is the only membership pass;
+`survival_log_weights` then evaluates the bridge factors of the kept
+paths.  The block's generator [seed, 2b + 1] is consumed in path
 order across the slices, so slicing changes no bit.  A dead path lives
 only in its slice's reused buffers, and a block's paths take about twice
 the slice budget (`paths._SLICE_BUDGET_BYTES`) plus the survivors'
@@ -111,8 +115,10 @@ class RunConfig:
     path_block: int = PATH_BLOCK
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not 0 <= self.eps < np.inf:  # nan and inf fail too
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if self.delta is not None and not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_workers < 1:
@@ -218,7 +224,7 @@ def _simulate_block(config: RunConfig, block_idx: int, n_block: int,
 
 
 def _collect(config: RunConfig, eps_values=None) -> tuple:
-    """Run all blocks (threaded); (log-survival, S_eff, S_el) rows in path order.
+    """Every block's (log-survival, S_eff, S_el) rows in path order, from a thread pool.
 
     One path set serves every cutoff in `eps_values` (default: config.eps
     alone): log-survival and S_el have shape (k, n_paths), S_eff shape
@@ -238,12 +244,8 @@ def _collect(config: RunConfig, eps_values=None) -> tuple:
         logs[:, lo:hi], s_eff[..., lo:hi], sel[:, lo:hi] = _simulate_block(
             config, block_idx, hi - lo, eps_values)
 
-    if config.n_workers == 1:
-        for task in ranges:
-            run(task)
-    else:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            list(pool.map(run, ranges))
+    with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
+        list(pool.map(run, ranges))
     return logs, s_eff, sel
 
 

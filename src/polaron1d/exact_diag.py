@@ -193,9 +193,9 @@ class DiscretizationSpec:
             raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.n_ph_max < 0:
             raise ValueError(f"n_ph_max must be >= 0, got {self.n_ph_max}")
-        if self.epsilon <= 0:
-            raise ValueError("diagonalization runs at strictly positive epsilon; "
-                             f"got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:  # nan and inf fail too
+            raise ValueError("diagonalization runs at finite, strictly positive "
+                             f"epsilon; got {self.epsilon}")
 
 
 @dataclass(frozen=True)

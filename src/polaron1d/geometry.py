@@ -25,10 +25,10 @@ second-order-in-dt bias we accept.
 
 A path absorbed on the grid has weight exactly 0, and most sampled paths
 are: 88-99 % die before beta at the criterion-1 and criterion-4 shapes.
-`survival_log_weights` therefore tests membership first and computes the
-bridge factors only for the paths inside at every grid point through the
-shortest horizon; the others are -inf in every row without any
-transcendental work.
+The estimator never passes those to `survival_log_weights`: the
+sampler's kill test, `contains_all` through beta on each slice as it is
+drawn, is the only membership pass, and `survival_log_weights` computes
+the bridge factors of whatever paths it is given.
 """
 
 from __future__ import annotations
@@ -150,13 +150,12 @@ def survival_log_weights(states, domain: OrderedDomain, dt: float,
     the weight of the first h_i steps, the value of a call on
     states[..., :h_i + 1, :], from one evaluation of the step factors.
 
-    Membership is tested first: a path with a grid point outside the
-    domain within the shortest horizon is -inf in every row, so the
-    bridge factors are computed only for the paths inside through that
-    horizon.  `contains_all` and the signed distances agree on every point
-    (|x| < L exactly when L - x > 0 and x + L > 0; a positive difference
-    stays positive divided by sqrt(2)), so the -inf set and the finite
-    rows are those of the full evaluation.
+    The bridge factors are evaluated for every path given; a row is -inf
+    where a grid point of its prefix lies outside the domain.  That test
+    agrees with `contains_all` on every point (|x| < L exactly when
+    L - x > 0 and x + L > 0; a positive difference stays positive divided
+    by sqrt(2)), so paths the sampler kept as inside through beta are
+    finite through beta unless a bridge factor underflows.
     """
     states = np.asarray(states, dtype=float)
     _check_dim(states, domain.N)
@@ -164,24 +163,21 @@ def survival_log_weights(states, domain: OrderedDomain, dt: float,
     steps = (n,) if horizons is None else tuple(int(h) for h in horizons)
     if not all(1 <= h <= n for h in steps):
         raise ValueError(f"horizons must lie in 1..{n}, got {horizons}")
-    lead = states.shape[:-2]
-    flat = states.reshape((-1,) + states.shape[-2:])
-    keep = contains_all(domain, flat[:, :min(steps) + 1])
-    d = _constraint_distances(flat[keep], domain)
+    d = _constraint_distances(states, domain)
     inside = np.all(d > 0, axis=-1)
     # exponent of the bridge crossing probability per step and constraint
-    expo = 2.0 * d[:, :-1, :] * d[:, 1:, :] / dt
-    out = np.full((len(steps), flat.shape[0]), -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    expo = 2.0 * d[..., :-1, :] * d[..., 1:, :] / dt
+    rows = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # finite wherever both endpoints are inside; -inf where the
-        # exponent underflows to 0, nan after a later exit (masked below)
+        # exponent underflows to 0, nan on a step across the boundary
+        # (masked below)
         log_step = np.log1p(-np.exp(-expo))
-        for row, h in zip(out, steps):
-            alive = np.all(inside[:, :h + 1], axis=-1)
-            row[keep] = np.where(alive, np.sum(log_step[:, :h, :], axis=(-1, -2)),
-                                 -np.inf)
-    out = out.reshape((len(steps),) + lead)
-    return out[0] if horizons is None else out
+        for h in steps:
+            alive = np.all(inside[..., :h + 1], axis=-1)
+            rows.append(np.where(alive, np.sum(log_step[..., :h, :], axis=(-1, -2)),
+                                 -np.inf))
+    return rows[0] if horizons is None else np.stack(rows)
 
 
 def uniform_ordered_points(rng: np.random.Generator, n: int, domain: OrderedDomain) -> np.ndarray:

@@ -76,14 +76,15 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        # chained comparisons: nan and inf fail them too
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.L <= 0:
-            raise ValueError(f"L must be > 0, got {self.L}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"L must be finite and > 0, got {self.L}")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
     @property
     def g_L(self) -> float:

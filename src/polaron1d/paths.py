@@ -16,14 +16,14 @@ keys block b with [seed, 2b] (start points) and [seed, 2b + 1]
 (increments), default_rng(key) each, so a path batch depends only on its
 key, grid and x0 and never on worker scheduling.
 
-Bounded memory: given a kill test, `sample_brownian` draws the batch in
-slices of about _SLICE_BUDGET_BYTES of states and stores only the paths
-the test keeps.  The generator is consumed in path order across the
-slices, and numpy fills an array path-major, so k slices draw exactly
-the normals of one whole-batch call and every kept path is bit for bit
-the one a whole-batch call gives.  A killed path is never stored beyond
-its slice: the slice's two buffers (increments and states) are reused,
-so a batch holds about twice the budget plus its kept paths.
+Bounded memory: `sample_brownian` always draws a batch in slices of
+about _SLICE_BUDGET_BYTES of states, and given a kill test it stores
+only the paths the test keeps.  The generator is consumed in path order
+across the slices, and numpy fills an array path-major, so k slices draw
+exactly the normals of one whole-batch draw and every kept path is bit
+for bit the one a whole-batch draw gives.  A killed path is never stored
+beyond its slice: the slice's two buffers (increments and states) are
+reused, so a batch holds about twice the budget plus its kept paths.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-# Bytes of states per slice of a batch drawn with a kill test.  At 4 MB
-# the Monte Carlo benchmark ops take no longer than with whole-batch
-# draws; smaller slices pay more per-slice Python overhead.
+# Bytes of states per slice of a drawn batch.  At 4 MB the Monte Carlo
+# benchmark ops take no longer than with whole-batch draws; smaller
+# slices pay more per-slice Python overhead.
 _SLICE_BUDGET_BYTES = 2**22
 
 
@@ -45,8 +45,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.beta < np.inf:  # nan and inf fail too
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -95,28 +95,24 @@ def sample_brownian(x0, grid: TimeGrid, rng: np.random.Generator,
                     keep=None) -> PathSample:
     """Paths started at x0 (shape (n_paths, N) or (N,) broadcast to one path).
 
+    The batch is drawn in slices of about _SLICE_BUDGET_BYTES of states.
     `keep`, a function from states (n, n_steps+1, N) to a bool mask of
-    shape (n,), kills paths while they are drawn: the batch is drawn in
-    slices of about _SLICE_BUDGET_BYTES, and the result holds only the
-    kept paths, in batch order, with their batch indices in `rows`.
-    Without it the whole batch is drawn at once and kept.
+    shape (n,), kills paths while they are drawn: the result holds only
+    the kept paths, in batch order, with their batch indices in `rows`.
+    Without it every path is kept and `rows` is None.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     n_paths, N = x0.shape
     n = grid.n_steps
-    if keep is None:  # one slice; the returned states hold no dead buffer
-        size = n_paths
-        dw, states = np.empty((size, n, N)), np.empty((size, n + 1, N))
-    else:
-        size = max(1, min(n_paths, _SLICE_BUDGET_BYTES // (8 * (n + 1) * N)))
-        # one allocation for both slice buffers: two separate ones were
-        # handed back to the OS after each batch and faulted in again
-        buf = np.empty(size * (2 * n + 1) * N)
-        dw = buf[:size * n * N].reshape(size, n, N)
-        states = buf[size * n * N:].reshape(size, n + 1, N)
+    size = max(1, min(n_paths, _SLICE_BUDGET_BYTES // (8 * (n + 1) * N)))
+    # one allocation for both slice buffers: two separate ones were
+    # handed back to the OS after each batch and faulted in again
+    buf = np.empty(size * (2 * n + 1) * N)
+    dw = buf[:size * n * N].reshape(size, n, N)
+    states = buf[size * n * N:].reshape(size, n + 1, N)
     scale = np.sqrt(grid.dt)
     kept, rows = [np.empty((0, n + 1, N))], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, n_paths, max(size, 1)):
+    for lo in range(0, n_paths, size):
         m = min(size, n_paths - lo)
         d, s, x = dw[:m], states[:m], x0[lo:lo + m]
         rng.standard_normal(out=d)  # the stream continues across slices
@@ -125,14 +121,11 @@ def sample_brownian(x0, grid: TimeGrid, rng: np.random.Generator,
         np.cumsum(d, axis=1, out=s[:, 1:])
         for i in range(N):  # one coordinate at a time: no length-N inner loops
             s[:, 1:, i] += x[:, i, None]
-        if keep is not None:
-            ok = np.flatnonzero(keep(s))
-            kept.append(s[ok])
-            rows.append(ok + lo)
-    if keep is None:
-        return PathSample(states=states, grid=grid)
+        ok = np.arange(m) if keep is None else np.flatnonzero(keep(s))
+        kept.append(s[ok])
+        rows.append(ok + lo)
     return PathSample(states=np.concatenate(kept), grid=grid,
-                      rows=np.concatenate(rows))
+                      rows=None if keep is None else np.concatenate(rows))
 
 
 def refine_midpoint(path: PathSample, rng: np.random.Generator) -> PathSample:
@@ -173,14 +166,12 @@ def ito_integral(integrand, path: PathSample):
 def girsanov_log_weight(drift, path: PathSample) -> np.ndarray:
     """log of exp(sum Phi . dx - (1/2) sum |Phi|^2 dt) per path.
 
-    drift: values at left endpoints, shape (n_paths, n_steps, N).
+    drift: values at left endpoints, shape (n_paths, h, N) with
+    h <= n_steps as for `ito_integral`; the weight up to t_h.
     """
     phi = np.asarray(drift, dtype=float)
-    inc = path.increments
-    if phi.shape != inc.shape:
-        raise ValueError(f"drift shape {phi.shape} != increments shape {inc.shape}")
     dt = path.grid.dt
-    return np.sum(phi * inc, axis=(1, 2)) - 0.5 * dt * np.sum(phi**2, axis=(1, 2))
+    return ito_integral(phi, path) - 0.5 * dt * np.sum(phi**2, axis=(1, 2))
 
 
 def girsanov_weight(drift, path: PathSample) -> np.ndarray:

@@ -3,20 +3,21 @@
 Everything here is written independently of the package internals:
 periodizations are literal image sums, Fourier coefficients come from
 quadrature, and operator identities are checked on dense matrices.
-The exceptions are built from the package's own layers:
-`full_batch_block`, the estimator's path block with the action evaluated
-on every path, and the action references `s_eff_direct`,
-`drift_profile_mode_loop`, `drift_profile_pair_sum` and `pairwise_x_z`,
-which evaluate the package's kernels on pair differences or one time
-step at a time.  `theta_two_pass` evaluates theta and theta_tilde in two
-passes, one on the path and one on its time reversal, with one complex
-exponential per mode.  `full_coupling_hamiltonian` assembles the ED
-Hamiltonian from the package's blocks with every mode m <= k_max in the
-Fock space and coupled, however damped; `kron_sum_hamiltonian` sums
-the ED Hamiltonian term by term from `scipy.sparse.kron` products, the
-reference for the one-step assembly; and `expm_ratio_energy`
-propagates the ratio oracle's reference vector with `expm_multiply` on
-a given Hamiltonian.
+`whole_batch_draw` draws a path batch in one numpy call, the reference
+for the sampler's slices.  The exceptions are built from the package's
+own layers: `full_batch_block`, the estimator's path block drawn by
+`whole_batch_draw` with the action evaluated on every path, and the
+action references `s_eff_direct`, `drift_profile_mode_loop`,
+`drift_profile_pair_sum` and `pairwise_x_z`, which evaluate the
+package's kernels on pair differences or one time step at a time.
+`theta_two_pass` evaluates theta and theta_tilde in two passes, one on
+the path and one on its time reversal, with one complex exponential per
+mode.  `full_coupling_hamiltonian` assembles the ED Hamiltonian from the
+package's blocks with every mode m <= k_max in the Fock space and
+coupled, however damped; `kron_sum_hamiltonian` sums the ED Hamiltonian
+term by term from `scipy.sparse.kron` products, the reference for the
+one-step assembly; and `expm_ratio_energy` propagates the ratio oracle's
+reference vector with `expm_multiply` on a given Hamiltonian.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from polaron1d.estimator import _horizons
 from polaron1d.fock import FockSpace, annihilator
 from polaron1d.geometry import survival_log_weights, uniform_ordered_points
 from polaron1d.kernels import eval_dphi, eval_phi, eval_w_series
-from polaron1d.paths import TimeGrid, sample_brownian
+from polaron1d.paths import PathSample, TimeGrid
 
 SQRT2 = np.sqrt(2.0)
 
@@ -327,13 +328,29 @@ def full_survival_log_weights(states, domain, dt, horizons=None):
     return rows[0] if horizons is None else np.stack(rows)
 
 
+def whole_batch_draw(x0, grid, rng):
+    """Brownian paths from x0 (n, N) drawn in one allocation, no slices.
+
+    The reference for the sampler's slice loop: rng.standard_normal over
+    the whole batch times sqrt(dt), a cumulative sum along time, and the
+    start points added.
+    """
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    n, N = x0.shape
+    dw = rng.standard_normal((n, grid.n_steps, N)) * np.sqrt(grid.dt)
+    states = np.empty((n, grid.n_steps + 1, N))
+    states[:, 0] = x0
+    states[:, 1:] = np.cumsum(dw, axis=1) + x0[:, None, :]
+    return PathSample(states=states, grid=grid)
+
+
 def full_batch_block(config, block_idx, n_block, eps_values):
     """(log-survival, S_eff per eps, S_el) rows of one path block, action on every path.
 
     The estimator's block as it was before the survivor filter: the same
-    seeds, paths and layer calls, but s_eff_decomposed runs on the whole
-    batch, dead paths included.  Their log-weights logs + S_eff + S_el are
-    -inf either way.
+    seeds and layer calls, but the paths come from `whole_batch_draw`
+    and s_eff_decomposed runs on the whole batch, dead paths included.
+    Their log-weights logs + S_eff + S_el are -inf either way.
     """
     domain = config.domain
     start_rng = np.random.default_rng([config.seed, 2 * block_idx])
@@ -342,7 +359,7 @@ def full_batch_block(config, block_idx, n_block, eps_values):
     grid = config.grid
     if config.variant == "ratio":
         grid = TimeGrid(grid.beta + config.delta_eff, steps[0])
-    path = sample_brownian(
+    path = whole_batch_draw(
         x0, grid, np.random.default_rng([config.seed, 2 * block_idx + 1]))
     logs = survival_log_weights(path.states, domain, grid.dt, horizons=steps)
     bds = [s_eff_decomposed(path, eps, config.params, pot=config.pot, horizons=steps)

@@ -112,8 +112,17 @@ class TestConfigErrors:
         ("ordering", ["N=1"], "N = 1"),
         ("compare", ["mc_csv={no_eps}", "diag_csv={no_eps}"], "no_eps.csv: column 'epsilon'"),
         ("compare", ["mc_csv={text}", "diag_csv={text}"], "text.csv: column 'beta'"),
+        # nan and inf parse as floats, but no model or run takes them
+        ("energy", ["alpha=nan"], "'alpha'"),
+        ("energy", ["v_quadratic=nan"], "'v_quadratic'"),
+        ("energy", ["w_quadratic=inf"], "'w_quadratic'"),
+        ("sweep-alpha", ["alphas=0,nan"], "'alphas'"),
+        ("energy", ["epsilon=nan"], "'epsilon'"),
+        ("energy", ["L=inf"], "'L'"),
+        ("energy", ["delta=inf"], "'delta'"),
     ], ids=["alphas", "alphas-refused", "eps_ladder", "eps_ladder-rung", "ordering-N", "compare-missing-column",
-            "compare-non-numeric"])
+            "compare-non-numeric", "alpha-nan", "v_quadratic-nan", "w_quadratic-inf",
+            "alphas-nan", "epsilon-nan", "L-inf", "delta-inf"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, command,
                                          settings, named):
         columns = ("alpha", "beta", "epsilon", "N", "p", "value", "stderr")

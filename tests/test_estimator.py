@@ -56,6 +56,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="eps"):
             free_config(eps=-0.1)
 
+    @pytest.mark.parametrize("field", ["eps", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cutoff_and_delta_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            free_config(variant="ratio", **{field: value})
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             free_config(variant="jackknife")

@@ -53,6 +53,11 @@ class TestDiscretizationSpec:
         with pytest.raises(ValueError):
             ed.DiscretizationSpec(8, 2, 2, 0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            ed.DiscretizationSpec(8, 2, 2, eps)
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ed.DiscretizationSpec(0, 2, 2, 0.5)

@@ -228,7 +228,7 @@ class TestSurvivalAgreesWithContains:
 
 
 class TestSurvivorOnlySurvival:
-    """Bridge factors for survivors only give the full evaluation's bits."""
+    """Survival rows equal the oracle's full evaluation bit for bit."""
 
     HORIZONS = (None, (20,), (32, 9))
 
@@ -248,7 +248,7 @@ class TestSurvivorOnlySurvival:
         # dead, alive at both horizons, and dying between them all occur
         assert np.isneginf(rows[1]).any() and np.isfinite(rows[0]).any()
         assert (np.isfinite(rows[1]) & np.isneginf(rows[0])).any()
-        # two leading dims are flattened and restored
+        # two leading dims
         self.assert_equal_to_full(states.reshape((4, 50) + states.shape[1:]), d, grid.dt)
 
     def test_single_path_alive_and_dead(self):
@@ -284,25 +284,6 @@ class TestSurvivorOnlySurvival:
         assert np.isfinite(rows[1]).all()
         assert np.array_equal(np.isneginf(rows[0]), np.arange(50) % 2 == 0)
         self.assert_equal_to_full(states, d, 4.0)
-
-    @pytest.mark.parametrize("N,p", [(1, 0), (2, 1), (3, 2)])
-    def test_distances_only_for_paths_inside_through_the_shortest_horizon(
-            self, monkeypatch, N, p):
-        seen = []
-
-        def recorded(states, domain):
-            seen.append(states.shape[0])
-            return distances(states, domain)
-
-        distances = G._constraint_distances
-        monkeypatch.setattr(G, "_constraint_distances", recorded)
-        d, grid, states = mixed_block(N, p)
-        inside = G.contains(d, states)
-        for horizons in self.HORIZONS:
-            G.survival_log_weights(states, d, grid.dt, horizons=horizons)
-            h = 32 if horizons is None else min(horizons)
-            assert seen.pop() == int(np.all(inside[:, :h + 1], axis=1).sum())
-        assert seen == []
 
     def test_underflowing_bridge_exponent_warns_nothing(self):
         # a survivor 1e-300 from the plane x1 = x2: exp(-expo) rounds to 1

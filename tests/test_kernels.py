@@ -242,6 +242,12 @@ class TestParamValidation:
             ModelParams(alpha=1.0, N=1, beta=-2.0)
         assert ModelParams(alpha=2.0, N=3, L=2.0).g_L == pytest.approx(np.sqrt(2.0))
 
+    @pytest.mark.parametrize("name", ["alpha", "L", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_model_params_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**{"alpha": 1.0, "N": 1, name: value})
+
     @pytest.mark.parametrize("k_max", [0, -2])
     def test_mode_count_below_one_rejected(self, k_max):
         x = np.linspace(-0.5, 0.5, 5)

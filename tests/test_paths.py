@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import whole_batch_draw
 
 from polaron1d import paths as P
 
@@ -22,6 +23,11 @@ class TestTimeGrid:
             P.TimeGrid(0.0, 4)
         with pytest.raises(ValueError):
             P.TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            P.TimeGrid(beta, 4)
 
 
 class TestSampleBrownian:
@@ -53,13 +59,24 @@ class TestSampleBrownian:
 
     @pytest.mark.parametrize("rows_per_slice", [1, 7, 64],
                              ids=["one-path", "non-divisor", "whole-batch"])
-    def test_killed_draw_keeps_whole_batch_paths_bitwise(self, monkeypatch,
-                                                          rows_per_slice):
-        # the generator runs on in path order across slices: a kept path
-        # is the whole-batch draw's path, bit for bit
+    def test_slices_draw_the_whole_batch_bitwise(self, monkeypatch, rows_per_slice):
+        # the generator runs on in path order across slices: every path
+        # is the one-call draw's path, bit for bit
         grid = P.TimeGrid(1.0, 20)
         x0 = generator(10).uniform(-0.5, 0.5, (40, 2))
-        whole = P.sample_brownian(x0, grid, generator(11)).states
+        whole = whole_batch_draw(x0, grid, generator(11)).states
+        monkeypatch.setattr(P, "_SLICE_BUDGET_BYTES", rows_per_slice * 8 * 21 * 2)
+        got = P.sample_brownian(x0, grid, generator(11))
+        assert got.rows is None
+        assert got.states.view(np.int64).tolist() == whole.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("rows_per_slice", [1, 7, 64],
+                             ids=["one-path", "non-divisor", "whole-batch"])
+    def test_killed_draw_keeps_whole_batch_paths_bitwise(self, monkeypatch,
+                                                          rows_per_slice):
+        grid = P.TimeGrid(1.0, 20)
+        x0 = generator(10).uniform(-0.5, 0.5, (40, 2))
+        whole = whole_batch_draw(x0, grid, generator(11)).states
         monkeypatch.setattr(P, "_SLICE_BUDGET_BYTES", rows_per_slice * 8 * 21 * 2)
 
         def keep(states):
@@ -70,6 +87,10 @@ class TestSampleBrownian:
         assert 0 < want.size < len(x0)
         assert got.rows.tolist() == want.tolist()
         assert got.states.view(np.int64).tolist() == whole[want].view(np.int64).tolist()
+
+    def test_empty_batch(self):
+        path = P.sample_brownian(np.zeros((0, 3)), P.TimeGrid(1.0, 8), generator(12))
+        assert path.states.shape == (0, 9, 3) and path.rows is None
 
     def test_terminal_moments(self):
         n, beta = 10**5, 2.0
@@ -143,6 +164,16 @@ class TestItoIntegral:
 
 
 class TestGirsanov:
+    def test_log_weight_is_the_ito_sum_minus_the_quadratic_term(self):
+        path = P.sample_brownian(np.zeros((6, 2)), P.TimeGrid(1.0, 8), generator(17))
+        drift = np.sin(path.states[:, :-1, :])
+        want = (np.sum(drift * path.increments, axis=(1, 2))
+                - 0.5 * path.grid.dt * np.sum(drift**2, axis=(1, 2)))
+        got = P.girsanov_log_weight(drift, path)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        with pytest.raises(ValueError):
+            P.girsanov_log_weight(np.zeros((6, 9, 2)), path)
+
     def test_zero_drift(self):
         path = P.sample_brownian(np.zeros((5, 2)), P.TimeGrid(1.0, 8), generator(14))
         w = P.girsanov_weight(np.zeros((5, 8, 2)), path)
