@@ -117,9 +117,10 @@ import numpy as np
 from .kernels import (
     SQRT2,
     ModelParams,
-    default_k_max,
+    damped_mode_count,
     eval_dphi,
     eval_phi,
+    mode_wavenumbers,
 )
 from .paths import PathSample, ito_integral
 
@@ -229,7 +230,7 @@ def _mode_table_terms(
     n = part.grid.n_steps
     dt = part.grid.dt
     g_L = params.g_L
-    k = 2 * np.pi * np.arange(1, k_max + 1) / params.L
+    k = mode_wavenumbers(k_max, params.L)
     c_xz = np.exp(-2 * eps * k**2) / (1 + k**2 / 2)
     c_phi = k * c_xz
     # G rescaled inside blocks of at most unit duration: the growth factor
@@ -239,7 +240,7 @@ def _mode_table_terms(
     shrink = np.exp(-dt * np.arange(1, B + 1))[:, None]
     X, Z = np.zeros((2, len(steps), P))
     # E[p, b, j, m - 1] = e^{-i k_m x_{j,b}}
-    E = _phase_powers(states, k[0], k_max)
+    E = _phase_powers(states, 2 * np.pi / params.L, k_max)
     F = E[:, :n].sum(axis=2)
     # G[p, a] = sum_{b < a} dt e^{-(t_a - t_b)} F[p, b]
     G = np.zeros((P, n + 1, k_max), dtype=complex)
@@ -414,9 +415,11 @@ def s_eff_decomposed(
     reads the mode table at the horizon node; at eps = 0 it pairs the
     horizon node with the left endpoints before it.
 
-    The eps > 0 mode series runs default_k_max(2 eps, L) modes; every
-    dropped mode is damped below e^{-37}.  At eps = 0 and alpha != 0 the
-    drift needs L <= _DRIFT_L_MAX (400) and raises ValueError above it.
+    The eps > 0 mode series runs damped_mode_count(2 eps, L) modes, the
+    set exact diagonalization keeps; every dropped mode is damped below
+    e^{-37}, and at 0 modes (eps >= 0.469 at L = 1) only the k = 0 terms
+    are left.  At eps = 0 and alpha != 0 the drift needs
+    L <= _DRIFT_L_MAX (400) and raises ValueError above it.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
@@ -436,8 +439,9 @@ def s_eff_decomposed(
         for r, h in enumerate(steps):
             phi00[r] = 2 * (beta - (n - h) * dt) * N * phi_diag
         if eps > 0.0:
-            k_max = default_k_max(2 * eps, params.L)
-            bytes_per_path = 16 * (n + 1) * path.N * k_max
+            k_max = damped_mode_count(2 * eps, params.L)
+            # sized as for one mode when none is left: 0 would divide by 0
+            bytes_per_path = 16 * (n + 1) * path.N * max(1, k_max)
         else:
             bytes_per_path = 8 * (n + 1) * path.N**2
         chunk = max(1, _TABLE_BUDGET_BYTES // bytes_per_path)

@@ -71,10 +71,11 @@ paired differences as nan +- inf.
 
 Each energy estimate also goes out as one INFO record on the
 "polaron1d" logger: the mode count of the eps > 0 action series
-(diagnostics["k_max"], None at eps = 0, where closed forms read no
-series), value, stderr, n_effective, the survival fraction of each row
-and zero_survivors.  The library adds no handler; the caller
-decides where the records go.
+(diagnostics["k_max"], kernels.damped_mode_count at damping 2 eps, the
+modes exact diagonalization keeps; 0 leaves the k = 0 terms alone, and
+None at eps = 0, where closed forms read no series), value, stderr,
+n_effective, the survival fraction of each row and zero_survivors.  The
+library adds no handler; the caller decides where the records go.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from .action import _DRIFT_L_MAX, PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, contains_all, \
     survival_log_weights, uniform_ordered_points
-from .kernels import ModelParams, default_k_max
+from .kernels import ModelParams, damped_mode_count
 from .paths import PathSample, TimeGrid, sample_brownian
 
 N_BATCHES = 32
@@ -334,7 +335,7 @@ def _partition(config: RunConfig, est: LogMeanEstimate,
 def _energy(config: RunConfig, log_w: np.ndarray) -> EnergyEstimate:
     """Energy estimate and diagnostics of one config from its log-weight rows."""
     est = log_mean_estimate(log_w, _coefficients(config))
-    k_max = default_k_max(2 * config.eps, config.params.L) if config.eps > 0 else None
+    k_max = damped_mode_count(2 * config.eps, config.params.L) if config.eps > 0 else None
     diagnostics = {"k_max": k_max,
                    "survival_fraction": est.survival[-1],
                    "zero_survivors": est.zero_survivors,

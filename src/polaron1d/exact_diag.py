@@ -34,10 +34,10 @@ storage.
 
 The Fock space holds the k = 0 mode and the cosine and sine of
 m = 1..K, K = min(k_max, kernels.damped_mode_count(2 eps, L)): the modes
-with e^{-2 eps k^2} >= e^{-37}, the rule the Monte Carlo action's mode
-series follows without its floor of one mode.  k_max is a ceiling.  A
-dropped mode would move an energy by at most about g_L e^{-37} ~ 1e-16
-through its coupling, and uncoupled it is a free oscillator: H is then
+with e^{-2 eps k^2} >= e^{-37}, the modes the Monte Carlo action's mode
+series runs.  k_max is a ceiling.  A dropped mode would move an energy
+by at most about g_L e^{-37} ~ 1e-16 through its coupling, and
+uncoupled it is a free oscillator: H is then
 block-diagonal in the dropped modes' occupations, the block with them
 empty is the H built here, and a block with j dropped quanta has lowest
 level E_0(cap - j) + j > E_0.  So the ground energy and the ratio
@@ -113,7 +113,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .fock import FockSpace, annihilator
-from .kernels import ModelParams, damped_mode_count
+from .kernels import ModelParams, damped_mode_count, mode_wavenumbers
 
 logger = logging.getLogger("polaron1d")
 
@@ -337,8 +337,7 @@ def _interaction_blocks(sector: _Sector, spec: DiscretizationSpec,
     """
     root_g = np.sqrt(params.g_L)
     blocks = [(root_g, sector.N * np.eye(sector.dim))]
-    for m in range(1, n_modes + 1):
-        k = 2 * np.pi * m / params.L
+    for m, k in enumerate(mode_wavenumbers(n_modes, params.L), start=1):
         damp = np.exp(-spec.epsilon * k**2)
         cos_m, sin_m = lattice_elements(m, spec.n_el_basis)
         blocks.append((np.sqrt(2) * root_g * damp, sector.lift(cos_m)))
@@ -502,9 +501,9 @@ def sector_ground(N: int, symmetry: str, pot, params: ModelParams,
 
 def electronic_ground(N: int, symmetry: str, pot, spec: DiscretizationSpec,
                       L: float = 1.0) -> float:
+    """Lowest level of the electronic Hamiltonian, certified by ground."""
     H = build_H_el(N, symmetry, pot, spec, L)
-    return float(scipy.linalg.eigh(H, eigvals_only=True,
-                                   subset_by_index=[0, 0])[0])
+    return ground(scipy.sparse.csr_matrix(H), m=1).ground_energy
 
 
 def sector_sweep(alphas, sectors, pot, params: ModelParams,
@@ -606,8 +605,9 @@ def ratio_energy_oracle(params: ModelParams, spec: DiscretizationSpec,
     """
     if params.N != 1:
         raise ValueError("the matched semigroup oracle is implemented for N = 1")
-    if delta <= 0 or beta <= 0:
-        raise ValueError("beta and delta must be > 0")
+    for name, value in (("beta", beta), ("delta", delta)):
+        if not 0 < value < np.inf:  # nan and inf fail too
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     start = perf_counter()
     H = build_H_eps(1, "none", pot, params, spec)
     dim = H.shape[0]

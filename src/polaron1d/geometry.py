@@ -76,8 +76,8 @@ class OrderedDomain:
     L: float = 1.0
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"L must be > 0, got {self.L}")
+        if not 0 < self.L < np.inf:  # nan and inf fail too
+            raise ValueError(f"L must be finite and > 0, got {self.L}")
 
     @property
     def N(self) -> int:

@@ -44,8 +44,11 @@ everywhere else:
 
 * eps is the only UV regulator.  The series keep the modes |m| <= k_max,
   a purely numerical truncation passed as a plain int; None means
-  default_k_max at the damping of the series (the last mode whose
-  damping is still >= e^{-37}, at least 1), and k_max < 1 is an error.
+  damped_mode_count at the damping of the series (the last mode whose
+  damping is still >= e^{-37}), k_max = 0 keeps the m = 0 term alone,
+  and a negative k_max is an error.  mode_wavenumbers forms the lattice
+  for every series here, for the action's mode table and for exact
+  diagonalization.
 
 * Pair kernel: w_eps(x) = (g_L/2) sum_m exp(-2 eps k_m^2) exp(i k_m x).
   Poisson summation folds this onto Gaussian images:
@@ -98,34 +101,32 @@ def damped_mode_count(eps: float, L: float = 1.0) -> int:
     The largest m >= 0 with exp(-eps (2*pi*m/L)^2) >= e^{-37} (~8.5e-17),
     floor(L sqrt(37/eps) / 2 pi), so every mode past it is damped below
     e^{-37} relative to the m = 0 term.  0 when the damping leaves only
-    m = 0, e.g. at eps = 1, L = 1.  Needs eps > 0.
+    m = 0, e.g. at eps = 1, L = 1.  Needs eps > 0.  The one mode rule:
+    the series below by default, the Monte Carlo action at damping
+    2 eps and exact diagonalization (under its k_max ceiling) all keep
+    these modes.
     """
     if eps <= 0:
         raise ValueError(f"damped_mode_count needs eps > 0, got {eps}")
     return int(L * np.sqrt(37.0 / eps) / (2 * np.pi))
 
 
-def default_k_max(eps: float, L: float = 1.0) -> int:
-    """Mode count at which the Gaussian damping leaves no tail above ~1e-16.
+def _resolve_k_max(k_max: int | None, eps: float, L: float) -> int | None:
+    """The mode count of a series at damping eps: damped_mode_count unless given.
 
-    k_max counts retained positive modes of the 2*pi/L lattice; the
-    retained set is {2*pi*m/L : |m| <= k_max}.  For eps > 0 this is
-    max(1, damped_mode_count(eps, L)): the floor of 1 keeps the series
-    non-empty at strong damping.  eps = 0 paths use closed forms, not
-    the series.
+    An explicit k_max is checked at every eps.  Without one, eps = 0
+    resolves no count: the closed forms read no series.
     """
-    if eps <= 0:
-        return 64
-    return max(1, damped_mode_count(eps, L))
-
-
-def _resolve_k_max(k_max: int | None, eps: float, L: float) -> int:
-    """The mode count of a series at damping eps: default_k_max unless given."""
     if k_max is None:
-        return default_k_max(eps, L)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        return damped_mode_count(eps, L) if eps != 0 else None
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     return k_max
+
+
+def mode_wavenumbers(k_max: int, L: float) -> np.ndarray:
+    """The lattice k_m = 2*pi*m/L for m = 1..k_max (empty at k_max = 0)."""
+    return 2 * np.pi * np.arange(1, k_max + 1) / L
 
 
 def reduce_to_cell(x, L: float = 1.0):
@@ -179,25 +180,21 @@ def eval_K_eps(x, eps: float, L: float = 1.0):
     return np.exp(-(shifted**2) / (8 * eps)).sum(axis=-1)
 
 
-def _mode_numbers(k_max: int) -> np.ndarray:
-    return np.arange(1, k_max + 1)
-
-
 def eval_phi(x, t, eps: float, params: ModelParams, k_max: int | None = None):
     """Retarded interaction phi_eps(x, t); exact closed form at eps = 0.
 
     phi_eps(x,t) = (g_L/2) xi(t) sum_{|m|<=k_max} e^{-eps k^2} e^{ikx}/(1+k^2/2)
     with k = 2*pi*m/L; the real form below pairs +-m.  At eps = 0 the full
     series sums to (alpha/2) g(x) xi(t), which is what we return.  k_max
-    defaults to default_k_max(eps, L); it must be >= 1 at every eps.
+    defaults to damped_mode_count(eps, L) at eps > 0; it must be >= 0 at
+    every eps.
     """
     x = np.asarray(x, dtype=float)
     L = params.L
     k_max = _resolve_k_max(k_max, eps, L)
     if eps == 0.0:
         return 0.5 * params.alpha * eval_g(x, L) * xi(t)
-    m = _mode_numbers(k_max)
-    k = 2 * np.pi * m / L
+    k = mode_wavenumbers(k_max, L)
     coeff = np.exp(-eps * k**2) / (1 + k**2 / 2)
     series = 1.0 + 2 * np.cos(np.multiply.outer(x, k)) @ coeff
     return 0.5 * params.g_L * series * xi(t)
@@ -210,8 +207,7 @@ def eval_dphi(x, t, eps: float, params: ModelParams, k_max: int | None = None):
     k_max = _resolve_k_max(k_max, eps, L)
     if eps == 0.0:
         return 0.5 * params.alpha * eval_dg(x, L) * xi(t)
-    m = _mode_numbers(k_max)
-    k = 2 * np.pi * m / L
+    k = mode_wavenumbers(k_max, L)
     coeff = k * np.exp(-eps * k**2) / (1 + k**2 / 2)
     series = -2 * np.sin(np.multiply.outer(x, k)) @ coeff
     return 0.5 * params.g_L * series * xi(t)
@@ -239,8 +235,7 @@ def eval_w_series(x, eps: float, params: ModelParams, k_max: int | None = None):
     x = np.asarray(x, dtype=float)
     L = params.L
     k_max = _resolve_k_max(k_max, 2 * eps, L)
-    m = _mode_numbers(k_max)
-    k = 2 * np.pi * m / L
+    k = mode_wavenumbers(k_max, L)
     coeff = np.exp(-2 * eps * k**2)
     series = 1.0 + 2 * np.cos(np.multiply.outer(x, k)) @ coeff
     return 0.5 * params.g_L * series
@@ -254,8 +249,7 @@ def g_series(x, L: float = 1.0, k_max: int = 2000):
     validation suite holds against the closed form.
     """
     x = np.asarray(x, dtype=float)
-    m = _mode_numbers(k_max)
-    k = 2 * np.pi * m / L
+    k = mode_wavenumbers(k_max, L)
     coeff = 1 / (1 + k**2 / 2)
     return (SQRT2 / L) * (1 + 2 * np.cos(np.multiply.outer(x, k)) @ coeff)
 
@@ -273,8 +267,7 @@ def eval_delta_eps(x, eps: float, L: float = 1.0, k_max: int | None = None):
     k_max = _resolve_k_max(k_max, eps, L)
     if eps <= 0:
         return np.zeros_like(x)
-    m = _mode_numbers(k_max)
-    k = 2 * np.pi * m / L
+    k = mode_wavenumbers(k_max, L)
     coeff = k * np.exp(-eps * k**2) / (1 + k**2 / 2)
     mollified = (2 * SQRT2 / L) * (np.sin(np.multiply.outer(x, k)) @ coeff)
     return np.abs(mollified - (-eval_dg(x, L)))

@@ -7,7 +7,7 @@ from polaron1d import action as A
 from polaron1d.geometry import OrderedDomain, SpinSector, uniform_ordered_points
 from polaron1d.kernels import (
     ModelParams,
-    default_k_max,
+    damped_mode_count,
     eval_g,
     eval_phi,
     phi_sup_bound,
@@ -175,7 +175,7 @@ class TestDecomposition:
         path = make_paths(5, 2, n_steps=48, stream_index=5)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         full = A.s_eff_decomposed(path, 0.1, params)
-        k_max = default_k_max(0.2, params.L)
+        k_max = damped_mode_count(0.2, params.L)
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 49 * 2 * k_max * 3)
         blocked = A.s_eff_decomposed(path, 0.1, params)
         for name in ("X", "Y", "Z"):
@@ -192,7 +192,7 @@ class TestDecomposition:
         monkeypatch.setattr(A, "ito_integral",
                             lambda f, part: sizes.append(part.n_paths) or ito(f, part))
         full = A.s_eff_decomposed(path, eps, params, horizons=(40, 27))
-        per_node = 16 * 3 * default_k_max(2 * eps, params.L) if eps else 8 * 3 * 3
+        per_node = 16 * 3 * damped_mode_count(2 * eps, params.L) if eps else 8 * 3 * 3
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 41 * per_node * 3)
         chunked = A.s_eff_decomposed(path, eps, params, horizons=(40, 27))
         assert sizes == [7, 7] + [3, 3, 3, 3, 1, 1]
@@ -205,7 +205,7 @@ class TestDecomposition:
         path = make_paths(5, 2, n_steps=48, stream_index=5)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
         full = A.s_eff_decomposed(path, eps, params)
-        k_max = default_k_max(2 * eps, params.L)
+        k_max = damped_mode_count(2 * eps, params.L)
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 49 * 2 * k_max * 2)
         blocked = A.s_eff_decomposed(path, eps, params)
         np.testing.assert_allclose(blocked.X, full.X, rtol=1e-13)
@@ -249,7 +249,7 @@ class TestHorizonRows:
         # the G recursion (16 steps at dt = 1/16) divide neither 40 nor 27
         path = make_paths(5, 2, beta=2.5, n_steps=40, stream_index=21)
         params = ModelParams(alpha=1.0, N=2, beta=2.5)
-        k_max = default_k_max(2 * eps, params.L)
+        k_max = damped_mode_count(2 * eps, params.L)
         monkeypatch.setattr(A, "_TABLE_BUDGET_BYTES", 16 * 41 * 2 * k_max * 2)
         self.assert_rows_equal_prefix_calls(path, eps, params, (40, 27), self.POT)
 
@@ -257,7 +257,7 @@ class TestHorizonRows:
     @pytest.mark.parametrize("N, p, beta, horizons", [
         (1, 1, 2.5, (320, 256)), (2, 1, 0.9375, (120, 96)), (2, 2, 0.9375, (120, 96))])
     def test_default_mode_count_is_invisible(self, eps, N, p, beta, horizons):
-        # the modes default_k_max drops are damped below e^{-37}: S_eff
+        # the modes damped_mode_count drops are damped below e^{-37}: S_eff
         # agrees with the mode table and phi(0,0) at k_max = 8 path by
         # path, and so do its parts at the scale of S_eff (Y, which has no
         # m = 0 term, is far smaller)
@@ -316,6 +316,28 @@ class TestHorizonRows:
             assert getattr(rows, name).shape == shape, name
 
 
+class TestOnlyTheK0Mode:
+    """At eps >= 0.469 (L = 1) the action keeps no mode m >= 1."""
+
+    @pytest.mark.parametrize("eps", [0.47, 2.0])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_s_eff_is_the_k0_closed_form(self, eps, N):
+        # phi(0,0), X and Z's m = 0 part leave
+        # g_L N^2 (beta_h - dt sum_{b < h} e^{-(beta_h - t_b)}) on every path
+        path = make_paths(9, N, beta=2.5, n_steps=40, stream_index=60 + N)
+        params = ModelParams(alpha=1.3, N=N, beta=2.5)
+        assert damped_mode_count(2 * eps, params.L) == 0
+        horizons = (40, 27)
+        rows = A.s_eff_decomposed(path, eps, params, horizons=horizons)
+        n, dt, t = path.grid.n_steps, path.grid.dt, path.grid.times
+        for r, h in enumerate(horizons):
+            beta_h = path.grid.beta - (n - h) * dt
+            want = params.g_L * N**2 * (beta_h - dt * np.sum(np.exp(-(beta_h - t[:h]))))
+            np.testing.assert_allclose(rows.s_eff[r], np.full(path.n_paths, want),
+                                       rtol=1e-14, atol=0)
+        assert np.all(rows.Y == 0)
+
+
 def eps0_drift(path, params):
     """Phi of the eps = 0 branch on the whole path as one chunk."""
     return A._closed_form_terms(path, params, (path.grid.n_steps,))[0]
@@ -347,7 +369,7 @@ class TestDriftProfile:
         # same left-endpoint double sum, factorized over modes
         path = make_paths(6, 2, n_steps=64, stream_index=6)
         params = ModelParams(alpha=1.0, N=2, beta=2.0)
-        k_max = default_k_max(2 * eps, params.L)
+        k_max = damped_mode_count(2 * eps, params.L)
         rec = A._mode_table_terms(path, eps, params, k_max, (64,))[0]
         direct = drift_profile_pair_sum(path, eps, params)
         np.testing.assert_allclose(rec, direct, rtol=0, atol=1e-10)
@@ -365,7 +387,7 @@ class TestModeTable:
 
     def assert_matches_oracles(self, path, eps, params, horizons, k_max=None):
         if k_max is None:
-            k_max = default_k_max(2 * eps, params.L)
+            k_max = damped_mode_count(2 * eps, params.L)
         drift, X, Z = A._mode_table_terms(path, eps, params, k_max, horizons)
         assert_rel_close(drift, drift_profile_mode_loop(path, eps, params, k_max))
         X_ref, Z_ref = pairwise_x_z(path, eps, params, k_max, horizons)

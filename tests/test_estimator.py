@@ -26,9 +26,9 @@ from polaron1d.estimator import (
     sweep_alpha,
     sweep_eps,
 )
-from polaron1d.exact_diag import InvariantViolation
+from polaron1d.exact_diag import DiscretizationSpec, InvariantViolation, kept_modes
 from polaron1d.geometry import SpinSector
-from polaron1d.kernels import ModelParams, default_k_max
+from polaron1d.kernels import ModelParams, damped_mode_count
 from polaron1d.paths import TimeGrid
 
 from oracles import (
@@ -670,9 +670,11 @@ class TestLogging:
         msgs = [r.getMessage() for r in self.records(caplog)]
         assert [m.split("alpha=")[1].split()[0] for m in msgs] == ["0", "0.5", "1"]
 
-    @pytest.mark.parametrize("eps, want", [(0.0, None), (0.3, default_k_max(0.6))])
+    @pytest.mark.parametrize("eps, want", [
+        (0.0, None), (0.3, damped_mode_count(0.6)), (0.5, 0)])
     def test_mode_count_reaches_diagnostics_and_record(self, caplog, eps, want):
-        # the count the action's series ran at (damping 2 eps); none at eps = 0
+        # the count the action's series ran at (damping 2 eps); none at
+        # eps = 0, and 0 where only the k = 0 terms are left
         cfg = coupled_config(eps=eps, n_paths=64)
         with caplog.at_level(logging.INFO, logger="polaron1d"):
             res = energy_estimate(cfg)
@@ -690,6 +692,20 @@ class TestLogging:
 
     def test_library_adds_no_handler(self):
         assert logging.getLogger("polaron1d").handlers == []
+
+
+class TestOneModeSet:
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+    def test_action_runs_the_modes_exact_diagonalization_keeps(self, L):
+        # under a k_max ceiling no damping reaches, the Fock space holds
+        # exactly the modes the Monte Carlo action ran
+        for eps in (0.01, 0.05, 0.2, 0.4686, 0.47, 0.5, 2.0):
+            cfg = RunConfig(params=ModelParams(alpha=1.0, N=1, L=L, beta=0.5),
+                            sector=SpinSector(1, 1), grid=TimeGrid(0.5, 8), eps=eps,
+                            n_paths=64, seed=SEED)
+            spec = DiscretizationSpec(2, 10**6, 1, eps)
+            assert energy_estimate(cfg).diagnostics["k_max"] == \
+                kept_modes(cfg.params, spec), (eps, L)
 
 
 class TestOrderingCheck:

@@ -24,7 +24,7 @@ import oracles
 from polaron1d import exact_diag as ed
 from polaron1d.action import PotentialSpec
 from polaron1d.fock import FockSpace
-from polaron1d.kernels import ModelParams, default_k_max
+from polaron1d.kernels import ModelParams, damped_mode_count
 
 
 def params_for(alpha, N=1, beta=2.0):
@@ -316,7 +316,7 @@ class TestAssembly:
         from math import comb
         for case in ("n1-alpha0", "n1-kmax0", "n2-sym"):
             N, symmetry, pot, params, spec = self.args(case)
-            modes = 1 + 2 * min(spec.k_max, default_k_max(2 * spec.epsilon))
+            modes = 1 + 2 * min(spec.k_max, damped_mode_count(2 * spec.epsilon))
             n_b = comb(spec.n_ph_max + modes, modes)
             H = ed.build_H_eps(N, symmetry, pot, params, spec)
             assert H.shape[0] == ed._Sector(N, symmetry, spec.n_el_basis).dim * n_b
@@ -583,6 +583,15 @@ class TestRatioOracle:
             ed.ratio_energy_oracle(params_for(1.0), spec, -1.0, 0.5)
         with pytest.raises(ValueError):
             ed.ratio_energy_oracle(params_for(1.0), spec, 2.0, 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["beta", "delta"])
+    def test_non_finite_horizons_rejected_by_name(self, name, value):
+        # each used to come back as nan with only numpy warnings
+        spec = ed.DiscretizationSpec(6, 1, 2, 0.5)
+        horizons = {"beta": 2.0, "delta": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ed.ratio_energy_oracle(params_for(1.0), spec, **horizons)
 
     def test_alpha_zero_matches_electron_only(self):
         spec = ed.DiscretizationSpec(10, 2, 3, 0.5)

@@ -61,6 +61,11 @@ class TestOrderedDomain:
         assert G.contains(d21, [0.5, -0.5]) is True
         assert G.contains(d21, [0.5, 1.5]) is False
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf])
+    def test_length_must_be_finite_and_positive(self, L):
+        with pytest.raises(ValueError, match="L must be finite"):
+            G.OrderedDomain(G.SpinSector(1, 1), L)
+
     def test_coincidence_counts_as_exit(self):
         d = G.OrderedDomain(G.SpinSector(2, 2), 1.0)
         assert G.contains(d, [0.3, 0.3]) is False

@@ -164,7 +164,7 @@ class TestEvalDphi:
         # |dphi_eps - dphi_0|(x, t) = (alpha/2) xi(t) delta_eps(x); at
         # alpha = 1, t = 0 this is exactly delta_eps / 2.
         eps = 0.1
-        km = K.default_k_max(eps)
+        km = K.damped_mode_count(eps)
         x = np.linspace(-0.9, 0.9, 19)
         diff = np.abs(
             K.eval_dphi(x, 0.0, eps, PARAMS, km)
@@ -248,8 +248,8 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ModelParams(**{"alpha": 1.0, "N": 1, name: value})
 
-    @pytest.mark.parametrize("k_max", [0, -2])
-    def test_mode_count_below_one_rejected(self, k_max):
+    @pytest.mark.parametrize("k_max", [-2, -1])
+    def test_negative_mode_count_rejected(self, k_max):
         x = np.linspace(-0.5, 0.5, 5)
         for eps in (0.0, 0.1):
             with pytest.raises(ValueError, match="k_max"):
@@ -261,35 +261,42 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="k_max"):
             K.eval_w_series(x, 0.1, PARAMS, k_max)
 
-    def test_default_mode_count(self):
+    def test_zero_modes_keep_the_m0_term_alone(self):
         x = np.linspace(-0.5, 0.5, 5)
-        km = K.default_k_max(0.1)
+        assert K.mode_wavenumbers(0, 1.0).shape == (0,)
+        m0 = np.full(x.shape, 0.5 * PARAMS.g_L)
+        assert np.array_equal(K.eval_phi(x, 0.3, 0.1, PARAMS, 0), m0 * K.xi(0.3))
+        assert np.array_equal(K.eval_dphi(x, 0.3, 0.1, PARAMS, 0), np.zeros_like(x))
+        assert np.array_equal(K.eval_w_series(x, 0.1, PARAMS, 0), m0)
+        assert np.array_equal(K.eval_delta_eps(x, 0.1, 1.0, 0), np.abs(K.eval_dg(x)))
+        # eps = 0 reads the closed forms, whatever the count
+        assert np.array_equal(K.eval_phi(x, 0.3, 0.0, PARAMS, 0),
+                              K.eval_phi(x, 0.3, 0.0, PARAMS))
+
+    def test_default_mode_count(self):
+        # without k_max a series runs damped_mode_count at its own damping
+        x = np.linspace(-0.5, 0.5, 5)
+        km = K.damped_mode_count(0.1)
         assert np.array_equal(K.eval_phi(x, 0.3, 0.1, PARAMS, km),
                               K.eval_phi(x, 0.3, 0.1, PARAMS))
         assert np.array_equal(K.eval_w_series(x, 0.05, PARAMS, km),
                               K.eval_w_series(x, 0.05, PARAMS))
-        # the last kept mode is damped no further than e^{-37} (unless it
-        # is the floor m = 1), the first dropped one is damped below it
-        for eps in (2.0, 1.0, 0.5, 0.3, 0.125, 0.05, 0.01, 1e-3, 1e-4):
-            for L in (0.5, 1.0, 3.0):
-                m = K.default_k_max(eps, L)
-                assert m >= 1
-                assert eps * (2 * np.pi * (m + 1) / L) ** 2 > 37.0, (eps, L, m)
-                assert m == 1 or eps * (2 * np.pi * m / L) ** 2 <= 37.0, (eps, L, m)
-        assert K.default_k_max(1.0) == 1
-        assert K.default_k_max(0.125) == 2
-        assert K.default_k_max(1e-4) > K.default_k_max(0.1)
 
     def test_damped_mode_count_is_default_without_floor(self):
-        # the count exact diagonalization keeps: no floor of 1, since the
-        # Fock space always holds k = 0
+        # the default count has no floor of 1: at damping 1 a series keeps
+        # the m = 0 term alone
+        x = np.linspace(-0.5, 0.5, 5)
+        assert np.array_equal(K.eval_dphi(x, 0.3, 1.0, PARAMS, 0),
+                              K.eval_dphi(x, 0.3, 1.0, PARAMS))
         assert K.damped_mode_count(1.0) == 0
         assert K.damped_mode_count(0.125) == 2
+        assert K.damped_mode_count(1e-4) > K.damped_mode_count(0.1)
+        # the last kept mode is damped no further than e^{-37}, the first
+        # dropped one below it
         for eps in (2.0, 1.0, 0.5, 0.3, 0.125, 0.05, 0.01, 1e-3, 1e-4):
             for L in (0.5, 1.0, 3.0):
                 m = K.damped_mode_count(eps, L)
-                assert K.default_k_max(eps, L) == max(1, m)
-                assert eps * (2 * np.pi * (m + 1) / L) ** 2 > 37.0
-                assert eps * (2 * np.pi * m / L) ** 2 <= 37.0
+                assert eps * (2 * np.pi * (m + 1) / L) ** 2 > 37.0, (eps, L, m)
+                assert eps * (2 * np.pi * m / L) ** 2 <= 37.0, (eps, L, m)
         with pytest.raises(ValueError, match="eps > 0"):
             K.damped_mode_count(0.0)
