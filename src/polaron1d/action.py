@@ -208,9 +208,10 @@ def _phase_powers(x: np.ndarray, k0: float, n_modes: int) -> np.ndarray:
     """E[..., m - 1] = e^{-i m k0 x} for m = 1..n_modes on a new trailing axis.
 
     One exp of the fundamental mode, then powers by a cumulative product
-    over m.
+    over m; at n_modes = 0 the slice leaves the exp nothing to evaluate.
     """
-    E = np.repeat(np.exp(-1j * k0 * x)[..., None], n_modes, axis=-1)
+    E = np.repeat(np.exp(-1j * k0 * x[..., None][..., :n_modes]), n_modes,
+                  axis=-1)
     return np.cumprod(E, axis=-1, out=E)
 
 

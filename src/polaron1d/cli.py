@@ -2,9 +2,12 @@
 
 Configuration is a flat key = value document (# starts a comment); every
 key has a default, unknown keys are rejected by name, and --set overrides
-win over the file.  Each run writes results.csv with the fixed column
-schema and a manifest.json carrying the fully resolved configuration,
-both atomically (tmp file + rename).  Identical invocations produce
+win over the file.  Each subcommand does its work, writes its CSV
+(results.csv with the fixed column schema, or compare.csv) and returns
+its exit code and its own manifest fields; `main` adds the common ones
+(command, resolved configuration, master seed, version, wall clock,
+timestamp) and writes manifest.json once.  Every file goes through one
+atomic write (tmp file + rename).  Identical invocations produce
 byte-identical CSVs; only the manifest timestamp differs.
 
 Exit codes: 0 success, 1 invariant failure, 2 configuration error,
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -231,38 +235,26 @@ def _estimate_row(est) -> list:
                         est.stderr, cfg.n_paths, cfg.grid.n_steps, cfg.seed)
 
 
+def _write_atomic(path: Path, text: str):
+    """Write text to path through a .tmp file and os.replace, so a reader
+    never sees a half-written file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="")
+    os.replace(tmp, path)
+
+
 def _write_csv(path: Path, rows, columns=CSV_COLUMNS):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    _write_atomic(path, buf.getvalue())
 
 
-def _write_manifest(path: Path, subcommand, config: ExperimentConfig,
-                    t0: float, extras: dict):
-    doc = {"command": subcommand,
-           "config": config.as_text(),
-           "master_seed": config.values["seed"],
-           "version": __version__,
-           "wall_clock_seconds": round(time.monotonic() - t0, 3),
-           "timestamp": datetime.now(timezone.utc).isoformat()}
-    doc.update(extras)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def cmd_energy(config: ExperimentConfig, t0: float) -> int:
+def cmd_energy(config: ExperimentConfig) -> tuple:
     est = energy_estimate(config.run_config())
     _write_csv(config.out_dir / "results.csv", [_estimate_row(est)])
-    _write_manifest(config.out_dir / "manifest.json", "energy", config, t0,
-                    {"n_effective": est.n_effective,
-                     "diagnostics": est.diagnostics})
-    return 0
+    return 0, {"n_effective": est.n_effective, "diagnostics": est.diagnostics}
 
 
 def _build_swept(key: str, configs) -> None:
@@ -273,7 +265,7 @@ def _build_swept(key: str, configs) -> None:
         raise ConfigError(f"bad value for {key!r}: {err}")
 
 
-def cmd_sweep_alpha(config: ExperimentConfig, t0: float) -> int:
+def cmd_sweep_alpha(config: ExperimentConfig) -> tuple:
     base = config.run_config()
     alphas = config.values["alphas"]
     _build_swept("alphas", (replace(base, params=replace(base.params, alpha=a))
@@ -281,26 +273,21 @@ def cmd_sweep_alpha(config: ExperimentConfig, t0: float) -> int:
     report = sweep_alpha(base, alphas)
     rows = [_estimate_row(est) for est in report["estimates"]]
     _write_csv(config.out_dir / "results.csv", rows)
-    _write_manifest(config.out_dir / "manifest.json", "sweep-alpha", config,
-                    t0, {"paired_differences": report["paired_differences"]})
-    return 0
+    return 0, {"paired_differences": report["paired_differences"]}
 
 
-def cmd_uv_limit(config: ExperimentConfig, t0: float) -> int:
+def cmd_uv_limit(config: ExperimentConfig) -> tuple:
     base = config.run_config()
     ladder = config.values["eps_ladder"]
     _build_swept("eps_ladder", (replace(base, eps=eps) for eps in ladder))
     report = sweep_eps(base, ladder)
     rows = [_estimate_row(est) for est in report["estimates"]]
     _write_csv(config.out_dir / "results.csv", rows)
-    _write_manifest(config.out_dir / "manifest.json", "uv-limit", config, t0,
-                    {"eps_ladder": list(ladder),
-                     "common_random_numbers": True,
-                     "paired_differences": report["paired_differences"]})
-    return 0
+    return 0, {"eps_ladder": list(ladder), "common_random_numbers": True,
+               "paired_differences": report["paired_differences"]}
 
 
-def cmd_ordering(config: ExperimentConfig, t0: float) -> int:
+def cmd_ordering(config: ExperimentConfig) -> tuple:
     N = config.values["N"]
     if N != 2:
         raise ConfigError(f"ordering compares the two N = 2 sectors, got N = {N}")
@@ -308,17 +295,14 @@ def cmd_ordering(config: ExperimentConfig, t0: float) -> int:
     rows = [_estimate_row(report["symmetric"]),
             _estimate_row(report["antisymmetric"])]
     _write_csv(config.out_dir / "results.csv", rows)
-    _write_manifest(config.out_dir / "manifest.json", "ordering", config, t0,
-                    {"difference": report["difference"],
-                     "combined_sigma": report["combined_sigma"],
-                     "paired_sigma": report["paired_sigma"],
-                     "survival_fractions": {
-                         str(k): v
-                         for k, v in report["survival_fractions"].items()}})
-    return 0
+    return 0, {"difference": report["difference"],
+               "combined_sigma": report["combined_sigma"],
+               "paired_sigma": report["paired_sigma"],
+               "survival_fractions": {
+                   str(k): v for k, v in report["survival_fractions"].items()}}
 
 
-def cmd_diag(config: ExperimentConfig, t0: float) -> int:
+def cmd_diag(config: ExperimentConfig) -> tuple:
     v = config.values
     if v["N"] == 1:
         symmetry = "none"
@@ -332,9 +316,7 @@ def cmd_diag(config: ExperimentConfig, t0: float) -> int:
     row = _results_row(params, sector, v["epsilon"], "exact-diag",
                        res.ground_energy, 0.0, 0, 0, v["seed"])
     _write_csv(config.out_dir / "results.csv", [row])
-    _write_manifest(config.out_dir / "manifest.json", "diag", config, t0,
-                    {"gap": res.gap, "provenance": res.provenance})
-    return 0
+    return 0, {"gap": res.gap, "provenance": res.provenance}
 
 
 def _read_rows(path) -> list:
@@ -356,7 +338,7 @@ def _join_key(row, path) -> tuple:
         str(_number(row, k, path, int)) for k in ("N", "p"))
 
 
-def cmd_compare(config: ExperimentConfig, t0: float) -> int:
+def cmd_compare(config: ExperimentConfig) -> tuple:
     mc_csv, diag_csv = config.values["mc_csv"], config.values["diag_csv"]
     diag_rows = {_join_key(r, diag_csv): r for r in _read_rows(diag_csv)}
     out_rows = []
@@ -377,27 +359,22 @@ def cmd_compare(config: ExperimentConfig, t0: float) -> int:
     columns = ("alpha", "beta", "epsilon", "N", "p", "mc_value", "mc_stderr",
                "diag_value", "sigma_distance")
     _write_csv(config.out_dir / "compare.csv", out_rows, columns)
-    sigmas = [float(r[-1]) for r in out_rows]
-    _write_manifest(config.out_dir / "manifest.json", "compare", config, t0,
-                    {"n_rows": len(out_rows),
-                     "max_sigma_distance": max(sigmas)})
-    return 0
+    return 0, {"n_rows": len(out_rows),
+               "max_sigma_distance": max(float(r[-1]) for r in out_rows)}
 
 
-def cmd_validate(config: ExperimentConfig, t0: float) -> int:
+def cmd_validate(config: ExperimentConfig) -> tuple:
     n_workers = config.values["workers"]
     if n_workers < 1:
         raise ConfigError(f"workers must be >= 1, got {n_workers}")
     report = run_validation(n_workers=n_workers)
     print(json.dumps(report, indent=2))
-    _write_manifest(config.out_dir / "manifest.json", "validate", config, t0,
-                    {"passed": report["passed"], "suites": report["suites"]})
     if not report["passed"]:
         failed = [s["suite"] for s in report["suites"]
                   if s["status"] != "pass"]
         print(f"validation failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return (0 if report["passed"] else 1,
+            {"passed": report["passed"], "suites": report["suites"]})
 
 
 COMMANDS = {
@@ -443,7 +420,17 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise OSError(f"cannot create output directory {out_dir}: {err}")
-        return COMMANDS[args.subcommand](config, t0)
+        code, fields = COMMANDS[args.subcommand](config)
+        manifest = {"command": args.subcommand,
+                    "config": config.as_text(),
+                    "master_seed": config.values["seed"],
+                    "version": __version__,
+                    "wall_clock_seconds": round(time.monotonic() - t0, 3),
+                    "timestamp": datetime.now(timezone.utc).isoformat(),
+                    **fields}
+        _write_atomic(out_dir / "manifest.json",
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return code
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

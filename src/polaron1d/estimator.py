@@ -90,7 +90,7 @@ from .action import _DRIFT_L_MAX, PotentialSpec, s_eff_decomposed
 from .exact_diag import InvariantViolation
 from .geometry import OrderedDomain, SpinSector, contains_all, \
     survival_log_weights, uniform_ordered_points
-from .kernels import ModelParams, damped_mode_count
+from .kernels import ModelParams, damped_mode_count, require_count
 from .paths import PathSample, TimeGrid, sample_brownian
 
 N_BATCHES = 32
@@ -120,14 +120,12 @@ class RunConfig:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.delta is not None and not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        require_count("n_paths", self.n_paths, 1)
+        require_count("seed", self.seed, 0)
+        require_count("n_workers", self.n_workers, 1)
         if self.eps == 0.0 and self.params.alpha != 0.0 and self.params.L > _DRIFT_L_MAX:
             raise ValueError(f"the eps = 0 drift needs L <= {_DRIFT_L_MAX}, got {self.params.L}")
-        if self.path_block < 1:
-            raise ValueError("path_block must be >= 1")
+        require_count("path_block", self.path_block, 1)
         if self.variant not in ("plain", "ratio"):
             raise ValueError(f"variant must be 'plain' or 'ratio', got {self.variant!r}")
         if self.params.N != self.sector.N:

@@ -72,7 +72,10 @@ and exact zeros dropped, the matrix is byte for byte the term-by-term
 sum of scipy.sparse.kron products (`tests/oracles.py` keeps that sum as
 the reference).  The dense solver (dim <= 1500) densifies it in Fortran
 order, so LAPACK works on it in place, and computes only the m lowest
-pairs, on one BLAS thread; eigsh applies the CSR product.
+pairs, on one BLAS thread; eigsh applies the CSR product.  E_el(S)
+(`electronic_ground`) is the same builder at alpha = 0 with no phonon
+quanta: the Fock space is the vacuum alone, so the matrix is h_el, with
+the bits of the h_el inside every coupled Hamiltonian.
 
 Ground energies come with residual certificates ||Hv - Ev|| measured
 against the infinity norm of H (an upper bound for the spectral norm of
@@ -113,7 +116,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .fock import FockSpace, annihilator
-from .kernels import ModelParams, damped_mode_count, mode_wavenumbers
+from .kernels import ModelParams, damped_mode_count, mode_wavenumbers, \
+    require_count
 
 logger = logging.getLogger("polaron1d")
 
@@ -187,12 +191,9 @@ class DiscretizationSpec:
     epsilon: float
 
     def __post_init__(self):
-        if self.n_el_basis < 1:
-            raise ValueError(f"n_el_basis must be >= 1, got {self.n_el_basis}")
-        if self.k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
-        if self.n_ph_max < 0:
-            raise ValueError(f"n_ph_max must be >= 0, got {self.n_ph_max}")
+        require_count("n_el_basis", self.n_el_basis, 1)
+        require_count("k_max", self.k_max, 0)
+        require_count("n_ph_max", self.n_ph_max, 0)
         if not 0 < self.epsilon < np.inf:  # nan and inf fail too
             raise ValueError("diagonalization runs at finite, strictly positive "
                              f"epsilon; got {self.epsilon}")
@@ -319,12 +320,6 @@ class _Sector:
         if self.N == 2 and pot is not None and pot.W is not None:
             return self.lift(h1, pair_matrix(pot.W, self.n, L))
         return self.lift(h1)
-
-
-def build_H_el(N: int, symmetry: str, pot, spec: DiscretizationSpec,
-               L: float = 1.0) -> np.ndarray:
-    """Electronic Hamiltonian (dense, real symmetric) in the sector basis."""
-    return _Sector(N, symmetry, spec.n_el_basis).electronic(pot, L)
 
 
 def _interaction_blocks(sector: _Sector, spec: DiscretizationSpec,
@@ -501,9 +496,15 @@ def sector_ground(N: int, symmetry: str, pot, params: ModelParams,
 
 def electronic_ground(N: int, symmetry: str, pot, spec: DiscretizationSpec,
                       L: float = 1.0) -> float:
-    """Lowest level of the electronic Hamiltonian, certified by ground."""
-    H = build_H_el(N, symmetry, pot, spec, L)
-    return ground(scipy.sparse.csr_matrix(H), m=1).ground_energy
+    """Lowest level of the electronic Hamiltonian, certified by ground.
+
+    It is build_H_eps at alpha = 0 with no phonon quanta: the Fock space
+    is the vacuum alone, so the matrix is h_el itself, built by the same
+    code as in every coupled Hamiltonian.
+    """
+    H = build_H_eps(N, symmetry, pot, ModelParams(0.0, N, L),
+                    replace(spec, n_ph_max=0))
+    return ground(H, m=1).ground_energy
 
 
 def sector_sweep(alphas, sectors, pot, params: ModelParams,

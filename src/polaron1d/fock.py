@@ -9,7 +9,10 @@ The basis is enumerated directly: each multiset of cap symbols drawn
 from m + 1 (symbol m marks an unused quantum) is one multi-index, so
 the work is proportional to the dimension, not to (cap + 1)^m.
 Operators are plain arrays over that basis: `annihilator` gives the
-sparse a_k, the other builders dense complex matrices.
+sparse a_k, the other builders dense complex matrices.  `annihilator`
+finds the row of every lowered state in one search (`rows_of`) over the
+occupation rows, sorted once per space as byte keys: a key is the whole
+row, so none overflows at any mode count.
 
 Smearing is antilinear in the annihilator,
 
@@ -78,8 +81,25 @@ class FockSpace:
         return tuple(occs)
 
     @cached_property
-    def index(self) -> dict:
-        return {occ: i for i, occ in enumerate(self.occupations)}
+    def _rows_by_key(self) -> tuple:
+        """(occupation array, its rows as sorted keys, the row of each
+        sorted key): one sort per space serves every `rows_of` search."""
+        occ = np.array(self.occupations)
+        keys = self._keys(occ)
+        order = np.argsort(keys)
+        return occ, keys[order], order
+
+    def _keys(self, occ: np.ndarray) -> np.ndarray:
+        """Each row of occ as one opaque byte string, in the narrowest
+        integer that holds cap, so rows sort and search as scalars at any
+        mode count."""
+        occ = np.ascontiguousarray(occ, dtype=np.min_scalar_type(self.cap))
+        return occ.view(np.dtype((np.void, occ.shape[1] * occ.itemsize))).ravel()
+
+    def rows_of(self, occ: np.ndarray) -> np.ndarray:
+        """Row of each occupation row of occ; every row must be in the space."""
+        _, sorted_keys, order = self._rows_by_key
+        return order[np.searchsorted(sorted_keys, self._keys(occ))]
 
     @property
     def dim(self) -> int:
@@ -92,16 +112,13 @@ class FockSpace:
 
 def annihilator(space: FockSpace, mode_pos: int) -> scipy.sparse.csr_matrix:
     """Sparse real matrix of a_k for the mode at mode_pos: sqrt(n_k) entries."""
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(space.occupations):
-        n_k = occ[mode_pos]
-        if n_k > 0:
-            lowered = occ[:mode_pos] + (n_k - 1,) + occ[mode_pos + 1:]
-            rows.append(space.index[lowered])
-            cols.append(col)
-            vals.append(np.sqrt(n_k))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)),
-                                   shape=(space.dim, space.dim))
+    occ = space._rows_by_key[0]
+    cols = np.flatnonzero(occ[:, mode_pos])
+    lowered = occ[cols]
+    lowered[:, mode_pos] -= 1
+    return scipy.sparse.csr_matrix(
+        (np.sqrt(occ[cols, mode_pos]), (space.rows_of(lowered), cols)),
+        shape=(space.dim, space.dim))
 
 
 def smeared_annihilator(space: FockSpace, f) -> np.ndarray:
@@ -144,7 +161,7 @@ def displacement(space: FockSpace, f, which: str) -> np.ndarray:
 
 def vacuum(space: FockSpace) -> np.ndarray:
     v = np.zeros(space.dim, dtype=complex)
-    v[space.index[(0,) * len(space.modes)]] = 1.0
+    v[0] = 1.0  # the enumeration puts the vacuum first
     return v
 
 

@@ -38,6 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .kernels import require_count
+
 
 @dataclass(frozen=True)
 class SpinSector:
@@ -47,8 +49,8 @@ class SpinSector:
     p: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        require_count("N", self.N, 1)
+        require_count("p", self.p)
         if not 0 <= self.p <= self.N:
             raise ValueError(f"p must lie in 0..{self.N}, got {self.p}")
 

@@ -69,6 +69,15 @@ import numpy as np
 SQRT2 = np.sqrt(2.0)
 
 
+def require_count(name: str, value, least: int | None = None) -> None:
+    """Refuse, naming the field, a count that is not an integer (numpy
+    integers pass, bool does not) or, given least, one below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: coupling, particle number, box half-length, horizon."""
@@ -82,8 +91,7 @@ class ModelParams:
         # chained comparisons: nan and inf fail them too
         if not 0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        require_count("N", self.N, 1)
         if not 0 < self.L < np.inf:
             raise ValueError(f"L must be finite and > 0, got {self.L}")
         if not 0 < self.beta < np.inf:

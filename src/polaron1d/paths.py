@@ -33,6 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .kernels import require_count
+
 # Bytes of states per slice of a drawn batch.  At 4 MB the Monte Carlo
 # benchmark ops take no longer than with whole-batch draws; smaller
 # slices pay more per-slice Python overhead.
@@ -47,8 +49,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.beta < np.inf:  # nan and inf fail too
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        require_count("n_steps", self.n_steps, 1)
 
     @property
     def dt(self) -> float:

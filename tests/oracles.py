@@ -3,6 +3,7 @@
 Everything here is written independently of the package internals:
 periodizations are literal image sums, Fourier coefficients come from
 quadrature, and operator identities are checked on dense matrices.
+`annihilator_loop` builds a_k one occupation tuple at a time.
 `whole_batch_draw` draws a path batch in one numpy call, the reference
 for the sampler's slices.  The exceptions are built from the package's
 own layers: `full_batch_block`, the estimator's path block drawn by
@@ -183,6 +184,23 @@ def brute_occupations(m, cap):
             if sum(occ) <= cap]
     occs.sort(key=lambda occ: (sum(occ), occ))
     return tuple(occs)
+
+
+def annihilator_loop(space, mode_pos):
+    """a_k built state by state: one dict lookup of each lowered tuple
+    among the space's occupations, the reference for the vectorized
+    search of `fock.annihilator`."""
+    index = {occ: i for i, occ in enumerate(space.occupations)}
+    rows, cols, vals = [], [], []
+    for col, occ in enumerate(space.occupations):
+        n_k = occ[mode_pos]
+        if n_k > 0:
+            lowered = occ[:mode_pos] + (n_k - 1,) + occ[mode_pos + 1:]
+            rows.append(index[lowered])
+            cols.append(col)
+            vals.append(np.sqrt(n_k))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                   shape=(space.dim, space.dim))
 
 
 def brute_coherent_xi_element(u, v, theta, theta_tilde, beta, s_eff, cap):

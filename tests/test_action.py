@@ -337,6 +337,18 @@ class TestOnlyTheK0Mode:
                                        rtol=1e-14, atol=0)
         assert np.all(rows.Y == 0)
 
+    @pytest.mark.parametrize("n_modes", [0, 1, 5])
+    def test_phase_table_is_the_repeated_fundamental(self, n_modes):
+        # the fundamental is evaluated only when some mode needs it; the
+        # powers are those of repeating e^{-i k0 x} n_modes times
+        x = make_paths(3, 2, n_steps=8, stream_index=69).states
+        k0 = 2 * np.pi
+        powers = A._phase_powers(x, k0, n_modes)
+        assert powers.shape == x.shape + (n_modes,)
+        want = np.cumprod(np.repeat(np.exp(-1j * k0 * x)[..., None], n_modes,
+                                    axis=-1), axis=-1)
+        assert np.array_equal(powers, want)
+
 
 def eps0_drift(path, params):
     """Phi of the eps = 0 branch on the whole path as one chunk."""

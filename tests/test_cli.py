@@ -280,6 +280,9 @@ class TestValidateCommand:
                   if s["status"] == "fail"]
         assert failed == ["kernels-g-series"]
         assert "kernels-g-series" in captured.err
+        # a failed validation still writes its manifest
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "validate" and not manifest["passed"]
 
     def test_zero_workers_exits_2_before_any_suite(self, tmp_path, capsys,
                                                    monkeypatch):

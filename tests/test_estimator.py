@@ -72,6 +72,35 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             free_config(**{field: value})
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: TimeGrid(1.0, 2.5), "n_steps"),
+        (lambda: ModelParams(alpha=0.0, N=1.5), "N"),
+        (lambda: SpinSector(2.0, 1), "N"),
+        (lambda: SpinSector(2, 1.0), "p"),
+        (lambda: SpinSector(True, 1), "N"),
+        (lambda: free_config(n_paths=512.5), "n_paths"),
+        (lambda: free_config(seed=1.5), "seed"),
+        (lambda: free_config(seed=-1), "seed"),
+        (lambda: free_config(n_workers=1.5), "n_workers"),
+        (lambda: free_config(path_block=64.0), "path_block"),
+        (lambda: DiscretizationSpec(8.0, 2, 2, 0.5), "n_el_basis"),
+        (lambda: DiscretizationSpec(8, 2.0, 2, 0.5), "k_max"),
+        (lambda: DiscretizationSpec(8, 2, 2.5, 0.5), "n_ph_max"),
+    ], ids=["TimeGrid.n_steps", "ModelParams.N", "SpinSector.N", "SpinSector.p",
+            "bool-N", "n_paths", "seed-fraction", "seed-negative", "n_workers",
+            "path_block", "n_el_basis", "k_max", "n_ph_max"])
+    def test_non_integer_counts_refused_by_name(self, build, field):
+        # a float count would run past beta (TimeGrid(1.0, 2.5) reached
+        # t = 1.2) or fail later inside numpy without naming the field
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build()
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = free_config(N=np.int64(2), p=np.int32(1), n_steps=np.int64(16),
+                          n_paths=np.int64(8), seed=np.uint32(3))
+        DiscretizationSpec(np.int64(4), np.int64(1), np.int64(1), 0.5)
+        assert cfg.n_paths == 8
+
     def test_eps_zero_cell_limit(self):
         # checked here so that a run fails before it samples any path
         def config(alpha, eps):
@@ -762,3 +791,38 @@ class TestOrderingCheck:
             ordering_check(cfg)
         assert err.value.name == "zero-survivors"
         assert "p = 2" in str(err.value) and "n_paths = 16" in str(err.value)
+
+
+class TestStderrCalibration:
+    """The reported ratio stderr is honest: z = (E - E_exact) / stderr over
+    200 pinned seeds at alpha = 0, against the exact finite-horizon ratio.
+
+    The bands were set before this suite first ran, from disjoint 200-seed
+    sets (seeds 1-200, 1001-1200, 2001-2200 and 3001-3200, and for N = 1
+    also 4001-4200): z means -0.10..+0.03 (p = 2) and
+    -0.20..+0.05 (N = 1), z sds 1.16..1.38 (p = 2, heavy-tailed at a
+    median ESS near 5) and 0.92..1.12 (N = 1).  A stderr off by a factor
+    of two would put the sd near 0.5 or 2.
+    """
+
+    @pytest.mark.parametrize("N, p, beta, n_steps, sd_band", [
+        # the mc-ordering-eps0 shape, against the Karlin-McGregor series
+        (2, 2, 0.75, 96, (0.85, 1.6)),
+        # the free particle, against the sine series
+        (1, 1, 1.0, 64, (0.8, 1.25)),
+    ], ids=["wedge-p2", "sine-N1"])
+    def test_z_mean_and_sd_in_bands(self, N, p, beta, n_steps, sd_band):
+        cfg = free_config(N=N, p=p, beta=beta, n_steps=n_steps, n_paths=2048,
+                          variant="ratio")
+        d = cfg.delta_eff
+        if p == 2:
+            exact = -np.log(wedge_partition_series(beta + d)
+                            / wedge_partition_series(beta)) / d
+        else:
+            exact = dirichlet_ratio_energy(beta, d)
+        z = np.array([(e.value - exact) / e.stderr for e in
+                      (energy_estimate(replace(cfg, seed=s)) for s in range(1, 201))])
+        print(f"z over 200 seeds ({N=}, {p=}): mean {z.mean():+.3f}, "
+              f"sd {z.std(ddof=1):.3f}, |z| > 3 in {np.mean(np.abs(z) > 3):.1%}")
+        assert abs(z.mean()) < 0.3
+        assert sd_band[0] < z.std(ddof=1) < sd_band[1]

@@ -13,6 +13,7 @@ the space with every mode m <= k_max in it and coupled.
 import json
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,17 +99,41 @@ class TestSineBasis:
             np.testing.assert_array_equal(sin_neg, -sin)
 
 
+def electronic_matrix(N, symmetry, pot, spec):
+    """h_el as build_H_eps holds it: alpha = 0, the vacuum alone."""
+    return ed.build_H_eps(N, symmetry, pot, params_for(0.0, N=N),
+                          replace(spec, n_ph_max=0)).toarray()
+
+
 class TestBuildHel:
     def test_free_particle_is_diagonal(self):
-        H = ed.build_H_el(1, "none", None, ed.DiscretizationSpec(8, 2, 2, 0.5))
+        H = electronic_matrix(1, "none", None, ed.DiscretizationSpec(8, 2, 2, 0.5))
         np.testing.assert_allclose(H, np.diag(ed.single_particle_energies(8)),
                                    atol=1e-15)
 
     def test_constant_potential_shifts_spectrum(self):
         pot = PotentialSpec(V=lambda x: 0.7 * np.ones_like(x))
-        H = ed.build_H_el(1, "none", pot, ed.DiscretizationSpec(8, 2, 2, 0.5))
+        H = electronic_matrix(1, "none", pot, ed.DiscretizationSpec(8, 2, 2, 0.5))
         expected = np.diag(ed.single_particle_energies(8)) + 0.7 * np.eye(8)
         np.testing.assert_allclose(H, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n_el", [4, 6, 8, 10, 14])
+    @pytest.mark.parametrize("pot", [None, PotentialSpec(V=lambda x: 0.7 * x**2,
+                                                         W=lambda r: 0.3 * r**2)],
+                             ids=["free", "VW"])
+    def test_electronic_ground_is_the_coupled_vacuum_block(self, pot, n_el):
+        # E_el(S) solves the electron block that every coupled Hamiltonian
+        # carries: at alpha = 0 the block of the empty Fock state is h_el
+        # itself, so the two energies agree to the bit
+        spec = ed.DiscretizationSpec(n_el, 2, 2, 0.5)
+        for N, symmetry in ((1, "none"), (2, "symmetric"), (2, "antisymmetric")):
+            params = params_for(0.0, N=N)
+            H = ed.build_H_eps(N, symmetry, pot, params, spec)
+            n_b = FockSpace(modes=range(1 + 2 * ed.kept_modes(params, spec)),
+                            cap=spec.n_ph_max).dim
+            block = scipy.sparse.csr_matrix(H[::n_b, ::n_b])
+            want = ed.ground(block, m=1).ground_energy
+            assert ed.electronic_ground(N, symmetry, pot, spec) == want
 
     def test_two_body_free_ground_energies(self):
         spec = ed.DiscretizationSpec(10, 2, 2, 0.5)
@@ -133,11 +158,11 @@ class TestBuildHel:
     def test_bad_sector_labels(self):
         spec = ed.DiscretizationSpec(4, 1, 1, 0.5)
         with pytest.raises(ValueError):
-            ed.build_H_el(1, "symmetric", None, spec)
+            electronic_matrix(1, "symmetric", None, spec)
         with pytest.raises(ValueError):
-            ed.build_H_el(2, "none", None, spec)
+            electronic_matrix(2, "none", None, spec)
         with pytest.raises(ValueError):
-            ed.build_H_el(3, "none", None, spec)
+            electronic_matrix(3, "none", None, spec)
 
 
 class TestBuildHeps:

@@ -5,7 +5,7 @@ import pytest
 
 from polaron1d import fock as F
 
-from oracles import brute_coherent_xi_element, brute_occupations
+from oracles import annihilator_loop, brute_coherent_xi_element, brute_occupations
 
 SEED = 60317
 
@@ -43,6 +43,17 @@ class TestFockSpace:
         v = F.vacuum(space)
         assert v[0] == 1.0 and np.sum(np.abs(v)) == 1.0
 
+    @pytest.mark.parametrize("m,cap", [(1, 4), (5, 4), (11, 5), (21, 3), (40, 3)])
+    def test_annihilator_matches_state_loop(self, m, cap):
+        # 40 modes at cap 3 need 80 bits of occupation: the search keys
+        # must not fold them into one machine integer
+        space = F.FockSpace(modes=tuple(range(m)), cap=cap)
+        for pos in range(m):
+            got, want = F.annihilator(space, pos), annihilator_loop(space, pos)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             F.FockSpace(modes=(), cap=2)
@@ -72,7 +83,8 @@ class TestLadder:
         astar = self.raising(0)
         assert np.array_equal(astar, a.conj().T)
         one = astar @ F.vacuum(self.space)
-        assert one[self.space.index[(1, 0)]] == 1.0 and np.sum(np.abs(one)) == 1.0
+        assert one[self.space.occupations.index((1, 0))] == 1.0
+        assert np.sum(np.abs(one)) == 1.0
 
     def test_commutator_away_from_cap(self):
         # [a_k, a_j*] = delta_kj except on the top occupation shell
@@ -188,7 +200,7 @@ class TestXiKernel:
         # space only adds entries, it never reroutes an existing one
         s8, m8 = mats[8]
         s12, m12 = mats[12]
-        sel = np.array([s12.index[occ] for occ in s8.occupations])
+        sel = s12.rows_of(np.array(s8.occupations))
         np.testing.assert_allclose(m12[np.ix_(sel, sel)], m8, atol=1e-12)
 
     def test_beta_validation(self):
