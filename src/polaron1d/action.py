@@ -430,6 +430,8 @@ def s_eff_decomposed(
     if not all(1 <= h <= n for h in steps):
         raise ValueError(f"horizons must lie in 1..{n}, got {horizons}")
     N = params.N
+    if path.N != N:
+        raise ValueError(f"path N = {path.N} does not match params.N = {N}")
     beta = path.grid.beta
     dt = path.grid.dt
     sel = _s_el_rows(path, pot, steps)
@@ -442,9 +444,9 @@ def s_eff_decomposed(
         if eps > 0.0:
             k_max = damped_mode_count(2 * eps, params.L)
             # sized as for one mode when none is left: 0 would divide by 0
-            bytes_per_path = 16 * (n + 1) * path.N * max(1, k_max)
+            bytes_per_path = 16 * (n + 1) * N * max(1, k_max)
         else:
-            bytes_per_path = 8 * (n + 1) * path.N**2
+            bytes_per_path = 8 * (n + 1) * N**2
         chunk = max(1, _TABLE_BUDGET_BYTES // bytes_per_path)
         for lo in range(0, n_paths, chunk):
             c = slice(lo, lo + chunk)

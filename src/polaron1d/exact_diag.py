@@ -515,45 +515,43 @@ def sector_sweep(alphas, sectors, pot, params: ModelParams,
     Raises InvariantViolation when, within the table, a sector energy
     increases with alpha (beyond solver noise), an interacting energy
     fails to sit strictly below the electronic one at alpha > 0, or the
-    N = 2 symmetric sector fails to undercut the antisymmetric one.
+    N = 2 symmetric sector fails to undercut the antisymmetric one.  The
+    first failure raises: sectors in input order, each checked along the
+    sorted alpha ladder for monotonicity and then for coupling, and the
+    sector ordering last.
     """
     N = params.N
-    rows = []
+    rows, e_el, e_eps = [], {}, {}
     for symmetry in sectors:
-        e_el = electronic_ground(N, symmetry, pot, spec, params.L)
-        for alpha in alphas:
-            p = replace(params, alpha=float(alpha))
-            res = sector_ground(N, symmetry, pot, p, spec)
-            rows.append({"alpha": float(alpha), "sector": symmetry,
-                         "e_eps": res.ground_energy, "e_el": e_el,
+        e_el[symmetry] = electronic_ground(N, symmetry, pot, spec, params.L)
+        for alpha in map(float, alphas):
+            res = sector_ground(N, symmetry, pot, replace(params, alpha=alpha), spec)
+            e_eps[symmetry, alpha] = res.ground_energy
+            rows.append({"alpha": alpha, "sector": symmetry,
+                         "e_eps": res.ground_energy, "e_el": e_el[symmetry],
                          "gap": res.gap})
     noise = 1e-12
-    by_sector = {}
-    for row in rows:
-        by_sector.setdefault(row["sector"], []).append(row)
-    for symmetry, sec_rows in by_sector.items():
-        sec_rows.sort(key=lambda r: r["alpha"])
-        for lo, hi in zip(sec_rows, sec_rows[1:]):
-            if hi["e_eps"] > lo["e_eps"] + noise:
+    ladder = sorted({row["alpha"] for row in rows})
+    for symmetry in e_el:
+        for lo, hi in zip(ladder, ladder[1:]):
+            if e_eps[symmetry, hi] > e_eps[symmetry, lo] + noise:
                 raise InvariantViolation(
                     "alpha-monotonicity",
-                    f"sector {symmetry}: E({hi['alpha']}) = {hi['e_eps']:.12f} "
-                    f"> E({lo['alpha']}) = {lo['e_eps']:.12f}")
-        for row in sec_rows:
-            if row["alpha"] > 0 and not row["e_eps"] < row["e_el"]:
+                    f"sector {symmetry}: E({hi}) = {e_eps[symmetry, hi]:.12f} "
+                    f"> E({lo}) = {e_eps[symmetry, lo]:.12f}")
+        for alpha in ladder:
+            if alpha > 0 and not e_eps[symmetry, alpha] < e_el[symmetry]:
                 raise InvariantViolation(
                     "coupling-lowers-energy",
-                    f"sector {symmetry} at alpha {row['alpha']}: "
-                    f"{row['e_eps']} not below electronic {row['e_el']}")
-    if "symmetric" in by_sector and "antisymmetric" in by_sector:
-        for row_s in by_sector["symmetric"]:
-            for row_a in by_sector["antisymmetric"]:
-                if row_a["alpha"] == row_s["alpha"] and \
-                        not row_s["e_eps"] < row_a["e_eps"]:
-                    raise InvariantViolation(
-                        "sector-ordering",
-                        f"alpha {row_s['alpha']}: E(0) = {row_s['e_eps']} "
-                        f"not below E(1) = {row_a['e_eps']}")
+                    f"sector {symmetry} at alpha {alpha}: "
+                    f"{e_eps[symmetry, alpha]} not below electronic {e_el[symmetry]}")
+    if {"symmetric", "antisymmetric"} <= e_el.keys():
+        for alpha in ladder:
+            e_s, e_a = e_eps["symmetric", alpha], e_eps["antisymmetric", alpha]
+            if not e_s < e_a:
+                raise InvariantViolation(
+                    "sector-ordering",
+                    f"alpha {alpha}: E(0) = {e_s} not below E(1) = {e_a}")
     return rows
 
 

@@ -70,24 +70,24 @@ class FockSpace:
             raise ValueError(f"cap must be >= 0, got {self.cap}")
 
     @cached_property
-    def occupations(self) -> tuple:
-        """All multi-indices with total occupation <= cap, vacuum first."""
+    def occupations(self) -> np.ndarray:
+        """All multi-indices with total occupation <= cap: one read-only
+        integer row per state, sorted by total then row, vacuum first."""
         m = len(self.modes)
         quanta = np.array(list(itertools.combinations_with_replacement(
             range(m + 1), self.cap)), dtype=int)
-        counts = (quanta[:, :, None] == np.arange(m)).sum(axis=1)
-        occs = sorted(map(tuple, counts.tolist()),
-                      key=lambda occ: (sum(occ), occ))
-        return tuple(occs)
+        occ = (quanta[:, :, None] == np.arange(m)).sum(axis=1)
+        occ = occ[np.lexsort((*occ.T[::-1], occ.sum(axis=1)))]
+        occ.flags.writeable = False
+        return occ
 
     @cached_property
     def _rows_by_key(self) -> tuple:
-        """(occupation array, its rows as sorted keys, the row of each
-        sorted key): one sort per space serves every `rows_of` search."""
-        occ = np.array(self.occupations)
-        keys = self._keys(occ)
+        """(the occupation rows as sorted keys, the row of each sorted
+        key): one sort per space serves every `rows_of` search."""
+        keys = self._keys(self.occupations)
         order = np.argsort(keys)
-        return occ, keys[order], order
+        return keys[order], order
 
     def _keys(self, occ: np.ndarray) -> np.ndarray:
         """Each row of occ as one opaque byte string, in the narrowest
@@ -98,7 +98,7 @@ class FockSpace:
 
     def rows_of(self, occ: np.ndarray) -> np.ndarray:
         """Row of each occupation row of occ; every row must be in the space."""
-        _, sorted_keys, order = self._rows_by_key
+        sorted_keys, order = self._rows_by_key
         return order[np.searchsorted(sorted_keys, self._keys(occ))]
 
     @property
@@ -107,12 +107,12 @@ class FockSpace:
 
     @cached_property
     def total_occupation(self) -> np.ndarray:
-        return np.array([sum(occ) for occ in self.occupations], dtype=float)
+        return self.occupations.sum(axis=1, dtype=float)
 
 
 def annihilator(space: FockSpace, mode_pos: int) -> scipy.sparse.csr_matrix:
     """Sparse real matrix of a_k for the mode at mode_pos: sqrt(n_k) entries."""
-    occ = space._rows_by_key[0]
+    occ = space.occupations
     cols = np.flatnonzero(occ[:, mode_pos])
     lowered = occ[cols]
     lowered[:, mode_pos] -= 1

@@ -176,23 +176,28 @@ def brute_theta_direct(states, times, k, eps, g_L):
 
 
 def brute_occupations(m, cap):
-    """Multi-indices of m modes with total <= cap, by filtering the full
-    product of per-mode ranges; sorted by (total, occupations), vacuum first."""
-    from itertools import product as _product
+    """Multi-indices of m modes with total <= cap, from the product of
+    per-mode ranges walked depth first, each range cut to the quanta its
+    prefix leaves (the whole product, (cap + 1)^m tuples, is out of reach
+    at 40 modes); sorted by (total, occupations), vacuum first."""
+    def walk(prefix, left):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for n in range(left + 1):
+            yield from walk(prefix + (n,), left - n)
 
-    occs = [occ for occ in _product(range(cap + 1), repeat=m)
-            if sum(occ) <= cap]
-    occs.sort(key=lambda occ: (sum(occ), occ))
-    return tuple(occs)
+    return tuple(sorted(walk((), cap), key=lambda occ: (sum(occ), occ)))
 
 
 def annihilator_loop(space, mode_pos):
     """a_k built state by state: one dict lookup of each lowered tuple
     among the space's occupations, the reference for the vectorized
     search of `fock.annihilator`."""
-    index = {occ: i for i, occ in enumerate(space.occupations)}
+    occs = list(map(tuple, space.occupations.tolist()))
+    index = {occ: i for i, occ in enumerate(occs)}
     rows, cols, vals = [], [], []
-    for col, occ in enumerate(space.occupations):
+    for col, occ in enumerate(occs):
         n_k = occ[mode_pos]
         if n_k > 0:
             lowered = occ[:mode_pos] + (n_k - 1,) + occ[mode_pos + 1:]

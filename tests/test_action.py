@@ -169,6 +169,16 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             A.s_eff_decomposed(path, -0.2, ModelParams(alpha=1.0, N=1, beta=2.0))
 
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_path_particle_count_must_match_params(self, N, eps):
+        # phi(0,0) counts params.N particles and X, Y, Z the path's: a
+        # mismatch is refused, not mixed into one S_eff
+        path = make_paths(4, 2, n_steps=16)
+        with pytest.raises(ValueError,
+                           match=f"path N = 2 does not match params.N = {N}"):
+            A.s_eff_decomposed(path, eps, ModelParams(alpha=1.0, N=N, beta=2.0))
+
     def test_time_blocking_does_not_change_values(self, monkeypatch):
         # every reduction of the mode table runs along one path, so path
         # chunks of 3 (and a ragged one of 2) change no bit

@@ -549,6 +549,68 @@ class TestSectorSweep:
                             ed.DiscretizationSpec(4, 1, 1, 0.5))
         assert exc.value.name == "alpha-monotonicity"
 
+    @staticmethod
+    def rigged_sweep(monkeypatch, e_eps, e_el, alphas, sectors):
+        """sector_sweep with sector_ground stubbed to e_eps(sector, alpha)
+        and electronic_ground to e_el[sector]; returns its exception."""
+        def rigged(N, symmetry, pot, params, spec, m=2):
+            fake = e_eps(symmetry, params.alpha)
+            return ed.SpectrumResult(
+                eigenvalues=np.array([fake, fake + 1]), residuals=np.zeros(2),
+                gap=1.0, norm_scale=1.0)
+
+        monkeypatch.setattr(ed, "sector_ground", rigged)
+        monkeypatch.setattr(ed, "electronic_ground",
+                            lambda N, symmetry, *a: e_el[symmetry])
+        with pytest.raises(ed.InvariantViolation) as exc:
+            ed.sector_sweep(alphas, sectors, None, params_for(1.0, N=2),
+                            ed.DiscretizationSpec(4, 1, 1, 0.5))
+        return exc.value
+
+    def test_coupling_guard_fires(self, monkeypatch):
+        # both sectors fall with alpha and keep their order; the symmetric
+        # one only ties its electronic energy at alpha 0.5
+        base = {"symmetric": 1.0, "antisymmetric": 2.0}
+        err = self.rigged_sweep(
+            monkeypatch, lambda s, a: base[s] - a,
+            {"symmetric": 0.5, "antisymmetric": 3.0}, [0.0, 0.5, 1.0],
+            ("symmetric", "antisymmetric"))
+        assert str(err) == ("coupling-lowers-energy: sector symmetric at "
+                            "alpha 0.5: 0.5 not below electronic 0.5")
+
+    def test_sector_ordering_guard_fires(self, monkeypatch):
+        # each sector falls with alpha and sits below its electronic energy;
+        # the sectors tie at 0.5 and swap at 1.0, and the lowest such alpha
+        # is reported whatever the input order
+        slope = {"symmetric": (1.0, 1.0), "antisymmetric": (1.5, 2.0)}
+        err = self.rigged_sweep(
+            monkeypatch, lambda s, a: slope[s][0] - slope[s][1] * a,
+            {"symmetric": 10.0, "antisymmetric": 10.0}, [1.0, 0.0, 0.5],
+            ("symmetric", "antisymmetric"))
+        assert str(err) == ("sector-ordering: alpha 0.5: E(0) = 0.5 "
+                            "not below E(1) = 0.5")
+
+    @pytest.mark.parametrize("sectors,message", [
+        (("symmetric", "antisymmetric"),
+         "coupling-lowers-energy: sector symmetric at alpha 0.5: 2.5 not "
+         "below electronic 2.5"),
+        (("antisymmetric", "symmetric"),
+         "alpha-monotonicity: sector antisymmetric: E(0.5) = 1.500000000000 "
+         "> E(0.0) = 1.000000000000"),
+    ])
+    def test_first_failing_sector_raises(self, monkeypatch, sectors, message):
+        # the symmetric sector only fails coupling-lowers-energy, the
+        # antisymmetric one only alpha-monotonicity, and the two fail
+        # sector-ordering: sectors are checked in input order, and the
+        # ordering between them last
+        energy = {"symmetric": lambda a: 3.0 - a,
+                  "antisymmetric": lambda a: 1.0 + a}
+        err = self.rigged_sweep(
+            monkeypatch, lambda s, a: energy[s](a),
+            {"symmetric": 2.5, "antisymmetric": 10.0}, [0.0, 0.5, 1.0],
+            sectors)
+        assert str(err) == message
+
     def test_sector_must_fit_params_n(self):
         # N comes from params.N: the N = 1 label at N = 2 is refused, not
         # solved as N = 1
